@@ -1,25 +1,20 @@
 module Graph = Taskgraph.Graph
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Numfmt = Prelude.Numfmt
 
-(* Chrome trace "complete" event, appended straight to [buf]. *)
-let add_complete_event buf ~name ~pid ~tid ~ts ~dur ~args =
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"name":"%s","ph":"X","ts":%g,"dur":%g,"pid":%d,"tid":%d,"args":{%s}}|}
-       (json_escape name) ts dur pid tid args)
+(* [put buf s n] appends the literal [s], then [n] as "%d"; [put_g] and
+   [put_h] do the same with a float as "%g" and "%h". *)
+let put buf s n =
+  Buffer.add_string buf s;
+  Numfmt.add_int buf n
+
+let put_g buf s x =
+  Buffer.add_string buf s;
+  Numfmt.add_g buf x
+
+let put_h buf s x =
+  Buffer.add_string buf s;
+  Numfmt.add_h buf x
 
 (* Thread ids inside a processor's trace group. *)
 let tid_cpu = 0
@@ -55,10 +50,11 @@ let to_chrome_trace ?(time_unit = 1.0) s =
       (Schedule.comm_at s ((tag - n) / 2)).Schedule.start
     else (snd dups.(tag - n - (2 * nc))).Schedule.start
   in
+  let starts = Array.init total ts_of in
   let order = Array.init total Fun.id in
   Array.sort
     (fun a b ->
-      match compare (ts_of a) (ts_of b) with
+      match Float.compare starts.(a) starts.(b) with
       | 0 -> Int.compare b a
       | c -> c)
     order;
@@ -74,48 +70,67 @@ let to_chrome_trace ?(time_unit = 1.0) s =
     List.iter
       (fun (tid, label) ->
         sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             {|{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}}|}
-             q tid label))
+        put buf {|{"name":"thread_name","ph":"M","pid":|} q;
+        put buf {|,"tid":|} tid;
+        Buffer.add_string buf {|,"args":{"name":"|};
+        Buffer.add_string buf label;
+        Buffer.add_string buf {|"}}|})
       [ (tid_cpu, "cpu"); (tid_send, "send port"); (tid_recv, "recv port") ]
   done;
+  (* A "complete" event.  [name] and [args] write the name (which never
+     needs JSON escaping) and the body of the args object. *)
+  let event ~name ~pid ~tid ~start ~finish ~args =
+    Buffer.add_string buf {|{"name":"|};
+    name ();
+    put_g buf {|","ph":"X","ts":|} (time_unit *. start);
+    put_g buf {|,"dur":|} (time_unit *. (finish -. start));
+    put buf {|,"pid":|} pid;
+    put buf {|,"tid":|} tid;
+    Buffer.add_string buf {|,"args":{|};
+    args ();
+    Buffer.add_string buf "}}"
+  in
+  let task_args v () =
+    put buf {|"task":|} v;
+    put_g buf {|,"weight":|} (Graph.weight g v)
+  in
   Array.iter
     (fun tag ->
       sep ();
       if tag < n then begin
         let pl = Schedule.placement_exn s tag in
-        add_complete_event buf
-          ~name:(Printf.sprintf "v%d" tag)
-          ~pid:pl.Schedule.proc ~tid:tid_cpu
-          ~ts:(time_unit *. pl.Schedule.start)
-          ~dur:(time_unit *. (pl.Schedule.finish -. pl.Schedule.start))
-          ~args:
-            (Printf.sprintf {|"task":%d,"weight":%g|} tag (Graph.weight g tag))
+        event
+          ~name:(fun () -> put buf "v" tag)
+          ~pid:pl.Schedule.proc ~tid:tid_cpu ~start:pl.Schedule.start
+          ~finish:pl.Schedule.finish ~args:(task_args tag)
       end
       else if tag >= n + (2 * nc) then begin
         let v, pl = dups.(tag - n - (2 * nc)) in
-        add_complete_event buf
-          ~name:(Printf.sprintf "v%d'" v)
-          ~pid:pl.Schedule.proc ~tid:tid_cpu
-          ~ts:(time_unit *. pl.Schedule.start)
-          ~dur:(time_unit *. (pl.Schedule.finish -. pl.Schedule.start))
-          ~args:
-            (Printf.sprintf {|"task":%d,"weight":%g,"copy":true|} v
-               (Graph.weight g v))
+        event
+          ~name:(fun () ->
+            put buf "v" v;
+            Buffer.add_char buf '\'')
+          ~pid:pl.Schedule.proc ~tid:tid_cpu ~start:pl.Schedule.start
+          ~finish:pl.Schedule.finish
+          ~args:(fun () ->
+            task_args v ();
+            Buffer.add_string buf {|,"copy":true|})
       end
       else begin
         let c = Schedule.comm_at s ((tag - n) / 2) in
         let recv = (tag - n) land 1 = 1 in
-        add_complete_event buf
-          ~name:(Printf.sprintf "e%d:%d->%d" c.edge c.src_proc c.dst_proc)
+        event
+          ~name:(fun () ->
+            put buf "e" c.edge;
+            put buf ":" c.src_proc;
+            put buf "->" c.dst_proc)
           ~pid:(if recv then c.dst_proc else c.src_proc)
           ~tid:(if recv then tid_recv else tid_send)
-          ~ts:(time_unit *. c.start)
-          ~dur:(time_unit *. (c.finish -. c.start))
-          ~args:
-            (Printf.sprintf {|"edge":%d,"src":%d,"dst":%d|} c.edge c.src_proc
-               c.dst_proc)
+          ~start:c.start ~finish:c.finish
+          ~args:(fun () ->
+            put buf {|"edge":|} c.edge;
+            put buf {|,"src":|} c.src_proc;
+            put buf {|,"dst":|} c.dst_proc)
       end)
     order;
   Buffer.add_string buf "]\n";
@@ -125,24 +140,28 @@ let to_csv s =
   let g = Schedule.graph s in
   let buf = Buffer.create (1024 + ((Graph.n_tasks g + Schedule.n_comms s) * 48)) in
   Buffer.add_string buf "kind,name,processor,resource,start,finish,duration\n";
-  let row kind name proc resource start finish =
-    Buffer.add_string buf
-      (Printf.sprintf "%s,%s,%d,%s,%g,%g,%g\n" kind name proc resource start
-         finish (finish -. start))
+  (* [prefix] is "kind,x" and [id] completes the name "x<id>" *)
+  let row prefix id proc resource start finish =
+    put buf prefix id;
+    put buf "," proc;
+    Buffer.add_char buf ',';
+    Buffer.add_string buf resource;
+    put_g buf "," start;
+    put_g buf "," finish;
+    put_g buf "," (finish -. start);
+    Buffer.add_char buf '\n'
   in
   for v = 0 to Graph.n_tasks g - 1 do
     let pl = Schedule.placement_exn s v in
-    row "task" (Printf.sprintf "v%d" v) pl.Schedule.proc "cpu" pl.Schedule.start
-      pl.Schedule.finish;
+    row "task,v" v pl.Schedule.proc "cpu" pl.Schedule.start pl.Schedule.finish;
     List.iter
       (fun (c : Schedule.placement) ->
-        row "copy" (Printf.sprintf "v%d" v) c.proc "cpu" c.start c.finish)
+        row "copy,v" v c.proc "cpu" c.start c.finish)
       (Schedule.dup_copies s v)
   done;
   Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
-      let name = Printf.sprintf "e%d" c.edge in
-      row "comm" name c.src_proc "send" c.start c.finish;
-      row "comm" name c.dst_proc "recv" c.start c.finish);
+      row "comm,e" c.edge c.src_proc "send" c.start c.finish;
+      row "comm,e" c.edge c.dst_proc "recv" c.start c.finish);
   Buffer.contents buf
 
 let write_file path contents =
@@ -154,16 +173,24 @@ let write_file path contents =
 let fingerprint s =
   let g = Schedule.graph s in
   let buf = Buffer.create (64 + ((Graph.n_tasks g + Schedule.n_comms s) * 32)) in
-  (if Schedule.all_placed s then
-     Buffer.add_string buf (Printf.sprintf "m=%h" (Schedule.makespan s))
-   else Buffer.add_string buf "m=-");
+  (* entries: ";t<task>=<proc>:<start>:<finish>" (or ";t<task>=-"),
+     ";d<task>=..." per extra copy, ";c<edge>=<src>><dst>:<start>:<finish>"
+     per hop and ";p=<start>:<finish>" per BSP phase *)
+  let times start finish =
+    put_h buf ":" start;
+    put_h buf ":" finish
+  in
+  if Schedule.all_placed s then put_h buf "m=" (Schedule.makespan s)
+  else Buffer.add_string buf "m=-";
   for v = 0 to Graph.n_tasks g - 1 do
     match Schedule.placement s v with
-    | None -> Buffer.add_string buf (Printf.sprintf ";t%d=-" v)
+    | None ->
+        put buf ";t" v;
+        Buffer.add_string buf "=-"
     | Some pl ->
-        Buffer.add_string buf
-          (Printf.sprintf ";t%d=%d:%h:%h" v pl.Schedule.proc pl.Schedule.start
-             pl.Schedule.finish)
+        put buf ";t" v;
+        put buf "=" pl.Schedule.proc;
+        times pl.Schedule.start pl.Schedule.finish
   done;
   (* copy lines appear only on duplicated schedules, so single-copy
      fingerprints are bit-identical to the pre-duplication era *)
@@ -171,15 +198,17 @@ let fingerprint s =
     for v = 0 to Graph.n_tasks g - 1 do
       List.iter
         (fun (c : Schedule.placement) ->
-          Buffer.add_string buf
-            (Printf.sprintf ";d%d=%d:%h:%h" v c.Schedule.proc c.Schedule.start
-               c.Schedule.finish))
+          put buf ";d" v;
+          put buf "=" c.Schedule.proc;
+          times c.Schedule.start c.Schedule.finish)
         (Schedule.dup_copies s v)
     done;
   Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
-      Buffer.add_string buf
-        (Printf.sprintf ";c%d=%d>%d:%h:%h" c.Schedule.edge c.Schedule.src_proc
-           c.Schedule.dst_proc c.Schedule.start c.Schedule.finish));
+      put buf ";c" c.Schedule.edge;
+      put buf "=" c.Schedule.src_proc;
+      put buf ">" c.Schedule.dst_proc;
+      times c.Schedule.start c.Schedule.finish);
   Schedule.iter_phases s ~f:(fun start finish ->
-      Buffer.add_string buf (Printf.sprintf ";p=%h:%h" start finish));
+      put_h buf ";p=" start;
+      put_h buf ":" finish);
   Digest.to_hex (Digest.string (Buffer.contents buf))

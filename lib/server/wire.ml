@@ -11,15 +11,20 @@ type t =
 (* ------------------------------------------------------------------ *)
 
 (* Shortest decimal that round-trips: ids and counts print as "3", not
-   "3.000000", while any finite float survives parse ∘ print exactly. *)
-let num_to_string x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+   "3.000000", while any finite float survives parse ∘ print exactly
+   (-0. included: it prints as "-0", as "%.0f" does). *)
+let add_num buf x =
+  if Float.is_integer x && Float.abs x < 1e15 then
+    if x = 0. && Float.sign_bit x then Buffer.add_string buf "-0"
+    else Prelude.Numfmt.add_int buf (int_of_float x)
   else
-    let s = Printf.sprintf "%.15g" x in
-    if float_of_string s = x then s
-    else
-      let s = Printf.sprintf "%.16g" x in
-      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    let fmt = Prelude.Numfmt.format_float in
+    let s = fmt "%.15g" x in
+    Buffer.add_string buf
+      (if float_of_string s = x then s
+       else
+         let s = fmt "%.16g" x in
+         if float_of_string s = x then s else fmt "%.17g" x)
 
 let add_escaped buf s =
   Buffer.add_char buf '"';
@@ -42,7 +47,7 @@ let print v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num x -> Buffer.add_string buf (num_to_string x)
+    | Num x -> add_num buf x
     | Str s -> add_escaped buf s
     | Arr l ->
         Buffer.add_char buf '[';

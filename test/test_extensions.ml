@@ -154,7 +154,26 @@ let export_tests =
         in
         (* header + tasks + 2 rows per comm *)
         check_int "rows" (1 + O.Graph.n_tasks g + (2 * O.Schedule.n_comm_events sched))
-          (List.length lines));
+          (List.length lines);
+        (* a duplicated schedule adds one "copy" row per extra copy *)
+        let g = O.Kernels.fork_join ~n:100 ~ccr:1. in
+        let plat = O.Platform.paper_platform () in
+        let sched = O.Heft_dup.schedule plat g in
+        let rows = String.split_on_char '\n' (O.Export.to_csv sched) in
+        let count kind =
+          List.length
+            (List.filter (String.starts_with ~prefix:(kind ^ ",")) rows)
+        in
+        let copies =
+          List.fold_left
+            (fun acc v -> acc + List.length (O.Schedule.dup_copies sched v))
+            0
+            (List.init (O.Graph.n_tasks g) Fun.id)
+        in
+        check_bool "has copies" true (copies > 0);
+        check_int "copy rows" copies (count "copy");
+        check_int "task rows" (O.Graph.n_tasks g) (count "task");
+        check_int "comm rows" (2 * O.Schedule.n_comms sched) (count "comm"));
   ]
 
 let utilization_tests =

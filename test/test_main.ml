@@ -13,6 +13,7 @@ let () =
       ("kernels", Test_kernels.suite);
       ("experiments", Test_experiments.suite);
       ("extensions", Test_extensions.suite);
+      ("export", Test_export.suite);
       ("link-contention", Test_link_contention.suite);
       ("executor-io", Test_simkit2.suite);
       ("improvers", Test_improvers.suite);

@@ -22,9 +22,9 @@ let qcheck_rand () =
   in
   Random.State.make [| seed |]
 
-let qtest ?(count = 100) name gen prop =
+let qtest ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ())
-    (QCheck2.Test.make ~count ~name gen prop)
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Deterministic random graphs: generate a seed and shape parameters, build
    with the library's own generators. *)
