@@ -31,9 +31,40 @@ type hop_set = {
   h_recv_ids : int array;
 }
 
+(* A priced candidate in flat form, so that pricing a losing candidate
+   builds nothing: its hops as parallel arrays (prefix [p_n], in commit
+   order) and its times in [p_times] — est, eft and, when [p_phased], the
+   BSP phase window.  Floats live in float arrays because a mutable float
+   field of a mixed record is boxed on every write.  Only the winner of a
+   scan is turned into an [eval] ({!materialize}). *)
+type priced = {
+  mutable p_edge : int array;
+  mutable p_src : int array;
+  mutable p_dst : int array;
+  mutable p_start : float array;
+  mutable p_n : int;
+  p_times : float array;
+  mutable p_proc : int;
+  mutable p_phased : bool;
+}
+
+let priced_create () =
+  {
+    p_edge = Array.make 8 0;
+    p_src = Array.make 8 0;
+    p_dst = Array.make 8 0;
+    p_start = Array.make 8 0.;
+    p_n = 0;
+    p_times = Array.make 4 0.;
+    p_proc = 0;
+    p_phased = false;
+  }
+
 (* The engine owns every scratch structure the evaluation grid needs, so
-   that pricing one (task, processor) candidate allocates nothing beyond
-   the [eval] it returns:
+   that pricing one (task, processor) candidate builds no list, record
+   or closure — the allocations left are the boxed floats that cross
+   non-inlined calls (probe results, execution times, the bound), a few
+   words each:
 
    - [routes] caches, per ordered processor pair, the platform route with
      each hop's busy set and per-item cost ([route_cache_hits] counts
@@ -46,12 +77,14 @@ type hop_set = {
    - the [inc_*] arrays cache the incoming-communication table of the
      task being priced (predecessor finish, source, edge, source
      processor, edge data — sorted by the §4.3 greedy order), computed
-     once per task rather than once per candidate. *)
+     once per task rather than once per candidate;
+   - [cur] receives the candidate being priced and [best] holds the
+     scan's incumbent; an improvement swaps the two. *)
 type t = {
   sched : Schedule.t;
   policy : policy;
   p : int;
-  all_procs : int list;
+  all_procs : int array;
   regime : Comm_model.regime;
   routes : hop_set array option array;
   comp_tls : Timeline.t array array;
@@ -68,8 +101,12 @@ type t = {
   (* merged extras of the probe in flight *)
   mutable ext_s : float array;
   mutable ext_f : float array;
-  mutable ext_len : int;
   mutable idx : int array;
+  (* the candidate being priced, the scan's incumbent and its index in
+     the scanned array (-1: none yet) *)
+  mutable cur : priced;
+  mutable best : priced;
+  mutable best_idx : int;
   (* incoming-edge table of the task being priced *)
   mutable inc_task : int;
   mutable inc_len : int;
@@ -113,7 +150,7 @@ let create ?(policy = Insertion) ?(eval_jobs = 1) sched =
     sched;
     policy;
     p;
-    all_procs = List.init p Fun.id;
+    all_procs = Array.init p Fun.id;
     regime;
     routes = Array.make (p * p) None;
     comp_tls = Array.init p (fun i -> [| Resource.compute res i |]);
@@ -127,8 +164,10 @@ let create ?(policy = Insertion) ?(eval_jobs = 1) sched =
     n_dirty = 0;
     ext_s = Array.make 16 0.;
     ext_f = Array.make 16 0.;
-    ext_len = 0;
     idx = Array.make 8 0;
+    cur = priced_create ();
+    best = priced_create ();
+    best_idx = -1;
     inc_task = -1;
     inc_len = 0;
     inc_fin = [||];
@@ -212,32 +251,11 @@ let arena_add t id s f =
     t.buf_len.(id) <- n + 1
   end
 
-(* Stage one extra into the probe's merged, start-sorted extras. *)
-let push_extra t s f =
-  let n = t.ext_len in
-  if n = Array.length t.ext_s then begin
-    let cap' = 2 * n in
-    let es = Array.make cap' 0. in
-    let ef = Array.make cap' 0. in
-    Array.blit t.ext_s 0 es 0 n;
-    Array.blit t.ext_f 0 ef 0 n;
-    t.ext_s <- es;
-    t.ext_f <- ef
-  end;
-  let es = t.ext_s and ef = t.ext_f in
-  let pos = ref n in
-  while !pos > 0 && es.(!pos - 1) > s do
-    es.(!pos) <- es.(!pos - 1);
-    ef.(!pos) <- ef.(!pos - 1);
-    decr pos
-  done;
-  es.(!pos) <- s;
-  ef.(!pos) <- f;
-  t.ext_len <- n + 1
-
 (* Earliest slot of [duration] on the joint busy set of [tls] plus the
    arena's tentative intervals for [ids], at or after [after], honouring
-   the policy. *)
+   the policy.  The arena's intervals are merged into one start-sorted
+   run right here rather than through a helper, so no float crosses a
+   call per interval. *)
 let probe t ~tls ~ids ~after ~duration =
   let k = Array.length tls in
   let after =
@@ -259,20 +277,39 @@ let probe t ~tls ~ids ~after ~duration =
         done;
         !a
   in
-  t.ext_len <- 0;
+  let total = ref 0 in
+  for j = 0 to k - 1 do
+    let id = ids.(j) in
+    if id < Array.length t.buf_len then total := !total + t.buf_len.(id)
+  done;
+  if !total > Array.length t.ext_s then begin
+    let cap = max !total (2 * Array.length t.ext_s) in
+    t.ext_s <- Array.make cap 0.;
+    t.ext_f <- Array.make cap 0.
+  end;
+  let es = t.ext_s and ef = t.ext_f in
+  let n = ref 0 in
   for j = 0 to k - 1 do
     let id = ids.(j) in
     if id < Array.length t.buf_len then begin
-      let n = t.buf_len.(id) in
       let bs = t.buf_s.(id) and bf = t.buf_f.(id) in
-      for i = 0 to n - 1 do
-        push_extra t bs.(i) bf.(i)
+      for i = 0 to t.buf_len.(id) - 1 do
+        let s = bs.(i) in
+        let pos = ref !n in
+        while !pos > 0 && es.(!pos - 1) > s do
+          es.(!pos) <- es.(!pos - 1);
+          ef.(!pos) <- ef.(!pos - 1);
+          decr pos
+        done;
+        es.(!pos) <- s;
+        ef.(!pos) <- bf.(i);
+        incr n
       done
     end
   done;
   if k > Array.length t.idx then t.idx <- Array.make (max k (2 * Array.length t.idx)) 0;
-  Timeline.earliest_gap_joint_arr tls ~k ~extra_s:t.ext_s ~extra_f:t.ext_f
-    ~extra_len:t.ext_len ~idx:t.idx ~after ~duration
+  Timeline.earliest_gap_joint_arr tls ~k ~extra_s:es ~extra_f:ef ~extra_len:!n
+    ~idx:t.idx ~after ~duration
 
 (* ------------------------------------------------------------------ *)
 (* Route and incoming caches                                           *)
@@ -649,7 +686,8 @@ module Reference = struct
           (List.sort_uniq compare procs);
         Option.get !best
 
-  let best_proc ?floor t ~task = best_proc_among ?floor t ~task t.all_procs
+  let best_proc ?floor t ~task =
+    best_proc_among ?floor t ~task (Array.to_list t.all_procs)
 end
 
 let use_reference = ref false
@@ -663,10 +701,28 @@ let with_reference f =
 (* Optimized evaluation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate_port_opt ~floor t ~task ~proc =
-  prepare_incoming t ~task;
-  arena_reset t;
-  let hops = ref [] in
+(* Append a hop to [c], growing its buffers when full. *)
+let push_hop c ~edge ~src ~dst start =
+  let n = c.p_n in
+  if n = Array.length c.p_edge then begin
+    let grow a fill =
+      let a' = Array.make (2 * n) fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    c.p_edge <- grow c.p_edge 0;
+    c.p_src <- grow c.p_src 0;
+    c.p_dst <- grow c.p_dst 0;
+    c.p_start <- grow c.p_start 0.
+  end;
+  c.p_edge.(n) <- edge;
+  c.p_src.(n) <- src;
+  c.p_dst.(n) <- dst;
+  c.p_start.(n) <- start;
+  c.p_n <- n + 1
+
+let price_port ~floor t ~task ~proc =
+  let c = t.cur in
   let ready = ref floor in
   for i = 0 to t.inc_len - 1 do
     let fin = t.inc_fin.(i) in
@@ -689,9 +745,7 @@ let evaluate_port_opt ~floor t ~task ~proc =
               probe t ~tls:hs.h_tls ~ids:hs.h_ids ~after:!data_ready ~duration
             in
             Obs.Counters.tentative_hop ();
-            hops :=
-              { edge = e; src_proc = hs.h_src; dst_proc = hs.h_dst; start }
-              :: !hops;
+            push_hop c ~edge:e ~src:hs.h_src ~dst:hs.h_dst start;
             let finish = start +. duration in
             for j = 0 to Array.length hs.h_ids - 1 do
               arena_add t hs.h_ids.(j) start finish
@@ -706,13 +760,13 @@ let evaluate_port_opt ~floor t ~task ~proc =
     probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
       ~duration
   in
-  { proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
+  c.p_times.(0) <- est;
+  c.p_times.(1) <- est +. duration
 
 (* Arena mirror of [Reference.evaluate_bsp]: same arithmetic in the same
    order, so both engines stay bit-identical. *)
-let evaluate_bsp_opt ~floor t ~task ~proc ~g:gp ~l:lp =
-  prepare_incoming t ~task;
-  arena_reset t;
+let price_bsp ~floor t ~task ~proc ~g:gp ~l:lp =
+  let c = t.cur in
   let local_ready = ref floor in
   let remote_ready = ref floor in
   let h = ref 0. in
@@ -731,47 +785,41 @@ let evaluate_bsp_opt ~floor t ~task ~proc ~g:gp ~l:lp =
     end
   done;
   let duration = Schedule.exec_duration t.sched ~task ~proc in
-  if not !any_remote then begin
-    let est =
-      probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc)
-        ~after:!local_ready ~duration
-    in
-    { proc; est; eft = est +. duration; hops = []; phase = None }
-  end
-  else begin
-    let d = (gp *. !h) +. lp in
-    let c =
-      probe t ~tls:t.phase_tls ~ids:t.phase_ids ~after:!remote_ready
-        ~duration:d
-    in
-    let f = c +. d in
-    for j = 0 to Array.length t.phase_ids - 1 do
-      arena_add t t.phase_ids.(j) c f
-    done;
-    let hops = ref [] in
-    for i = 0 to t.inc_len - 1 do
-      let q = t.inc_proc.(i) in
-      let data = t.inc_data.(i) in
-      if q <> proc && data <> 0. then begin
-        Obs.Counters.tentative_hop ();
-        hops :=
-          { edge = t.inc_edge.(i); src_proc = q; dst_proc = proc; start = c }
-          :: !hops
-      end
-    done;
-    let ready = if !local_ready > f then !local_ready else f in
-    let est =
-      probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:ready
-        ~duration
-    in
-    { proc; est; eft = est +. duration; hops = List.rev !hops; phase = Some (c, f) }
-  end
+  let ready =
+    if not !any_remote then !local_ready
+    else begin
+      let d = (gp *. !h) +. lp in
+      let ph =
+        probe t ~tls:t.phase_tls ~ids:t.phase_ids ~after:!remote_ready
+          ~duration:d
+      in
+      let f = ph +. d in
+      for j = 0 to Array.length t.phase_ids - 1 do
+        arena_add t t.phase_ids.(j) ph f
+      done;
+      for i = 0 to t.inc_len - 1 do
+        let q = t.inc_proc.(i) in
+        if q <> proc && t.inc_data.(i) <> 0. then begin
+          Obs.Counters.tentative_hop ();
+          push_hop c ~edge:t.inc_edge.(i) ~src:q ~dst:proc ph
+        end
+      done;
+      c.p_phased <- true;
+      c.p_times.(2) <- ph;
+      c.p_times.(3) <- f;
+      if !local_ready > f then !local_ready else f
+    end
+  in
+  let est =
+    probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:ready
+      ~duration
+  in
+  c.p_times.(0) <- est;
+  c.p_times.(1) <- est +. duration
 
 (* Arena mirror of [Reference.evaluate_latency]. *)
-let evaluate_latency_opt ~floor t ~task ~proc ~o ~l =
-  prepare_incoming t ~task;
-  arena_reset t;
-  let hops = ref [] in
+let price_latency ~floor t ~task ~proc ~o ~l =
+  let c = t.cur in
   let ready = ref floor in
   for i = 0 to t.inc_len - 1 do
     let fin = t.inc_fin.(i) in
@@ -803,7 +851,7 @@ let evaluate_latency_opt ~floor t ~task ~proc ~o ~l =
         in
         let s, f, r0 = place !data_ready in
         Obs.Counters.tentative_hop ();
-        hops := { edge = e; src_proc = hs.h_src; dst_proc = hs.h_dst; start = s } :: !hops;
+        push_hop c ~edge:e ~src:hs.h_src ~dst:hs.h_dst s;
         let s1 = min (s +. o) f in
         for j = 0 to Array.length hs.h_send_ids - 1 do
           arena_add t hs.h_send_ids.(j) s s1
@@ -821,26 +869,123 @@ let evaluate_latency_opt ~floor t ~task ~proc ~o ~l =
     probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
       ~duration
   in
-  { proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
+  c.p_times.(0) <- est;
+  c.p_times.(1) <- est +. duration
 
-let evaluate_opt ~floor t ~task ~proc =
+(* The one pricing core: evaluates [task] on [proc] into [t.cur]. *)
+let price ~floor t ~task ~proc =
   Obs.Counters.evaluation ();
+  prepare_incoming t ~task;
+  arena_reset t;
+  let c = t.cur in
+  c.p_n <- 0;
+  c.p_proc <- proc;
+  c.p_phased <- false;
   match t.regime with
-  | Comm_model.Port -> evaluate_port_opt ~floor t ~task ~proc
-  | Comm_model.Bsp { g; l } -> evaluate_bsp_opt ~floor t ~task ~proc ~g ~l
+  | Comm_model.Port -> price_port ~floor t ~task ~proc
+  | Comm_model.Bsp { g; l } -> price_bsp ~floor t ~task ~proc ~g ~l
   | Comm_model.Latency_overhead { o; l } ->
-      evaluate_latency_opt ~floor t ~task ~proc ~o ~l
+      price_latency ~floor t ~task ~proc ~o ~l
+
+let materialize c =
+  let hops = ref [] in
+  for i = c.p_n - 1 downto 0 do
+    hops :=
+      {
+        edge = c.p_edge.(i);
+        src_proc = c.p_src.(i);
+        dst_proc = c.p_dst.(i);
+        start = c.p_start.(i);
+      }
+      :: !hops
+  done;
+  {
+    proc = c.p_proc;
+    est = c.p_times.(0);
+    eft = c.p_times.(1);
+    hops = !hops;
+    phase = (if c.p_phased then Some (c.p_times.(2), c.p_times.(3)) else None);
+  }
 
 let evaluate ?(floor = 0.) t ~task ~proc =
   if !use_reference then Reference.evaluate ~floor t ~task ~proc
-  else evaluate_opt ~floor t ~task ~proc
+  else begin
+    price ~floor t ~task ~proc;
+    materialize t.cur
+  end
+
+(* A lower bound on the EFT of [task] on [proc], from committed state
+   alone, in two stages.  Under the port regime it mirrors
+   [price_port]'s branches: a local or zero-data input is ready at its
+   finish, a local duplicate copy at that copy's finish, and a remote
+   input at [max fin floor] plus each route hop's [data *. h_cost],
+   added hop by hop in the evaluator's order — a probe never returns a
+   slot before its [after] and rounding is monotone, so each partial sum
+   stays at or below the evaluator's.  When [ready +. exec] already
+   reaches [cutoff] it is returned as is; otherwise one probe of
+   [proc]'s committed compute timeline at [ready], arena empty, tightens
+   it: the slot search is exact, hence monotone in [after], and the
+   tentative intervals it leaves out can only delay the real slot.  The
+   BSP and latency+overhead regimes keep the plain bound, latest
+   predecessor finish (or [floor]) plus execution. *)
+let bound ~floor t ~task ~proc ~cutoff =
+  prepare_incoming t ~task;
+  let exec = Schedule.exec_duration t.sched ~task ~proc in
+  match t.regime with
+  | Comm_model.Bsp _ | Comm_model.Latency_overhead _ ->
+      (if t.inc_max_fin > floor then t.inc_max_fin else floor) +. exec
+  | Comm_model.Port ->
+      let ready = ref floor in
+      for i = 0 to t.inc_len - 1 do
+        let fin = t.inc_fin.(i) in
+        let q = t.inc_proc.(i) in
+        let data = t.inc_data.(i) in
+        if q = proc || data = 0. then begin
+          if fin > !ready then ready := fin
+        end
+        else begin
+          match dup_local_finish t.sched ~src:t.inc_src.(i) ~proc with
+          | Some f -> if f > !ready then ready := f
+          | None ->
+              let route = route_for t ~src:q ~dst:proc in
+              let arrival = ref (if fin > floor then fin else floor) in
+              for h = 0 to Array.length route - 1 do
+                arrival := !arrival +. (data *. route.(h).h_cost)
+              done;
+              if !arrival > !ready then ready := !arrival
+        end
+      done;
+      if !ready +. exec >= cutoff then !ready +. exec
+      else begin
+        arena_reset t;
+        probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
+          ~duration:exec
+        +. exec
+      end
+
+let lower_bound ?(floor = 0.) t ~task ~proc =
+  bound ~floor t ~task ~proc ~cutoff:infinity
+
+(* Make the candidate just priced into [t.cur], at index [i], the
+   incumbent unless the incumbent's EFT is at least as good: ties keep
+   the incumbent. *)
+let offer t i =
+  if t.best_idx < 0 || not (t.best.p_times.(1) <= t.cur.p_times.(1)) then begin
+    let b = t.best in
+    t.best <- t.cur;
+    t.cur <- b;
+    t.best_idx <- i
+  end
+
+let winner t =
+  if t.best_idx < 0 then None else Some (t.best_idx, materialize t.best)
 
 let rec is_sorted_strict = function
   | a :: (b :: _ as rest) -> a < b && is_sorted_strict rest
   | _ -> true
 
 (* ------------------------------------------------------------------ *)
-(* Parallel candidate evaluation                                       *)
+(* Candidate scans, serial and parallel                                *)
 (* ------------------------------------------------------------------ *)
 
 (* [ensure_clones t] lazily builds the per-helper scratch engines.  Each
@@ -864,25 +1009,28 @@ let ensure_clones t =
    barrier costs more than the evaluations. *)
 let parallel_min_candidates = 4
 
-(* Earliest-best scan of candidates [procs.(lo .. hi-1)], with the same
-   lower-bound pruning and keep-the-incumbent tie-break as the serial
-   loop.  Returns the winning candidate index alongside its eval so the
-   reduction can break ties by index. *)
-let scan_candidates ~floor t ~task ~ready_lb procs lo hi =
-  let best = ref None in
+(* Earliest-best scan of candidates [procs.(lo .. hi-1)]: a candidate
+   whose {!bound} reaches the incumbent's EFT is pruned — exact, since
+   its true EFT is at least the bound and ties keep the incumbent — and
+   every other one is priced into scratch; only the winner is
+   materialized.  Returns the winning index alongside its eval so the
+   parallel reduction can break ties by index. *)
+let scan_candidates ~floor t ~task procs lo hi =
+  t.best_idx <- -1;
   for i = lo to hi - 1 do
     let proc = procs.(i) in
-    match !best with
-    | Some (_, b)
-      when ready_lb +. Schedule.exec_duration t.sched ~task ~proc >= b.eft ->
-        Obs.Counters.pruned_evaluation ()
-    | _ -> (
-        let ev = evaluate_opt ~floor t ~task ~proc in
-        match !best with
-        | Some (_, b) when b.eft <= ev.eft -> ()
-        | _ -> best := Some (i, ev))
+    if
+      t.best_idx >= 0
+      &&
+      let cutoff = t.best.p_times.(1) in
+      bound ~floor t ~task ~proc ~cutoff >= cutoff
+    then Obs.Counters.pruned_evaluation ()
+    else begin
+      price ~floor t ~task ~proc;
+      offer t i
+    end
   done;
-  !best
+  winner t
 
 (* Reduce per-chunk winners in ascending chunk order with a strict
    improvement test: chunk ranges are ascending, so the global winner is
@@ -903,10 +1051,11 @@ let reduce_chunks slots =
 
 let clone_engine t ~worker = if worker = 0 then t else t.clones.(worker - 1)
 
-(* Parallel argmin over a sorted candidate array; [None] when the shared
-   team is unavailable (the caller then runs the serial scan, which by
-   construction computes the same winner). *)
-let best_proc_among_parallel ~floor t ~task procs =
+(* Run [scan eng lo hi] over [n] rows sharded across the shared team,
+   reducing the chunk winners; [None] when the team is unavailable (the
+   caller then scans serially, which by construction finds the same
+   winner). *)
+let scan_parallel t n scan =
   match Pool.Team.try_acquire_shared ~jobs:t.eval_jobs with
   | None -> None
   | Some team ->
@@ -914,19 +1063,27 @@ let best_proc_among_parallel ~floor t ~task procs =
         ~finally:(fun () -> Pool.Team.release_shared team)
         (fun () ->
           ensure_clones t;
-          prepare_incoming t ~task;
-          let ready_lb =
-            if t.inc_max_fin > floor then t.inc_max_fin else floor
-          in
-          let n = Array.length procs in
           let w = min t.eval_jobs n in
           let slots = Array.make w None in
           Pool.Team.run team ~jobs:w ~n:w (fun ~worker k ->
-              let eng = clone_engine t ~worker in
               slots.(k) <-
-                scan_candidates ~floor eng ~task ~ready_lb procs (k * n / w)
-                  ((k + 1) * n / w));
-          Option.map snd (reduce_chunks slots))
+                scan (clone_engine t ~worker) (k * n / w) ((k + 1) * n / w));
+          Some (reduce_chunks slots))
+
+(* Best candidate of a non-empty, strictly sorted array. *)
+let best_among ~floor t ~task procs =
+  let n = Array.length procs in
+  let scan eng lo hi = scan_candidates ~floor eng ~task procs lo hi in
+  let found =
+    match
+      if t.eval_jobs > 1 && n >= parallel_min_candidates then
+        scan_parallel t n scan
+      else None
+    with
+    | Some found -> found
+    | None -> scan t 0 n
+  in
+  snd (Option.get found)
 
 let best_proc_among ?(floor = 0.) t ~task procs =
   if !use_reference then Reference.best_proc_among ~floor t ~task procs
@@ -940,100 +1097,56 @@ let best_proc_among ?(floor = 0.) t ~task procs =
           if is_sorted_strict procs then procs
           else List.sort_uniq compare procs
         in
-        let par =
-          if
-            t.eval_jobs > 1
-            && List.compare_length_with procs parallel_min_candidates >= 0
-          then
-            best_proc_among_parallel ~floor t ~task (Array.of_list procs)
-          else None
-        in
-        match par with
-        | Some ev -> ev
-        | None ->
-            prepare_incoming t ~task;
-            (* A candidate cannot start before any predecessor finishes
-               (nor before the floor), whatever the communications do, so
-               [ready_lb + execution] lower-bounds its EFT.  Ties keep
-               the incumbent, exactly like the full scan. *)
-            let ready_lb =
-              if t.inc_max_fin > floor then t.inc_max_fin else floor
-            in
-            let best = ref None in
-            List.iter
-              (fun proc ->
-                match !best with
-                | Some b
-                  when ready_lb +. Schedule.exec_duration t.sched ~task ~proc
-                       >= b.eft ->
-                    Obs.Counters.pruned_evaluation ()
-                | _ -> (
-                    let ev = evaluate_opt ~floor t ~task ~proc in
-                    match !best with
-                    | Some b when b.eft <= ev.eft -> ()
-                    | _ -> best := Some ev))
-              procs;
-            Option.get !best
+        best_among ~floor t ~task (Array.of_list procs)
 
-let best_proc ?floor t ~task = best_proc_among ?floor t ~task t.all_procs
+let best_proc ?(floor = 0.) t ~task =
+  if !use_reference then Reference.best_proc ~floor t ~task
+  else best_among ~floor t ~task t.all_procs
 
 (* Earliest-best scan over the alive rows of a pending (task, proc)
    table — ILHA's reschedule step.  Same shape as [scan_candidates]
    minus the pruning (rows price different tasks, whose lower bounds are
    unrelated). *)
 let scan_pending ~floor t ~tasks ~procs ~alive lo hi =
-  let best = ref None in
+  t.best_idx <- -1;
   for i = lo to hi - 1 do
     if alive.(i) then begin
-      let ev = evaluate_opt ~floor t ~task:tasks.(i) ~proc:procs.(i) in
-      match !best with
-      | Some (_, b) when b.eft <= ev.eft -> ()
-      | _ -> best := Some (i, ev)
+      price ~floor t ~task:tasks.(i) ~proc:procs.(i);
+      offer t i
     end
   done;
-  !best
+  winner t
 
 let best_pending ?(floor = 0.) t ~tasks ~procs ~alive =
   let n = Array.length tasks in
   if Array.length procs <> n || Array.length alive <> n then
     invalid_arg "Engine.best_pending: array length mismatch";
-  let n_alive = ref 0 in
-  for i = 0 to n - 1 do
-    if alive.(i) then incr n_alive
-  done;
-  let serial () =
+  if !use_reference then begin
     let best = ref None in
     for i = 0 to n - 1 do
       if alive.(i) then begin
-        let ev = evaluate ~floor t ~task:tasks.(i) ~proc:procs.(i) in
+        let ev = Reference.evaluate ~floor t ~task:tasks.(i) ~proc:procs.(i) in
         match !best with
         | Some (_, b) when b.eft <= ev.eft -> ()
         | _ -> best := Some (i, ev)
       end
     done;
     !best
-  in
-  if
-    t.eval_jobs > 1
-    && (not !use_reference)
-    && !n_alive >= parallel_min_candidates
-  then
-    match Pool.Team.try_acquire_shared ~jobs:t.eval_jobs with
-    | None -> serial ()
-    | Some team ->
-        Fun.protect
-          ~finally:(fun () -> Pool.Team.release_shared team)
-          (fun () ->
-            ensure_clones t;
-            let w = min t.eval_jobs n in
-            let slots = Array.make w None in
-            Pool.Team.run team ~jobs:w ~n:w (fun ~worker k ->
-                let eng = clone_engine t ~worker in
-                slots.(k) <-
-                  scan_pending ~floor eng ~tasks ~procs ~alive (k * n / w)
-                    ((k + 1) * n / w));
-            reduce_chunks slots)
-  else serial ()
+  end
+  else begin
+    let n_alive = ref 0 in
+    for i = 0 to n - 1 do
+      if alive.(i) then incr n_alive
+    done;
+    let scan eng lo hi = scan_pending ~floor eng ~tasks ~procs ~alive lo hi in
+    match
+      if t.eval_jobs > 1 && !n_alive >= parallel_min_candidates then
+        scan_parallel t n scan
+      else None
+    with
+    | Some found -> found
+    | None -> scan t 0 n
+  end
 
 let log_push t ~task ~proc ~comms_before ~phases_before =
   if t.log_len = Array.length t.log_task then begin

@@ -15,8 +15,9 @@
     The default implementation is allocation-conscious: the engine owns a
     reusable arena of tentative busy intervals keyed by stable resource
     ids, caches platform routes per processor pair and the incoming-edge
-    table per task, and prunes candidates in {!best_proc_among} whose
-    finish-time lower bound cannot beat the incumbent ({!Obs.Counters}
+    table per task, prices losing candidates into flat scratch buffers,
+    and prunes candidates in {!best_proc_among} whose finish-time lower
+    bound ({!lower_bound}) cannot beat the incumbent ({!Obs.Counters}
     reports [pruned evaluations] and [route-cache hits]).  The original
     list-based evaluator survives as {!Reference}, and
     {!with_reference} re-routes the public API through it; both produce
@@ -73,12 +74,24 @@ val best_proc : ?floor:float -> t -> task:int -> eval
 (** [best_proc_among t ~task procs] — same restricted to a candidate list.
     Candidates that are already strictly sorted (every current caller)
     are used as-is; otherwise the list is sorted and de-duplicated
-    first.  Candidates whose finish-time lower bound — latest
-    predecessor finish (or [floor]) plus execution time — cannot beat
-    the incumbent are pruned without a full evaluation; pruning never
-    changes the result because ties keep the incumbent.
+    first.  A candidate whose {!lower_bound} reaches the incumbent's
+    finish time is pruned without a full evaluation; pruning never
+    changes the result because the bound never exceeds the true finish
+    time and ties keep the incumbent.  Losing candidates are priced into
+    the engine's scratch space: only the winner is built as an {!eval}.
     @raise Invalid_argument on an empty list. *)
 val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
+
+(** [lower_bound t ~task ~proc] — the finish-time lower bound
+    {!best_proc_among} prunes with, exposed as a test hook; all
+    predecessors of [task] must be placed.  Under the port regime it is
+    the earliest slot of [task] on [proc]'s committed compute timeline
+    after every input's earliest possible arrival (a remote input
+    crossing its route hop by hop on idle ports), plus the execution
+    time; under BSP and latency+overhead it is the latest predecessor
+    finish (or [floor]) plus the execution time.  Never above
+    [(evaluate ?floor t ~task ~proc).eft]. *)
+val lower_bound : ?floor:float -> t -> task:int -> proc:int -> float
 
 (** [best_pending t ~tasks ~procs ~alive] — the earliest alive row [i]
     minimising [evaluate ~task:tasks.(i) ~proc:procs.(i)].eft] (ties to

@@ -175,7 +175,8 @@ let earliest_gap ?(extra = []) t ~after ~duration =
    parallel arrays [extra_s]/[extra_f] (prefix [extra_len], sorted by
    start, no zero-length intervals), and [idx] is caller-provided cursor
    scratch of length >= k.  The engine's arena calls this once per probe
-   without building a single intermediate value. *)
+   without building a single intermediate value; the only allocation is
+   the boxed float it returns. *)
 let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
     ~duration =
   Obs.Counters.joint_gap_probe ();
@@ -205,21 +206,19 @@ let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
           progress := true
         end
       done;
-      let rec eat () =
-        if !ex < extra_len then begin
-          if extra_f.(!ex) <= !candidate then begin
-            incr ex;
-            eat ()
-          end
-          else if extra_s.(!ex) < !candidate +. duration then begin
-            candidate := extra_f.(!ex);
-            incr ex;
-            progress := true;
-            eat ()
-          end
+      (* Tentative blockers, in start order.  A plain loop rather than
+         a local recursive function: a closure capturing [candidate]
+         would box every write to it and be allocated on every pass. *)
+      let eating = ref true in
+      while !eating && !ex < extra_len do
+        if extra_f.(!ex) <= !candidate then incr ex
+        else if extra_s.(!ex) < !candidate +. duration then begin
+          candidate := extra_f.(!ex);
+          incr ex;
+          progress := true
         end
-      in
-      eat ()
+        else eating := false
+      done
     done;
     !candidate
   end

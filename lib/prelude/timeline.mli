@@ -85,11 +85,14 @@ val earliest_gap_joint :
   float
 
 (** [earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
-    ~duration] is the non-allocating core behind {!earliest_gap_joint}:
-    the joint busy set is the first [k] timelines of [ts] plus the
+    ~duration] is the array core behind {!earliest_gap_joint}: the
+    joint busy set is the first [k] timelines of [ts] plus the
     tentative intervals [[extra_s.(i), extra_f.(i))] for
     [i < extra_len].  The caller owns every array; [idx] is cursor
-    scratch of length at least [k] whose contents are overwritten.
+    scratch of length at least [k] whose contents are overwritten.  The
+    walk allocates nothing but its boxed result.  The result is the
+    {e earliest} feasible start at or after [after], so it is monotone
+    in [after] and can only grow when blockers are added.
 
     Preconditions (unchecked — this is the hot path): extras are sorted
     by start and contain no zero-length intervals, [Array.length ts >= k].

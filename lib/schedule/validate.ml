@@ -24,10 +24,13 @@ let pp_route route =
 (* only for offending pairs.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* [sweep ~n_res ~emit ~start_of ~finish_of ~on_overlap] — [emit yield]
+(* [sweep ~n_res ~emit ~start ~finish ~on_overlap] — [emit yield]
    must produce the same (resource, tag) sequence on both calls: the
-   first sizes the buckets, the second fills them. *)
-let sweep ~n_res ~emit ~start_of ~finish_of ~on_overlap =
+   first sizes the buckets, the second fills them.  [start]/[finish]
+   hold every tag's interval, filled once by the caller, so the sort
+   and the sweep compare flat floats instead of calling back (and
+   boxing a float) on every comparison. *)
+let sweep ~n_res ~emit ~start ~finish ~on_overlap =
   if n_res > 0 then begin
     let off = Array.make (n_res + 1) 0 in
     emit (fun res _tag -> off.(res + 1) <- off.(res + 1) + 1);
@@ -38,25 +41,25 @@ let sweep ~n_res ~emit ~start_of ~finish_of ~on_overlap =
     if total > 1 then begin
       let tags = Array.make total 0 in
       let res_of = Array.make total 0 in
+      let st = Array.make total 0. in
       let cursor = Array.sub off 0 n_res in
       emit (fun res tag ->
           let i = cursor.(res) in
           tags.(i) <- tag;
           res_of.(i) <- res;
+          st.(i) <- start.(tag);
           cursor.(res) <- i + 1);
       let idx = Array.init total Fun.id in
       Array.sort
         (fun a b ->
           match Int.compare res_of.(a) res_of.(b) with
-          | 0 -> Float.compare (start_of tags.(a)) (start_of tags.(b))
+          | 0 -> Float.compare st.(a) st.(b)
           | c -> c)
         idx;
       for k = 0 to total - 2 do
         let a = idx.(k) and b = idx.(k + 1) in
-        if
-          res_of.(a) = res_of.(b)
-          && start_of tags.(b) < finish_of tags.(a) -. eps
-        then on_overlap res_of.(a) tags.(a) tags.(b)
+        if res_of.(a) = res_of.(b) && st.(b) < finish.(tags.(a)) -. eps then
+          on_overlap res_of.(a) tags.(a) tags.(b)
       done
     end
   end
@@ -361,16 +364,22 @@ let check s =
     (* 2. processor exclusivity (tasks; comms join under no-overlap; BSP
        phases exclude computation on every processor).  Tag encoding:
        [0, n) tasks, [n, n+nc) comm events, [n+nc, n+nc+nph) phases. *)
-    let start_of tag =
-      if tag < n then Schedule.start_of_exn s tag
-      else if tag < n + nc then (Schedule.comm_at s (tag - n)).Schedule.start
-      else fst (Schedule.phase_at s (tag - n - nc))
-    in
-    let finish_of tag =
-      if tag < n then Schedule.finish_of_exn s tag
-      else if tag < n + nc then (Schedule.comm_at s (tag - n)).Schedule.finish
-      else snd (Schedule.phase_at s (tag - n - nc))
-    in
+    let start_of = Array.make (n + nc + nph) 0. in
+    let finish_of = Array.make (n + nc + nph) 0. in
+    for v = 0 to n - 1 do
+      start_of.(v) <- Schedule.start_of_exn s v;
+      finish_of.(v) <- Schedule.finish_of_exn s v
+    done;
+    for i = 0 to nc - 1 do
+      let c = Schedule.comm_at s i in
+      start_of.(n + i) <- c.Schedule.start;
+      finish_of.(n + i) <- c.Schedule.finish
+    done;
+    for i = 0 to nph - 1 do
+      let ps, pf = Schedule.phase_at s i in
+      start_of.(n + nc + i) <- ps;
+      finish_of.(n + nc + i) <- pf
+    done;
     let label_of tag =
       if tag < n then Printf.sprintf "task %d" tag
       else if tag < n + nc then
@@ -379,8 +388,7 @@ let check s =
     in
     let emit yield =
       for v = 0 to n - 1 do
-        if Schedule.finish_of_exn s v > Schedule.start_of_exn s v then
-          yield (Schedule.proc_of_exn s v) v
+        if finish_of.(v) > start_of.(v) then yield (Schedule.proc_of_exn s v) v
       done;
       if not model.Comm_model.overlap then
         for i = 0 to nc - 1 do
@@ -398,10 +406,10 @@ let check s =
           done
       done
     in
-    sweep ~n_res:p_count ~emit ~start_of ~finish_of
+    sweep ~n_res:p_count ~emit ~start:start_of ~finish:finish_of
       ~on_overlap:(fun q a b ->
         err "processor %d: %s [%g,%g) overlaps %s [%g,%g)" q (label_of a)
-          (start_of a) (finish_of a) (label_of b) (start_of b) (finish_of b));
+          start_of.(a) finish_of.(a) (label_of b) start_of.(b) finish_of.(b));
     (* Phase lookup by start for BSP: phase indices sorted by start.
        Every phase whose start is [feq] to [x] lies within the band
        [x ± 2·eps·(1+|x|)], so a binary search plus a short scan visits
@@ -585,8 +593,12 @@ let check s =
       Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
           if c.finish > c.start then
             ignore (id_of c.src_proc c.dst_proc : int));
-      let cstart tag = (Schedule.comm_at s tag).Schedule.start in
-      let cfinish tag = (Schedule.comm_at s tag).Schedule.finish in
+      let cstart =
+        Array.init nc (fun i -> (Schedule.comm_at s i).Schedule.start)
+      in
+      let cfinish =
+        Array.init nc (fun i -> (Schedule.comm_at s i).Schedule.finish)
+      in
       let clabel tag =
         let c = Schedule.comm_at s tag in
         Printf.sprintf "e%d %d->%d" c.edge c.src_proc c.dst_proc
@@ -599,11 +611,11 @@ let check s =
             if c.Schedule.finish > c.Schedule.start then
               yield (id_of c.Schedule.src_proc c.Schedule.dst_proc) i
           done)
-        ~start_of:cstart ~finish_of:cfinish
+        ~start:cstart ~finish:cfinish
         ~on_overlap:(fun r t1 t2 ->
           let a, b = Prelude.Vec.get link_pairs r in
           err "link %d-%d: %s [%g,%g) overlaps %s [%g,%g)" a b (clabel t1)
-            (cstart t1) (cfinish t1) (clabel t2) (cstart t2) (cfinish t2))
+            cstart.(t1) cfinish.(t1) (clabel t2) cstart.(t2) cfinish.(t2))
     end;
     (* 4. port discipline; under latency+overhead only the endpoint
        overhead sub-windows occupy the ports.  Tag encoding: [2i] the
@@ -617,20 +629,23 @@ let check s =
         let bidir =
           model.Comm_model.ports = Comm_model.One_port_bidirectional
         in
-        let window tag =
-          let c = Schedule.comm_at s (tag / 2) in
+        let wstart = Array.make (2 * nc) 0. in
+        let wfinish = Array.make (2 * nc) 0. in
+        for i = 0 to nc - 1 do
+          let c = Schedule.comm_at s i in
+          let cs = c.Schedule.start and cf = c.Schedule.finish in
           match model.Comm_model.regime with
           | Comm_model.Latency_overhead { o; _ } ->
-              if tag land 1 = 0 then
-                (c.Schedule.start, min (c.Schedule.start +. o) c.Schedule.finish)
-              else
-                ( max (c.Schedule.finish -. o) c.Schedule.start,
-                  c.Schedule.finish )
+              wstart.(2 * i) <- cs;
+              wfinish.(2 * i) <- min (cs +. o) cf;
+              wstart.((2 * i) + 1) <- max (cf -. o) cs;
+              wfinish.((2 * i) + 1) <- cf
           | Comm_model.Port | Comm_model.Bsp _ ->
-              (c.Schedule.start, c.Schedule.finish)
-        in
-        let wstart tag = fst (window tag) in
-        let wfinish tag = snd (window tag) in
+              wstart.(2 * i) <- cs;
+              wfinish.(2 * i) <- cf;
+              wstart.((2 * i) + 1) <- cs;
+              wfinish.((2 * i) + 1) <- cf
+        done;
         let wlabel tag =
           let c = Schedule.comm_at s (tag / 2) in
           Printf.sprintf "e%d %d->%d" c.Schedule.edge c.Schedule.src_proc
@@ -641,16 +656,15 @@ let check s =
           ~emit:(fun yield ->
             for i = 0 to nc - 1 do
               let c = Schedule.comm_at s i in
-              let ss, sf = window (2 * i) in
-              if sf > ss then yield c.Schedule.src_proc (2 * i);
-              let rs, rf = window ((2 * i) + 1) in
-              if rf > rs then
+              if wfinish.(2 * i) > wstart.(2 * i) then
+                yield c.Schedule.src_proc (2 * i);
+              if wfinish.((2 * i) + 1) > wstart.((2 * i) + 1) then
                 yield
                   (if bidir then p_count + c.Schedule.dst_proc
                    else c.Schedule.dst_proc)
                   ((2 * i) + 1)
             done)
-          ~start_of:wstart ~finish_of:wfinish
+          ~start:wstart ~finish:wfinish
           ~on_overlap:(fun r t1 t2 ->
             let q = if bidir && r >= p_count then r - p_count else r in
             let kind =
@@ -660,8 +674,8 @@ let check s =
             in
             err "processor %d: %s port conflict: %s [%g,%g) overlaps %s \
                  [%g,%g)"
-              q kind (wlabel t1) (wstart t1) (wfinish t1) (wlabel t2)
-              (wstart t2) (wfinish t2)));
+              q kind (wlabel t1) wstart.(t1) wfinish.(t1) (wlabel t2)
+              wstart.(t2) wfinish.(t2)));
     match List.rev !errors with [] -> Ok () | es -> Error es
   end
   end

@@ -121,6 +121,33 @@ let routing_tests =
         O.Validate.check_exn sched);
   ]
 
+(* A layered DAG of exactly [layers] x [width] tasks, each task past the
+   first layer fed by [fan_in] distinct tasks of the layer above. *)
+let layered_fan_in ~seed ~layers ~width ~fan_in =
+  let rng = O.Rng.create ~seed in
+  let weights =
+    Array.init (layers * width) (fun _ -> float_of_int (1 + O.Rng.int rng 9))
+  in
+  let edges = ref [] in
+  let perm = Array.init width Fun.id in
+  for l = 1 to layers - 1 do
+    for j = 0 to width - 1 do
+      (* partial Fisher-Yates: the first [fan_in] slots of [perm] *)
+      for k = 0 to fan_in - 1 do
+        let r = k + O.Rng.int rng (width - k) in
+        let x = perm.(k) in
+        perm.(k) <- perm.(r);
+        perm.(r) <- x;
+        edges :=
+          ( ((l - 1) * width) + perm.(k),
+            (l * width) + j,
+            float_of_int (1 + O.Rng.int rng 10) )
+          :: !edges
+      done
+    done
+  done;
+  O.Graph.create ~name:"layered" ~weights ~edges:(List.rev !edges) ()
+
 (* ------------------------------------------------------------------ *)
 (* Optimized engine = Reference engine, bit for bit                    *)
 (* ------------------------------------------------------------------ *)
@@ -242,36 +269,132 @@ let reference_mode_tests =
         O.Engine.schedule_on engine ~task:0 ~proc:0;
         ignore (O.Engine.best_proc engine ~task:1));
     Alcotest.test_case "pruning is counted and exact" `Quick (fun () ->
-        let tb = O.Suite.find "lu" in
-        let g = tb.O.Suite.build ~n:6 ~ccr:0.5 in
         let plat = O.Platform.paper_platform () in
-        let params = O.Params.default in
         let count f =
           O.Obs_counters.enable ();
           O.Obs_counters.reset ();
           Fun.protect ~finally:O.Obs_counters.disable (fun () ->
               let sched = f () in
-              (O.Schedule.makespan sched, O.Obs_counters.snapshot ()))
+              (fingerprint sched, O.Obs_counters.snapshot ()))
         in
-        let mk_fast, fast =
-          count (fun () -> O.Heft.schedule ~params plat g)
+        let lu = (O.Suite.find "lu").O.Suite.build ~n:6 ~ccr:0.5 in
+        (* the shape of the large benchmark workload *)
+        let large = layered_fan_in ~seed:7 ~layers:25 ~width:100 ~fan_in:4 in
+        List.iter
+          (fun (name, g, params) ->
+            let fp_slow, slow =
+              count (fun () ->
+                  O.Engine.with_reference (fun () ->
+                      O.Heft.schedule ~params plat g))
+            in
+            check_int (name ^ ": reference never prunes") 0
+              slow.O.Obs_counters.pruned_evaluations;
+            List.iter
+              (fun jobs ->
+                let params = O.Params.with_eval_jobs params jobs in
+                let fp_fast, fast =
+                  count (fun () -> O.Heft.schedule ~params plat g)
+                in
+                let what = Printf.sprintf "%s, eval_jobs %d: " name jobs in
+                check_bool (what ^ "same schedule") true (fp_fast = fp_slow);
+                check_bool (what ^ "pruning fired") true
+                  (fast.O.Obs_counters.pruned_evaluations > 0);
+                check_bool (what ^ "route cache hit") true
+                  (fast.O.Obs_counters.route_cache_hits > 0);
+                (* Every candidate is either evaluated or pruned — none
+                   vanish. *)
+                check_int
+                  (what ^ "evaluated + pruned = reference evaluations")
+                  slow.O.Obs_counters.evaluations
+                  (fast.O.Obs_counters.evaluations
+                  + fast.O.Obs_counters.pruned_evaluations))
+              [ 1; 4 ])
+          [
+            ("lu", lu, O.Params.default);
+            ( "25x100 fan-in 4",
+              large,
+              O.Params.make ~policy:O.Engine.Insertion () );
+          ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The pruning bound is sound                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The port-regime rungs whose evaluator the bound mirrors. *)
+let bound_rungs =
+  [|
+    O.Comm_model.one_port;
+    O.Comm_model.one_port_unidirectional;
+    O.Comm_model.macro_dataflow;
+    O.Comm_model.no_overlap O.Comm_model.one_port;
+    O.Comm_model.link_contention;
+  |]
+
+(* Place [g] one ready task at a time in a random order; before each
+   placement, check [lower_bound <= evaluate.eft] for every ready task
+   on every processor.  With [dups], a random placed task sometimes gets
+   a duplicate copy on a processor lacking one, so later checks see
+   copy-set schedules. *)
+let bound_holds ~g ~plat ~model ~policy ~floor ~dups ~seed =
+  let sched = O.Schedule.create ~graph:g ~platform:plat ~model () in
+  let engine = O.Engine.create ~policy sched in
+  let rng = O.Rng.create ~seed in
+  let n = O.Graph.n_tasks g and p = O.Platform.p plat in
+  let missing = Array.init n (O.Graph.in_degree g) in
+  let ready =
+    ref (List.filter (fun v -> missing.(v) = 0) (List.init n Fun.id))
+  in
+  let ok = ref true in
+  while !ready <> [] do
+    List.iter
+      (fun task ->
+        for proc = 0 to p - 1 do
+          let lb = O.Engine.lower_bound ~floor engine ~task ~proc in
+          let ev = O.Engine.evaluate ~floor engine ~task ~proc in
+          if not (lb <= ev.O.Engine.eft) then ok := false
+        done)
+      !ready;
+    let v = O.Rng.pick rng (Array.of_list !ready) in
+    ignore (O.Engine.schedule_best ~floor engine ~task:v : O.Engine.eval);
+    (if dups && O.Rng.bool rng then
+       let u = O.Rng.int rng n and q = O.Rng.int rng p in
+       if
+         O.Schedule.is_placed sched u
+         && O.Schedule.copy_on sched ~task:u ~proc:q = None
+       then
+         O.Engine.commit_copy engine ~task:u
+           (O.Engine.evaluate ~floor engine ~task:u ~proc:q));
+    ready := List.filter (( <> ) v) !ready;
+    O.Graph.iter_succ_edges g v ~f:(fun e ->
+        let w = O.Graph.edge_dst g e in
+        missing.(w) <- missing.(w) - 1;
+        if missing.(w) = 0 then ready := w :: !ready)
+  done;
+  !ok && O.Validate.check sched = Ok ()
+
+let bound_tests =
+  [
+    qtest ~count:200 "lower_bound <= evaluate eft at every ready step"
+      ~print:(fun ((seed, layers), _, rung, (append, floor, dups)) ->
+        Printf.sprintf "seed=%d layers=%d rung=%s append=%b floor=%g dups=%b"
+          seed layers
+          (O.Comm_model.name bound_rungs.(rung))
+          append floor dups)
+      QCheck2.Gen.(
+        tup4
+          (pair (int_bound 1_000_000) (int_range 1 5))
+          platform_gen
+          (int_bound (Array.length bound_rungs - 1))
+          (tup3 bool (oneof [ return 0.; float_bound_inclusive 30. ]) bool))
+      (fun ((seed, layers), plat, rung, (append, floor, dups)) ->
+        let g =
+          O.Generators.layered (O.Rng.create ~seed) ~layers ~width:4
+            ~edge_prob:0.5 ~max_weight:5 ~max_data:6
         in
-        let mk_slow, slow =
-          count (fun () ->
-              O.Engine.with_reference (fun () -> O.Heft.schedule ~params plat g))
-        in
-        check_float "same makespan" mk_slow mk_fast;
-        check_bool "pruning fired" true
-          (fast.O.Obs_counters.pruned_evaluations > 0);
-        check_bool "route cache hit" true
-          (fast.O.Obs_counters.route_cache_hits > 0);
-        (* Every candidate is either evaluated or pruned — none vanish. *)
-        check_int "evaluated + pruned = reference evaluations"
-          slow.O.Obs_counters.evaluations
-          (fast.O.Obs_counters.evaluations
-          + fast.O.Obs_counters.pruned_evaluations);
-        check_int "reference never prunes" 0
-          slow.O.Obs_counters.pruned_evaluations);
+        bound_holds ~g ~plat ~model:bound_rungs.(rung)
+          ~policy:(if append then O.Engine.Append else O.Engine.Insertion)
+          ~floor ~dups ~seed);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -353,3 +476,4 @@ let rewind_tests =
 let suite =
   basic_tests @ serialization_tests @ routing_tests @ equivalence_tests
   @ equivalence_property_tests @ reference_mode_tests @ rewind_tests
+  @ bound_tests
