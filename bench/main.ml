@@ -786,35 +786,10 @@ let lu_n_for ~target =
   in
   max n 2
 
-(* Everything the scheduler sees at once is fingerprinted: makespan,
-   every placement, every communication event — the same contract the
-   eval_jobs determinism tests assert, hashed so that two 10^5-task
-   schedules compare in one string. *)
-let schedule_digest sched =
-  let buf = Buffer.create (1 lsl 16) in
-  let g = O.Schedule.graph sched in
-  Buffer.add_string buf (Printf.sprintf "m=%h" (O.Schedule.makespan sched));
-  for v = 0 to O.Graph.n_tasks g - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf ";%d:%h:%h"
-         (O.Schedule.proc_of_exn sched v)
-         (O.Schedule.start_of_exn sched v)
-         (O.Schedule.finish_of_exn sched v))
-  done;
-  O.Schedule.iter_comms sched ~f:(fun (c : O.Schedule.comm) ->
-      Buffer.add_string buf
-        (Printf.sprintf ";c%d=%d>%d:%h:%h" c.edge c.src_proc c.dst_proc c.start
-           c.finish));
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* HEFT and ILHA on LU instances sized to [opts.scale_targets] tasks
    (default 10^5 / 5x10^5 / 10^6): wall-clock to build the CSR graph,
    wall-clock to schedule, scheduling throughput in tasks/second and the
-   process RSS high-water.  The [identical] flag re-runs the smallest
-   instance with the candidate scan sharded over domains
-   ([Params.eval_jobs]) and checks the schedule digest against the
-   serial run — the bit-identical guarantee the test suite proves, here
-   checked at scale-bench size. *)
+   process RSS high-water. *)
 let run_scale ~echo opts =
   let targets = List.sort_uniq compare opts.scale_targets in
   let suite = O.Suite.find "lu" in
@@ -881,24 +856,7 @@ let run_scale ~echo opts =
       targets
   in
   if echo then print_string (O.Table.to_string table);
-  let identical =
-    let n = lu_n_for ~target:(List.hd targets) in
-    let g = O.Kernels.lu ~n ~ccr:10. in
-    let jobs = max 2 opts.jobs in
-    let pair serial parallel = schedule_digest serial = schedule_digest parallel in
-    pair
-      (O.Heft.schedule plat g)
-      (O.Heft.schedule ~params:(O.Params.make ~eval_jobs:jobs ()) plat g)
-    && pair
-         (O.Ilha.schedule ~params:ilha_params plat g)
-         (O.Ilha.schedule
-            ~params:(O.Params.with_eval_jobs ilha_params jobs)
-            plat g)
-  in
-  if echo then
-    Printf.printf "parallel candidate scan identical to serial: %s\n%!"
-      (if identical then "yes" else "NO");
-  (rows, identical)
+  rows
 
 (* ------------------------------------------------------------------ *)
 (* Part 9: scheduld offered load vs throughput                          *)
@@ -1217,12 +1175,11 @@ let emit_json opts ~bech_rows ~probe_rows ~grid ~improver_rows ~model_rows
     add "  ]},\n"
   end;
   (match scale with
-  | Some (rows, identical) when rows <> [] ->
+  | Some rows when rows <> [] ->
       add
         "  \"scale\": {\"cores\": %d, \"testbed\": \"lu\", \"ccr\": 10, \
-         \"identical\": %b, \"rows\": [\n"
-        (Domain.recommended_domain_count ())
-        identical;
+         \"rows\": [\n"
+        (Domain.recommended_domain_count ());
       List.iteri
         (fun i r ->
           add

@@ -126,14 +126,9 @@ type t = {
      [commit_copy] entry (rewound with [Schedule.unplace_copy]) *)
   mutable log_proc : int array;
   mutable log_len : int;
-  (* parallel candidate evaluation: worker count and the lazily-built
-     per-helper scratch engines (sharing [sched]; see [ensure_clones]) *)
-  eval_jobs : int;
-  mutable clones : t array;
 }
 
-let create ?(policy = Insertion) ?(eval_jobs = 1) sched =
-  if eval_jobs < 1 then invalid_arg "Engine.create: eval_jobs < 1";
+let create ?(policy = Insertion) sched =
   let plat = Schedule.platform sched in
   let res = Schedule.resource sched in
   let p = Platform.p plat in
@@ -181,8 +176,6 @@ let create ?(policy = Insertion) ?(eval_jobs = 1) sched =
     log_phases = [||];
     log_proc = [||];
     log_len = 0;
-    eval_jobs;
-    clones = [||];
   }
 
 let schedule t = t.sched
@@ -977,47 +970,22 @@ let offer t i =
     t.best_idx <- i
   end
 
-let winner t =
-  if t.best_idx < 0 then None else Some (t.best_idx, materialize t.best)
-
 let rec is_sorted_strict = function
   | a :: (b :: _ as rest) -> a < b && is_sorted_strict rest
   | _ -> true
 
 (* ------------------------------------------------------------------ *)
-(* Candidate scans, serial and parallel                                *)
+(* Candidate scans                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* [ensure_clones t] lazily builds the per-helper scratch engines.  Each
-   clone shares [t.sched] — evaluation reads only committed schedule
-   state and mutates private scratch, so concurrent clones never race —
-   but the shared [Resource] hands out link timelines lazily, so every
-   route is materialised on the calling domain first; afterwards helper
-   domains only read the resource tables. *)
-let ensure_clones t =
-  if Array.length t.clones < t.eval_jobs - 1 then begin
-    for src = 0 to t.p - 1 do
-      for dst = 0 to t.p - 1 do
-        if src <> dst then ignore (route_for t ~src ~dst : hop_set array)
-      done
-    done;
-    t.clones <-
-      Array.init (t.eval_jobs - 1) (fun _ -> create ~policy:t.policy t.sched)
-  end
-
-(* Below this many live candidates a parallel scan cannot win: the
-   barrier costs more than the evaluations. *)
-let parallel_min_candidates = 4
-
-(* Earliest-best scan of candidates [procs.(lo .. hi-1)]: a candidate
-   whose {!bound} reaches the incumbent's EFT is pruned — exact, since
-   its true EFT is at least the bound and ties keep the incumbent — and
+(* Earliest-best scan of a non-empty candidate array: a candidate whose
+   {!bound} reaches the incumbent's EFT is pruned — exact, since its
+   true EFT is at least the bound and ties keep the incumbent — and
    every other one is priced into scratch; only the winner is
-   materialized.  Returns the winning index alongside its eval so the
-   parallel reduction can break ties by index. *)
-let scan_candidates ~floor t ~task procs lo hi =
+   materialized. *)
+let scan_candidates ~floor t ~task procs =
   t.best_idx <- -1;
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length procs - 1 do
     let proc = procs.(i) in
     if
       t.best_idx >= 0
@@ -1030,60 +998,7 @@ let scan_candidates ~floor t ~task procs lo hi =
       offer t i
     end
   done;
-  winner t
-
-(* Reduce per-chunk winners in ascending chunk order with a strict
-   improvement test: chunk ranges are ascending, so the global winner is
-   the earliest candidate index achieving the minimum EFT — exactly the
-   serial scan's keep-the-incumbent rule.  Chunk boundaries depend on the
-   worker count, but the argmin does not, so any [eval_jobs] places
-   identically (only the pruning {e counters} may differ). *)
-let reduce_chunks slots =
-  let best = ref None in
-  Array.iter
-    (fun s ->
-      match (s, !best) with
-      | None, _ -> ()
-      | Some _, None -> best := s
-      | Some (_, ev), Some (_, b) -> if ev.eft < b.eft then best := s)
-    slots;
-  !best
-
-let clone_engine t ~worker = if worker = 0 then t else t.clones.(worker - 1)
-
-(* Run [scan eng lo hi] over [n] rows sharded across the shared team,
-   reducing the chunk winners; [None] when the team is unavailable (the
-   caller then scans serially, which by construction finds the same
-   winner). *)
-let scan_parallel t n scan =
-  match Pool.Team.try_acquire_shared ~jobs:t.eval_jobs with
-  | None -> None
-  | Some team ->
-      Fun.protect
-        ~finally:(fun () -> Pool.Team.release_shared team)
-        (fun () ->
-          ensure_clones t;
-          let w = min t.eval_jobs n in
-          let slots = Array.make w None in
-          Pool.Team.run team ~jobs:w ~n:w (fun ~worker k ->
-              slots.(k) <-
-                scan (clone_engine t ~worker) (k * n / w) ((k + 1) * n / w));
-          Some (reduce_chunks slots))
-
-(* Best candidate of a non-empty, strictly sorted array. *)
-let best_among ~floor t ~task procs =
-  let n = Array.length procs in
-  let scan eng lo hi = scan_candidates ~floor eng ~task procs lo hi in
-  let found =
-    match
-      if t.eval_jobs > 1 && n >= parallel_min_candidates then
-        scan_parallel t n scan
-      else None
-    with
-    | Some found -> found
-    | None -> scan t 0 n
-  in
-  snd (Option.get found)
+  materialize t.best
 
 let best_proc_among ?(floor = 0.) t ~task procs =
   if !use_reference then Reference.best_proc_among ~floor t ~task procs
@@ -1097,25 +1012,25 @@ let best_proc_among ?(floor = 0.) t ~task procs =
           if is_sorted_strict procs then procs
           else List.sort_uniq compare procs
         in
-        best_among ~floor t ~task (Array.of_list procs)
+        scan_candidates ~floor t ~task (Array.of_list procs)
 
 let best_proc ?(floor = 0.) t ~task =
   if !use_reference then Reference.best_proc ~floor t ~task
-  else best_among ~floor t ~task t.all_procs
+  else scan_candidates ~floor t ~task t.all_procs
 
 (* Earliest-best scan over the alive rows of a pending (task, proc)
    table — ILHA's reschedule step.  Same shape as [scan_candidates]
    minus the pruning (rows price different tasks, whose lower bounds are
-   unrelated). *)
-let scan_pending ~floor t ~tasks ~procs ~alive lo hi =
+   unrelated); returns the winning row alongside its eval. *)
+let scan_pending ~floor t ~tasks ~procs ~alive =
   t.best_idx <- -1;
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length tasks - 1 do
     if alive.(i) then begin
       price ~floor t ~task:tasks.(i) ~proc:procs.(i);
       offer t i
     end
   done;
-  winner t
+  if t.best_idx < 0 then None else Some (t.best_idx, materialize t.best)
 
 let best_pending ?(floor = 0.) t ~tasks ~procs ~alive =
   let n = Array.length tasks in
@@ -1133,20 +1048,7 @@ let best_pending ?(floor = 0.) t ~tasks ~procs ~alive =
     done;
     !best
   end
-  else begin
-    let n_alive = ref 0 in
-    for i = 0 to n - 1 do
-      if alive.(i) then incr n_alive
-    done;
-    let scan eng lo hi = scan_pending ~floor eng ~tasks ~procs ~alive lo hi in
-    match
-      if t.eval_jobs > 1 && !n_alive >= parallel_min_candidates then
-        scan_parallel t n scan
-      else None
-    with
-    | Some found -> found
-    | None -> scan t 0 n
-  end
+  else scan_pending ~floor t ~tasks ~procs ~alive
 
 let log_push t ~task ~proc ~comms_before ~phases_before =
   if t.log_len = Array.length t.log_task then begin
@@ -1208,12 +1110,9 @@ let commit t ~task ev =
         ev.hops);
   Schedule.place_task t.sched ~task ~proc:ev.proc ~start:ev.est
 
-(* Drop every cached incoming table that might mention [task] as a
-   predecessor — its feeding copy set just changed.  Clones share the
-   schedule, so their caches go stale too. *)
-let invalidate_incoming t =
-  t.inc_task <- -1;
-  Array.iter (fun c -> c.inc_task <- -1) t.clones
+(* Drop the cached incoming table: it may list the task just copied as
+   a predecessor, whose feeding copy set changed. *)
+let invalidate_incoming t = t.inc_task <- -1
 
 let commit_copy t ~task ev =
   if not (Schedule.is_placed t.sched task) then

@@ -45,17 +45,10 @@ type eval = {
           regime) *)
 }
 
-(** [create ?policy ?eval_jobs sched] — an engine over [sched].
-    [eval_jobs] (default 1) is the number of domains used to evaluate
-    candidate processors inside one decision: above 1,
-    {!best_proc_among} and {!best_pending} shard their candidate scans
-    over the process-wide {!Prelude.Pool.Team} with per-worker scratch
-    engines (built lazily, sharing [sched]) and reduce with an
-    index-ordered argmin, so placements are bit-identical to the serial
-    scan at any job count.  Only the [evaluations]/[pruned evaluations]
-    counters may differ — each shard prunes against its own incumbent.
-    @raise Invalid_argument when [eval_jobs < 1]. *)
-val create : ?policy:policy -> ?eval_jobs:int -> Sched.Schedule.t -> t
+(** [create ?policy sched] — an engine over [sched] (default policy
+    [Insertion]).  Each engine owns its scratch space, so one engine must
+    not be used from two domains at once. *)
+val create : ?policy:policy -> Sched.Schedule.t -> t
 val schedule : t -> Sched.Schedule.t
 val policy : t -> policy
 
@@ -97,8 +90,8 @@ val lower_bound : ?floor:float -> t -> task:int -> proc:int -> float
     minimising [evaluate ~task:tasks.(i) ~proc:procs.(i)].eft] (ties to
     the lowest index), or [None] when no row is alive.  ILHA's
     reschedule step calls this once per commit over its whole ready
-    chunk; with [eval_jobs > 1] the rows are priced in parallel, with
-    the same result.
+    chunk.  Rows are priced into the engine's scratch space, unpruned:
+    only the winner is built as an {!eval}.
     @raise Invalid_argument on mismatched array lengths. *)
 val best_pending :
   ?floor:float ->
@@ -116,9 +109,8 @@ val commit : t -> task:int -> eval -> unit
 (** [commit_copy t ~task ev] places a {e duplicate} copy of an
     already-placed task on [ev.proc] (with the communications feeding
     that copy) and logs a copy entry, rewound with
-    {!Sched.Schedule.unplace_copy}.  Cached incoming tables are
-    invalidated on this engine and its clones — the task's feeding copy
-    set just changed.
+    {!Sched.Schedule.unplace_copy}.  The engine's cached incoming table
+    is invalidated — the task's feeding copy set just changed.
     @raise Invalid_argument if the task has no primary copy yet or the
     evaluation carries a BSP phase (duplication is port-regime only). *)
 val commit_copy : t -> task:int -> eval -> unit
@@ -151,11 +143,11 @@ val schedule_on : ?floor:float -> t -> task:int -> proc:int -> unit
     evaluation. *)
 val schedule_best : ?floor:float -> t -> task:int -> eval
 
-(** [with_reference f] runs [f] with {!evaluate}, {!best_proc} and
-    {!best_proc_among} re-routed through the {!Reference} evaluator
-    (restoring the previous mode on exit, including on exceptions).
-    Used by equivalence tests and benchmarks to run whole heuristics on
-    the pre-arena implementation. *)
+(** [with_reference f] runs [f] with {!evaluate}, {!best_proc},
+    {!best_proc_among} and {!best_pending} re-routed through the
+    {!Reference} evaluator (restoring the previous mode on exit,
+    including on exceptions).  Used by equivalence tests and benchmarks
+    to run whole heuristics on the pre-arena implementation. *)
 val with_reference : (unit -> 'a) -> 'a
 
 (** The straightforward list-based evaluator the arena engine replaced —

@@ -12,8 +12,7 @@
     HEFT.
 
     Duplication is port-regime only: under BSP or latency–overhead
-    models this module falls back to {!Heft.schedule}.  Candidate
-    evaluation is serial ([params.eval_jobs] is ignored). *)
+    models this module falls back to {!Heft.schedule}. *)
 
 (** [schedule ?params plat g] builds a complete valid schedule, possibly
     placing some tasks as several copies ({!Sched.Schedule.has_dups}).

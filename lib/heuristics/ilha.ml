@@ -95,8 +95,8 @@ let map_chunk ~scan engine g plat chunk =
    allocation, then commit chunk tasks for real in order of globally
    smallest finish time on their allocated processor.  The pending set is
    a flat (task, proc) table with alive flags — [Engine.best_pending]
-   scans it in chunk order (in parallel under [eval_jobs]), which keeps
-   the earliest-row tie-break of the original list walk. *)
+   scans it in chunk order, which keeps the earliest-row tie-break of
+   the original list walk. *)
 let map_chunk_reschedule ~scan ~policy engine g plat chunk =
   let scratch_sched = Schedule.copy (Engine.schedule engine) in
   let scratch = Engine.create ~policy scratch_sched in
@@ -119,9 +119,7 @@ let schedule ?(params = Params.default) plat g =
   if b < 1 then invalid_arg "Ilha.schedule: b < 1";
   Obs.Span.with_ "ilha" (fun () ->
       let sched = Schedule.create ~graph:g ~platform:plat ~model () in
-      let engine =
-        Engine.create ~policy ~eval_jobs:params.Params.eval_jobs sched
-      in
+      let engine = Engine.create ~policy sched in
       let rank = Obs.Span.with_ "rank" (fun () -> Ranking.upward g plat) in
       let ord = Ranking.priority_order rank in
       let ready = Prelude.Pqueue.Int_heap.create ~rank:ord () in

@@ -39,10 +39,7 @@ let run ?(params = Params.default) ~priority ?(handle = default_handle) plat g =
   let sched =
     Schedule.create ~graph:g ~platform:plat ~model:params.Params.model ()
   in
-  let engine =
-    Engine.create ~policy:params.Params.policy
-      ~eval_jobs:params.Params.eval_jobs sched
-  in
+  let engine = Engine.create ~policy:params.Params.policy sched in
   let order = decision_order ~priority g in
   Obs.Span.with_ "map" (fun () ->
       Array.iter

@@ -8,7 +8,6 @@ type t = {
   scan : scan;
   reschedule : bool;
   candidates : int list option;
-  eval_jobs : int;
   dup_limit : int;
 }
 
@@ -21,15 +20,13 @@ let default =
     scan = Scan_zero_comm;
     reschedule = false;
     candidates = None;
-    eval_jobs = 1;
     dup_limit = 0;
   }
 
 let make ?(model = default.model) ?(policy = default.policy)
     ?(averaging = default.averaging) ?b ?(scan = default.scan)
     ?(reschedule = default.reschedule) ?candidates
-    ?(eval_jobs = default.eval_jobs) ?(dup_limit = default.dup_limit) () =
-  if eval_jobs < 1 then invalid_arg "Params.make: eval_jobs < 1";
+    ?(dup_limit = default.dup_limit) () =
   if dup_limit < 0 then invalid_arg "Params.make: dup_limit < 0";
   {
     model;
@@ -39,7 +36,6 @@ let make ?(model = default.model) ?(policy = default.policy)
     scan;
     reschedule;
     candidates;
-    eval_jobs;
     dup_limit;
   }
 
@@ -50,10 +46,6 @@ let with_averaging t averaging = { t with averaging }
 let with_b t b = { t with b }
 let with_scan t scan = { t with scan }
 let with_reschedule t reschedule = { t with reschedule }
-
-let with_eval_jobs t eval_jobs =
-  if eval_jobs < 1 then invalid_arg "Params.with_eval_jobs: eval_jobs < 1";
-  { t with eval_jobs }
 
 let with_dup_limit t dup_limit =
   if dup_limit < 0 then invalid_arg "Params.with_dup_limit: dup_limit < 0";

@@ -31,13 +31,6 @@ type t = {
   reschedule : bool;  (** ILHA's §4.4 third step; default [false] *)
   candidates : int list option;
       (** ilha-auto's chunk ladder; [None] = {!Auto_b.candidates} *)
-  eval_jobs : int;
-      (** domains used to evaluate candidate processors inside one
-          scheduling decision (default 1 = serial).  Placements are
-          bit-identical at any value — the engine's parallel argmin
-          reduces with the same index-ordered tie-break as the serial
-          scan — so, like the sweep-level [--jobs], this knob is
-          excluded from {!to_string} labels. *)
   dup_limit : int;
       (** maximum duplicate copies a duplication-aware heuristic may add
           per scheduling decision (default 0 = duplication off; heft-dup
@@ -56,7 +49,6 @@ val make :
   ?scan:scan ->
   ?reschedule:bool ->
   ?candidates:int list ->
-  ?eval_jobs:int ->
   ?dup_limit:int ->
   unit ->
   t
@@ -68,9 +60,6 @@ val with_averaging : t -> Ranking.averaging -> t
 val with_b : t -> int option -> t
 val with_scan : t -> scan -> t
 val with_reschedule : t -> bool -> t
-
-(** @raise Invalid_argument when [eval_jobs < 1]. *)
-val with_eval_jobs : t -> int -> t
 
 (** @raise Invalid_argument when [dup_limit < 0]. *)
 val with_dup_limit : t -> int -> t

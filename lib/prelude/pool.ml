@@ -153,17 +153,17 @@ let map_array ?jobs f a =
 
 let map ?jobs f l = Array.to_list (map_array ?jobs f (Array.of_list l))
 
-(* Persistent helper team for fine-grained parallelism.
+(* Persistent helper team for short, frequent parallel regions.
 
    [iter] spawns domains per call, which is fine for sweeps that run for
-   milliseconds but prohibitive inside a scheduler decision that takes
-   microseconds.  A [Team.t] parks [helpers] long-lived domains on a
-   condition variable; [run] publishes a job (an index range and a
-   worker-indexed function), wakes them, and waits at a barrier.  The
-   split is static — worker [k] of [w] owns [k*n/w, (k+1)*n/w) — so which
-   worker computes which index is a pure function of [(jobs, n)]: callers
-   that index results by cell get byte-identical output at any team size,
-   the same contract as [iter].
+   seconds but measurably slower on the daemon's millisecond batches.  A
+   [Team.t] parks [helpers] long-lived domains on a condition variable;
+   [run] publishes a job (an index range and a worker-indexed
+   function), wakes them, and waits at a barrier.  The split is static —
+   worker [k] of [w] owns [k*n/w, (k+1)*n/w) — so which worker computes
+   which index is a pure function of [(jobs, n)]: callers that index
+   results by cell get byte-identical output at any team size, the same
+   contract as [iter].
 
    Counter increments made by helpers are snapshotted per run and merged
    into the caller's domain at the barrier. *)
@@ -186,8 +186,6 @@ module Team = struct
     mutable stopped : bool;
     mutable domains : unit Domain.t array;
   }
-
-  let size t = t.helpers + 1
 
   let worker_range ~n ~w k = (k * n / w, (k + 1) * n / w)
 
@@ -311,41 +309,4 @@ module Team = struct
         | None, None -> ()
       end
     end
-
-  (* One shared team per process, grown on demand and guarded by a lock
-     that doubles as the busy flag: a caller that finds the team in use
-     (a nested parallel region, or another domain's scheduler) simply
-     runs its scan serially — which by the determinism contract computes
-     the same answer. *)
-  let shared : t option ref = ref None
-  let shared_lock = Mutex.create ()
-  let at_exit_registered = ref false
-
-  let try_acquire_shared ~jobs =
-    let jobs = min (clamp_jobs jobs) (1 + Domain.recommended_domain_count ()) in
-    if jobs <= 1 then None
-    else if not (Mutex.try_lock shared_lock) then None
-    else begin
-      let t =
-        match !shared with
-        | Some t when size t >= jobs -> t
-        | prev ->
-            Option.iter stop prev;
-            let t = create ~helpers:(jobs - 1) in
-            shared := Some t;
-            if not !at_exit_registered then begin
-              at_exit_registered := true;
-              Stdlib.at_exit (fun () ->
-                  if Mutex.try_lock shared_lock then begin
-                    Option.iter stop !shared;
-                    shared := None;
-                    Mutex.unlock shared_lock
-                  end)
-            end;
-            t
-      in
-      Some t
-    end
-
-  let release_shared (_ : t) = Mutex.unlock shared_lock
 end

@@ -45,12 +45,13 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_array ?jobs f a] — parallel [Array.map f a]. *)
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
-(** Persistent helper team for fine-grained parallel regions.
+(** Persistent helper team for short, frequent parallel regions.
 
-    {!iter} spawns domains per call — fine for sweeps, prohibitive inside
-    a scheduler decision.  A team parks long-lived helper domains on a
-    condition variable; {!Team.run} publishes an index range, wakes them,
-    and waits at a barrier while the caller participates as worker 0.
+    {!iter} spawns domains per call — fine for sweeps, too slow for the
+    millisecond batches of [Server.Scheduld] ([schedcli serve --jobs]).
+    A team parks long-lived helper domains on a condition variable;
+    {!Team.run} publishes an index range, wakes them, and waits at a
+    barrier while the caller participates as worker 0.
 
     The split is {e static}: worker [k] of [w] owns
     [\[k*n/w, (k+1)*n/w)], so which worker computes an index depends only
@@ -65,12 +66,10 @@ module Team : sig
       @raise Invalid_argument on a negative count. *)
   val create : helpers:int -> t
 
-  (** Workers available including the caller: [helpers + 1]. *)
-  val size : t -> int
-
-  (** [run t ~jobs ~n f] applies [f ~worker i] for [i] in [0, n), sharded
-      statically over [min jobs (size t)] workers; [worker] is the worker
-      index (0 = caller), which callers use to select per-worker scratch.
+  (** [run t ~jobs ~n f] applies [f ~worker i] for [i] in [0, n),
+      sharded statically over [min jobs (helpers + 1)] workers; [worker]
+      is the worker index (0 = caller), which callers use to select
+      per-worker scratch.
       Serial (caller-only) when the effective worker count is 1.  The
       first exception from any worker is re-raised after the barrier.
       Not reentrant: [f] must not call [run] on the same team. *)
@@ -79,13 +78,4 @@ module Team : sig
   (** [stop t] wakes and joins every helper; further [run]s are an
       error. *)
   val stop : t -> unit
-
-  (** [try_acquire_shared ~jobs] — the process-wide team, grown to at
-      least [jobs] workers on first use ([None] when [jobs <= 1] after
-      clamping, or when the team is already held by another region —
-      callers then run serially, which computes the same answer).  Pair
-      with {!release_shared}. *)
-  val try_acquire_shared : jobs:int -> t option
-
-  val release_shared : t -> unit
 end

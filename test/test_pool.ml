@@ -186,5 +186,70 @@ let obs_tests =
         check_int "commits" 777 s.O.Obs_counters.commits);
   ]
 
+(* ---------------- Pool.Team ---------------- *)
+
+let team_tests =
+  [
+    Alcotest.test_case "team split is static, total and reusable" `Quick
+      (fun () ->
+        let team = O.Pool.Team.create ~helpers:3 in
+        Fun.protect
+          ~finally:(fun () -> O.Pool.Team.stop team)
+          (fun () ->
+            O.Obs_counters.enable ();
+            List.iter
+              (fun (jobs, n) ->
+                O.Obs_counters.reset ();
+                (* Workers only record; Alcotest checks run on the caller. *)
+                let hits = Array.make n 0 and owner = Array.make n (-1) in
+                O.Pool.Team.run team ~jobs ~n (fun ~worker i ->
+                    hits.(i) <- hits.(i) + 1;
+                    owner.(i) <- worker;
+                    O.Obs_counters.commit ());
+                let s = O.Obs_counters.snapshot () in
+                let w = max 1 (min jobs (min n 4)) in
+                Array.iteri
+                  (fun i k ->
+                    let what = Printf.sprintf "jobs %d, n %d, index %d" jobs n i in
+                    check_int (what ^ " ran once") 1 hits.(i);
+                    check_bool (what ^ " static owner") true
+                      (k * n / w <= i && i < (k + 1) * n / w))
+                  owner;
+                check_int
+                  (Printf.sprintf "jobs %d, n %d: merged commits" jobs n)
+                  n s.O.Obs_counters.commits)
+              [ (1, 37); (2, 37); (4, 1013); (8, 3); (4, 1) ];
+            O.Obs_counters.disable ();
+            O.Pool.Team.run team ~jobs:4 ~n:0 (fun ~worker:_ _ ->
+                Alcotest.fail "called on empty")));
+    Alcotest.test_case "team re-raises worker failures and rejects misuse"
+      `Quick (fun () ->
+        Alcotest.check_raises "negative helpers"
+          (Invalid_argument "Pool.Team.create: negative helpers") (fun () ->
+            ignore (O.Pool.Team.create ~helpers:(-1) : O.Pool.Team.t));
+        let team = O.Pool.Team.create ~helpers:2 in
+        (* Index 0 belongs to the caller, index 250 to the last helper. *)
+        List.iter
+          (fun bad ->
+            match
+              O.Pool.Team.run team ~jobs:3 ~n:256 (fun ~worker:_ i ->
+                  if i = bad then failwith "boom")
+            with
+            | () -> Alcotest.fail "exception swallowed"
+            | exception Failure msg -> Alcotest.(check string) "msg" "boom" msg)
+          [ 0; 250 ];
+        (* The team stays usable after a failed run. *)
+        let hits = Array.make 64 0 in
+        O.Pool.Team.run team ~jobs:3 ~n:64 (fun ~worker:_ i ->
+            hits.(i) <- hits.(i) + 1);
+        check_bool "every index once" true (Array.for_all (( = ) 1) hits);
+        O.Pool.Team.stop team;
+        O.Pool.Team.stop team;
+        Alcotest.check_raises "run after stop"
+          (Invalid_argument "Pool.Team.run: stopped team") (fun () ->
+            O.Pool.Team.run team ~jobs:3 ~n:8 (fun ~worker:_ _ -> ())));
+  ]
+
 let suite =
   pool_unit_tests @ pool_map_tests @ batch_tests @ mc_tests @ obs_tests
+  @ team_tests

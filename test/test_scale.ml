@@ -1,116 +1,10 @@
-(* The determinism contract of in-decision parallelism, and the
-   supporting structures of the million-task path.
-
-   [Params.eval_jobs] shards the candidate scan of one scheduling
-   decision over the persistent domain team; the contract mirrors the
-   sweep-level pool's: makespan, every placement and every communication
-   event are bit-identical at any job count (only the pruning counters
-   may differ, since each shard prunes against its own incumbent).  The
-   suite proves it on every testbed x HEFT/ILHA (both scans, with and
-   without reschedule) x one-port + macro-dataflow.
-
-   Also here: the int-keyed ready heap against the generic Pqueue, and
-   [Graph.of_arrays] against the list-based constructor. *)
+(* The supporting structures of the million-task path: the int-keyed
+   ready heap against the generic Pqueue, [Graph.of_arrays] against the
+   list-based constructor, and the validator's sweep against its
+   reference. *)
 
 module O = Onesched
 open Util
-
-let jobs_axis = [ 2; 4; 8 ]
-
-let fingerprint sched =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "m=%h" (O.Schedule.makespan sched));
-  let g = O.Schedule.graph sched in
-  for v = 0 to O.Graph.n_tasks g - 1 do
-    let pl = O.Schedule.placement_exn sched v in
-    Buffer.add_string buf
-      (Printf.sprintf ";t%d=%d:%h:%h" v pl.O.Schedule.proc pl.O.Schedule.start
-         pl.O.Schedule.finish)
-  done;
-  List.iter
-    (fun (c : O.Schedule.comm) ->
-      Buffer.add_string buf
-        (Printf.sprintf ";c%d=%d>%d:%h:%h" c.edge c.src_proc c.dst_proc c.start
-           c.finish))
-    (O.Schedule.comms sched);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* ---------------- eval_jobs determinism ---------------- *)
-
-let models = [ O.Comm_model.one_port; O.Comm_model.macro_dataflow ]
-
-let heuristics =
-  [
-    ("heft", fun params plat g -> O.Heft.schedule ~params plat g);
-    ("ilha", fun params plat g -> O.Ilha.schedule ~params plat g);
-    ( "ilha-resched",
-      fun params plat g ->
-        let params =
-          O.Params.with_scan
-            (O.Params.with_reschedule params true)
-            O.Params.Scan_one_comm
-        in
-        O.Ilha.schedule ~params plat g );
-  ]
-
-let eval_jobs_tests =
-  [
-    Alcotest.test_case
-      "eval_jobs is bit-identical on every testbed x heuristic x model"
-      `Slow
-      (fun () ->
-        let plat = O.Platform.paper_platform () in
-        List.iter
-          (fun suite ->
-            let n = max 8 suite.O.Suite.min_n in
-            let g = suite.O.Suite.build ~n ~ccr:0.5 in
-            List.iter
-              (fun model ->
-                List.iter
-                  (fun (hname, run) ->
-                    let schedule jobs =
-                      let params =
-                        O.Params.with_eval_jobs (O.Params.of_model model) jobs
-                      in
-                      fingerprint (run params plat g)
-                    in
-                    let baseline = schedule 1 in
-                    List.iter
-                      (fun jobs ->
-                        Alcotest.(check string)
-                          (Printf.sprintf "%s/%s/%s jobs=%d"
-                             suite.O.Suite.name
-                             (O.Comm_model.name model)
-                             hname jobs)
-                          baseline (schedule jobs))
-                      jobs_axis)
-                  heuristics)
-              models)
-          O.Suite.all);
-    qtest ~count:12 "eval_jobs is bit-identical on random layered graphs"
-      QCheck2.Gen.(
-        let* seed = int_bound 10_000 in
-        let* layers = int_range 2 6 in
-        let* width = int_range 2 8 in
-        let* jobs = QCheck2.Gen.oneofl [ 2; 4; 8 ] in
-        return (seed, layers, width, jobs))
-      (fun (seed, layers, width, jobs) ->
-        let rng = O.Rng.create ~seed in
-        let g =
-          O.Generators.layered rng ~layers ~width ~edge_prob:0.4 ~max_weight:9
-            ~max_data:20
-        in
-        let plat = O.Platform.paper_platform () in
-        let run j =
-          let params =
-            O.Params.with_eval_jobs
-              (O.Params.with_reschedule O.Params.default true)
-              j
-          in
-          fingerprint (O.Ilha.schedule ~params plat g)
-        in
-        run 1 = run jobs);
-  ]
 
 (* ---------------- int-keyed ready heap ---------------- *)
 
@@ -293,4 +187,4 @@ let validate_tests =
   ]
 
 let suite =
-  eval_jobs_tests @ int_heap_tests @ graph_arrays_tests @ validate_tests
+  int_heap_tests @ graph_arrays_tests @ validate_tests
