@@ -1049,8 +1049,9 @@ let serve_cmd =
     Arg.(
       value & opt float O.Scheduld.default_config.O.Scheduld.batch_window
       & info [ "batch-window" ] ~docv:"SECONDS"
-          ~doc:"Coalescing window: a batch runs this long after its first \
-                pending submission arrived.")
+          ~doc:"Upper bound on batching: a batch runs as soon as no more \
+                input is waiting, and at the latest this long after its \
+                first pending submission arrived.")
   in
   let budget_arg =
     Arg.(

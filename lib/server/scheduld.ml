@@ -64,7 +64,7 @@ type t = {
   mutable next_job : int;
   jobs_tbl : (int, job) Hashtbl.t;
   mutable order : int list;  (** submission order, newest first *)
-  mutable queue : job list;  (** backlog, arrival order *)
+  queue : job Queue.t;  (** backlog, arrival order *)
   outbox : (int * string) Queue.t;
   mutable is_draining : bool;
   mutable is_stopped : bool;
@@ -104,7 +104,7 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) platform =
     next_job = 0;
     jobs_tbl = Hashtbl.create 64;
     order = [];
-    queue = [];
+    queue = Queue.create ();
     outbox = Queue.create ();
     is_draining = false;
     is_stopped = false;
@@ -157,7 +157,7 @@ let broadcast t ~owner resp =
         | _ -> ())
     (live_clients t)
 
-let pending t = List.length t.queue
+let pending t = Queue.length t.queue
 let draining t = t.is_draining
 let stopped t = t.is_stopped
 
@@ -222,12 +222,20 @@ let resolve_graph t (spec : Proto.spec) =
       in
       (canonical, g)
 
+(* Shedding and cancelling are the only removals from the middle of the
+   backlog; both are bounded by [queue_cap], so a rebuild is cheap. *)
+let remove_queued t id =
+  let kept = Queue.create () in
+  Queue.iter (fun j -> if j.jid <> id then Queue.add j kept) t.queue;
+  Queue.clear t.queue;
+  Queue.transfer kept t.queue
+
 (* Admission control mirrors the online driver: a full backlog sheds the
    lowest-priority queued job strictly below the newcomer — the newest
    among equals — before refusing outright. *)
 let try_shed t ~for_id ~priority =
   let victim =
-    List.fold_left
+    Queue.fold
       (fun best j ->
         if j.jpriority >= priority then best
         else
@@ -240,7 +248,7 @@ let try_shed t ~for_id ~priority =
   match victim with
   | None -> false
   | Some v ->
-      t.queue <- List.filter (fun j -> j.jid <> v.jid) t.queue;
+      remove_queued t v.jid;
       v.jstate <- Proto.Shed_state;
       t.n_shed <- t.n_shed + 1;
       Counters.shed_job ();
@@ -272,7 +280,7 @@ let handle_submit t ~client (s : Proto.submit) =
     | entry, params, spec, graph ->
         let id = t.next_job in
         if
-          List.length t.queue >= t.cfg.queue_cap
+          pending t >= t.cfg.queue_cap
           && not (try_shed t ~for_id:id ~priority:s.Proto.priority)
         then
           emit_error t client Proto.Queue_full
@@ -297,12 +305,12 @@ let handle_submit t ~client (s : Proto.submit) =
           in
           Hashtbl.replace t.jobs_tbl id job;
           t.order <- id :: t.order;
-          t.queue <- t.queue @ [ job ];
+          Queue.add job t.queue;
           t.n_submitted <- t.n_submitted + 1;
           Counters.queued_job ();
-          t.queue_peak <- max t.queue_peak (List.length t.queue);
-          emit t client
-            (Proto.Accepted { id; queued = List.length t.queue })
+          let queued = pending t in
+          t.queue_peak <- max t.queue_peak queued;
+          emit t client (Proto.Accepted { id; queued })
         end
 
 (* ---------------- the other requests ---------------- *)
@@ -327,7 +335,7 @@ let handle_cancel t ~client id =
   | None ->
       emit_error t client Proto.Unknown_id (Printf.sprintf "no such job %d" id)
   | Some j when j.jstate = Proto.Queued ->
-      t.queue <- List.filter (fun q -> q.jid <> id) t.queue;
+      remove_queued t id;
       j.jstate <- Proto.Cancelled;
       t.n_cancelled <- t.n_cancelled + 1;
       emit t client (Proto.Cancelled_reply { id })
@@ -372,17 +380,10 @@ let placement_rows sched g =
       })
 
 let split_batch t =
-  let rec take k acc rest =
-    match rest with
-    | j :: tl when k > 0 -> take (k - 1) (j :: acc) tl
-    | _ -> (Array.of_list (List.rev acc), rest)
-  in
-  let batch, rest = take t.cfg.max_batch [] t.queue in
-  t.queue <- rest;
-  batch
+  Array.init (min t.cfg.max_batch (pending t)) (fun _ -> Queue.pop t.queue)
 
 let maybe_finish t =
-  if t.is_draining && t.queue = [] && not t.is_stopped then begin
+  if t.is_draining && Queue.is_empty t.queue && not t.is_stopped then begin
     List.iter (fun cid -> emit t cid Proto.Bye) (live_clients t);
     t.is_stopped <- true
   end
@@ -503,10 +504,16 @@ type conn = {
   fd : Unix.file_descr;
   cid : int;
   rbuf : Buffer.t;  (** partial line carried between reads *)
-  mutable wbuf : string;  (** bytes not yet written *)
+  wbuf : Buffer.t;  (** replies queued for the socket *)
+  mutable woff : int;  (** bytes of [wbuf] already written *)
 }
 
+let unwritten c = Buffer.length c.wbuf - c.woff
 let drain_signal = ref false
+
+let chomp_cr line =
+  let k = String.length line in
+  if k > 0 && line.[k - 1] = '\r' then String.sub line 0 (k - 1) else line
 
 let serve ?config ?clock ?(ready = fun () -> ()) endpoint platform =
   let core = create ?config ?clock platform in
@@ -522,7 +529,7 @@ let serve ?config ?clock ?(ready = fun () -> ()) endpoint platform =
   ready ();
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
   let by_cid : (int, conn) Hashtbl.t = Hashtbl.create 64 in
-  let scratch = Bytes.create 4096 in
+  let scratch = Bytes.create 65536 and out = Bytes.create 65536 in
   let batch_deadline = ref None in
   let close_conn c =
     disconnect core c.cid;
@@ -537,7 +544,10 @@ let serve ?config ?clock ?(ready = fun () -> ()) endpoint platform =
       | fd, _ ->
           Unix.set_nonblock fd;
           let cid = connect core in
-          let c = { fd; cid; rbuf = Buffer.create 256; wbuf = "" } in
+          let c =
+            { fd; cid; rbuf = Buffer.create 256; wbuf = Buffer.create 256;
+              woff = 0 }
+          in
           Hashtbl.replace conns fd c;
           Hashtbl.replace by_cid cid c
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -545,103 +555,119 @@ let serve ?config ?clock ?(ready = fun () -> ()) endpoint platform =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done
   in
-  let feed_lines c =
-    (* split complete lines out of the connection buffer; a trailing
-       partial line stays buffered for the next read *)
-    let data = Buffer.contents c.rbuf in
-    Buffer.clear c.rbuf;
-    let n = String.length data in
+  let feed_lines c k =
+    (* split complete lines out of the [k] bytes just read, scanning only
+       those; a trailing partial line is carried in [rbuf] *)
     let start = ref 0 in
-    for i = 0 to n - 1 do
-      if data.[i] = '\n' then begin
-        let line = String.sub data !start (i - !start) in
+    for i = 0 to k - 1 do
+      if Bytes.get scratch i = '\n' then begin
         let line =
-          let k = String.length line in
-          if k > 0 && line.[k - 1] = '\r' then String.sub line 0 (k - 1)
-          else line
+          if Buffer.length c.rbuf = 0 then
+            Bytes.sub_string scratch !start (i - !start)
+          else begin
+            Buffer.add_subbytes c.rbuf scratch !start (i - !start);
+            let carried = Buffer.contents c.rbuf in
+            Buffer.clear c.rbuf;
+            carried
+          end
         in
+        let line = chomp_cr line in
         if line <> "" then input core ~client:c.cid line;
         start := i + 1
       end
     done;
-    if !start < n then Buffer.add_substring c.rbuf data !start (n - !start)
+    if !start < k then Buffer.add_subbytes c.rbuf scratch !start (k - !start)
   in
   let read_conn c =
     match Unix.read c.fd scratch 0 (Bytes.length scratch) with
     | 0 -> close_conn c
-    | k ->
-        Buffer.add_subbytes c.rbuf scratch 0 k;
-        feed_lines c
+    | k -> feed_lines c k
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         close_conn c
   in
+  (* Write until the socket would block.  Each call copies at most one
+     chunk out of [wbuf], so a reply costs time linear in its length
+     however the kernel splits the writes. *)
   let try_write c =
-    if c.wbuf <> "" then
-      match
-        Unix.write_substring c.fd c.wbuf 0 (String.length c.wbuf)
-      with
-      | k ->
-          c.wbuf <- String.sub c.wbuf k (String.length c.wbuf - k)
+    let blocked = ref false in
+    while (not !blocked) && unwritten c > 0 do
+      let len = min (unwritten c) (Bytes.length out) in
+      Buffer.blit c.wbuf c.woff out 0 len;
+      match Unix.write c.fd out 0 len with
+      | k -> c.woff <- c.woff + k
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
+          blocked := true
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+          blocked := true;
           close_conn c
+    done;
+    if unwritten c = 0 then begin
+      Buffer.clear c.wbuf;
+      c.woff <- 0
+    end
   in
+  let all_conns () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
   let ship_outputs () =
     List.iter
       (fun (cid, line) ->
         match Hashtbl.find_opt by_cid cid with
-        | Some c -> c.wbuf <- c.wbuf ^ line ^ "\n"
+        | Some c ->
+            Buffer.add_string c.wbuf line;
+            Buffer.add_char c.wbuf '\n'
         | None -> ())
       (take_outputs core);
-    Hashtbl.iter (fun _ c -> try_write c) conns
+    List.iter try_write (all_conns ())
   in
-  let all_conns () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
   while not (stopped core) do
     if !drain_signal && not (draining core) then drain core;
-    (* first pending submission arms the coalescing timer; the batch
-       runs when the window closes (immediately while draining) *)
+    (* the first pending submission arms the window's deadline *)
     (if pending core > 0 then begin
        if !batch_deadline = None then
          batch_deadline := Some (Unix.gettimeofday () +. window)
      end
      else batch_deadline := None);
+    (* with a backlog, only poll: the batch runs as soon as no input is
+       waiting, so it holds everything that arrived meanwhile *)
     let timeout =
-      if draining core then 0.05
-      else
-        match !batch_deadline with
-        | Some d -> Float.max 0. (d -. Unix.gettimeofday ())
-        | None -> 0.5
+      if pending core > 0 then 0. else if draining core then 0.05 else 0.5
     in
     let rds = listen_fd :: List.map (fun c -> c.fd) (all_conns ()) in
     let wrs =
       List.filter_map
-        (fun c -> if c.wbuf <> "" then Some c.fd else None)
+        (fun c -> if unwritten c > 0 then Some c.fd else None)
         (all_conns ())
     in
-    (match Unix.select rds wrs [] timeout with
-    | rready, wready, _ ->
-        if List.mem listen_fd rready then accept_all ();
-        List.iter
-          (fun fd ->
-            if fd <> listen_fd then
+    let readable =
+      match Unix.select rds wrs [] timeout with
+      | rready, wready, _ ->
+          if List.mem listen_fd rready then accept_all ();
+          List.iter
+            (fun fd ->
+              if fd <> listen_fd then
+                match Hashtbl.find_opt conns fd with
+                | Some c -> read_conn c
+                | None -> ())
+            rready;
+          List.iter
+            (fun fd ->
               match Hashtbl.find_opt conns fd with
-              | Some c -> read_conn c
+              | Some c -> try_write c
               | None -> ())
-          rready;
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt conns fd with
-            | Some c -> try_write c
-            | None -> ())
-          wready
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+            wready;
+          rready <> []
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+    in
+    (* the window only bounds the wait: input that never pauses must
+       not hold the backlog forever *)
     let due =
-      draining core
-      || match !batch_deadline with
-         | Some d -> Unix.gettimeofday () >= d
-         | None -> false
+      pending core > 0
+      && ((not readable)
+         || pending core >= core.cfg.max_batch
+         || draining core
+         || match !batch_deadline with
+            | Some d -> Unix.gettimeofday () >= d
+            | None -> false)
     in
     if due then begin
       while pending core > 0 do
@@ -656,12 +682,12 @@ let serve ?config ?clock ?(ready = fun () -> ()) endpoint platform =
   let rounds = ref 0 in
   while
     !rounds < 100
-    && List.exists (fun c -> c.wbuf <> "") (all_conns ())
+    && List.exists (fun c -> unwritten c > 0) (all_conns ())
   do
     incr rounds;
     let wrs =
       List.filter_map
-        (fun c -> if c.wbuf <> "" then Some c.fd else None)
+        (fun c -> if unwritten c > 0 then Some c.fd else None)
         (all_conns ())
     in
     (match Unix.select [] wrs [] 0.05 with

@@ -17,7 +17,7 @@
       byte-reproducible transcripts;
     - a {e transport shell} ({!serve}): a single-threaded
       [Unix.select] event loop owning the listening socket, per-client
-      line buffering and the batching timer.  Single-threaded on
+      line buffering and the flush decision.  Single-threaded on
       purpose — requests are serialized into a deterministic order, and
       the parallelism lives inside a batch flush, where a persistent
       {!Prelude.Pool.Team} schedules the batch's jobs across domains
@@ -25,15 +25,22 @@
       byte-identical at any [jobs]; worker counters merge at the
       barrier).
 
-    {b Batching.}  Submissions are queued, not scheduled inline: the
-    shell coalesces every submission that arrives within
-    [batch_window] seconds of the first pending one into a single
-    re-plan ({!flush}), which prices up to [max_batch] jobs in one
-    parallel pass.  Admission control mirrors the PR 7 online driver:
-    a full queue sheds the lowest-priority queued job strictly below
-    the newcomer (newest among equals) rather than refusing, a
-    [replan_budget] caps the number of batches, and drain mode refuses
-    new work while finishing the backlog.
+    {b Batching.}  Submissions are queued, not scheduled inline.  The
+    shell flushes as soon as the backlog cannot grow right now: once
+    it has read every connection with input waiting and a zero-timeout
+    poll finds nothing more, it re-plans the whole backlog ({!flush},
+    up to [max_batch] jobs per parallel pass).  So a lone submission
+    runs at once, and everything that arrived while the previous batch
+    was being priced lands in the next one.  The backlog also runs
+    when it reaches [max_batch], when draining, and at the latest
+    [batch_window] seconds after its first job arrived: input that
+    never pauses cannot hold it forever.
+
+    Admission control mirrors the online driver: a full queue sheds
+    the lowest-priority queued job strictly below the newcomer (newest
+    among equals) rather than refusing, a [replan_budget] caps the
+    number of batches, and drain mode refuses new work while finishing
+    the backlog.
 
     Protocol grammar, failure replies and the determinism contract are
     documented in [doc/scheduld.md]. *)
@@ -45,12 +52,14 @@ type config = {
   max_batch : int;  (** jobs coalesced into one re-plan *)
   queue_cap : int;  (** backlog bound; beyond it, shed or refuse *)
   replan_budget : int;  (** max batches before [Budget] errors *)
-  batch_window : float;  (** seconds the shell waits to coalesce *)
+  batch_window : float;
+      (** upper bound, in seconds, on how long the shell lets a pending
+          job wait for more input before flushing *)
   validate : bool;  (** run {!Sched.Validate} on every schedule *)
 }
 
 (** heft, one-port, serial, [max_batch = 16], [queue_cap = 64],
-    unlimited budget, 20 ms window, validation on. *)
+    unlimited budget, 20 ms window bound, validation on. *)
 val default_config : config
 
 (** {1 The pure core} *)

@@ -128,13 +128,6 @@ let of_arrays ?(name = "graph") ~weights ~edge_srcs ~edge_dsts ~edge_datas () =
     if data < 0. || Float.is_nan data then
       invalid_arg "Graph.create: negative edge data"
   done;
-  (* Duplicate-edge detection via sorting packed (src, dst) keys: endpoints
-     fit an int pair in one word for any graph that fits in memory. *)
-  (let keys = Array.init m (fun i -> (edge_srcs.(i) * n) + edge_dsts.(i)) in
-   Array.sort Int.compare keys;
-   for i = 1 to m - 1 do
-     if keys.(i) = keys.(i - 1) then invalid_arg "Graph.create: duplicate edge"
-   done);
   let build_csr ~endpoint =
     let off = Array.make (n + 1) 0 in
     for e = 0 to m - 1 do
@@ -152,6 +145,16 @@ let of_arrays ?(name = "graph") ~weights ~edge_srcs ~edge_dsts ~edge_datas () =
     (off, ids)
   in
   let succ_off, succ_ids = build_csr ~endpoint:(fun e -> edge_srcs.(e)) in
+  (* Duplicate-edge detection in linear time: within one task's successor
+     edges, each destination may appear once. *)
+  (let last_src = Array.make n (-1) in
+   for v = 0 to n - 1 do
+     for i = succ_off.(v) to succ_off.(v + 1) - 1 do
+       let d = edge_dsts.(succ_ids.(i)) in
+       if last_src.(d) = v then invalid_arg "Graph.create: duplicate edge";
+       last_src.(d) <- v
+     done
+   done);
   let pred_off, pred_ids = build_csr ~endpoint:(fun e -> edge_dsts.(e)) in
   let topo =
     compute_topo ~n

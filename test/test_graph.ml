@@ -40,6 +40,15 @@ let construction_tests =
           (fun () -> mk [ (0, 0, 1.) ]);
         Alcotest.check_raises "dup" (Invalid_argument "Graph.create: duplicate edge")
           (fun () -> mk [ (0, 1, 1.); (0, 1, 2.) ]);
+        let mk4 edges = O.Graph.create ~weights:[| 1.; 1.; 1.; 1. |] ~edges () in
+        Alcotest.check_raises "dup apart, shared destination"
+          (Invalid_argument "Graph.create: duplicate edge") (fun () ->
+            ignore (mk4 [ (0, 3, 1.); (0, 2, 1.); (1, 2, 1.); (0, 2, 1.) ]));
+        Alcotest.check_raises "dup reported before the cycle"
+          (Invalid_argument "Graph.create: duplicate edge") (fun () ->
+            ignore (mk4 [ (0, 1, 1.); (1, 0, 1.); (0, 1, 1.) ]));
+        check_int "shared destinations are not dups" 4
+          (O.Graph.n_edges (mk4 [ (0, 2, 1.); (1, 2, 1.); (0, 3, 1.); (1, 3, 1.) ]));
         Alcotest.check_raises "range"
           (Invalid_argument "Graph.create: edge endpoint out of range") (fun () ->
             mk [ (0, 7, 1.) ]));

@@ -546,6 +546,173 @@ let server_counters () =
        "batched replans:  1");
   O.Scheduld.shutdown core
 
+(* ---------------- the transport shell over a real socket ---------------- *)
+
+(* A daemon on a Unix socket in the working directory, served from a
+   second domain; [f] gets the socket path.  The daemon is drained and
+   joined afterwards, and the signal handlers [serve] installs are put
+   back. *)
+let with_daemon config f =
+  let path = Printf.sprintf "shell-%d.sock" (Unix.getpid ()) in
+  let sigint = Sys.signal Sys.sigint Sys.Signal_default in
+  let sigterm = Sys.signal Sys.sigterm Sys.Signal_default in
+  let listening = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        O.Scheduld.serve ~config
+          ~ready:(fun () -> Atomic.set listening true)
+          (O.Scheduld.Unix_path path) (Lazy.force plat))
+  in
+  let give_up = Unix.gettimeofday () +. 10. in
+  while not (Atomic.get listening) do
+    if Unix.gettimeofday () > give_up then
+      Alcotest.fail "daemon did not start listening";
+    Unix.sleepf 0.001
+  done;
+  let stop () =
+    let c = O.Scheduld_client.connect (O.Scheduld.Unix_path path) in
+    O.Scheduld_client.send c P.Drain;
+    (try
+       while O.Scheduld_client.recv c <> P.Bye do
+         ()
+       done
+     with End_of_file -> ());
+    O.Scheduld_client.close c;
+    ignore (Domain.join daemon);
+    Sys.set_signal Sys.sigint sigint;
+    Sys.set_signal Sys.sigterm sigterm
+  in
+  Fun.protect ~finally:stop (fun () -> f path)
+
+(* A bare socket client whose reads give up at a deadline, so a daemon
+   that holds replies back fails the test instead of stalling it. *)
+type raw = { fd : Unix.file_descr; mutable inbox : string }
+
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  { fd; inbox = "" }
+
+let raw_send c r =
+  let line = P.print_request r ^ "\n" in
+  let off = ref 0 in
+  while !off < String.length line do
+    off := !off + Unix.write_substring c.fd line !off (String.length line - !off)
+  done
+
+let raw_recv c ~deadline =
+  let chunk = Bytes.create 65536 in
+  let rec next () =
+    match String.index_opt c.inbox '\n' with
+    | Some i ->
+        let line = String.sub c.inbox 0 i in
+        c.inbox <- String.sub c.inbox (i + 1) (String.length c.inbox - i - 1);
+        Some
+          (match P.response_of_line line with
+          | Ok r -> r
+          | Error msg -> Alcotest.failf "unparseable reply %S: %s" line msg)
+    | None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then None
+        else
+          match Unix.select [ c.fd ] [] [] left with
+          | [], _, _ -> None
+          | _ -> (
+              match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+              | 0 -> None
+              | k ->
+                  c.inbox <- c.inbox ^ Bytes.sub_string chunk 0 k;
+                  next ()))
+  in
+  next ()
+
+(* The job's [Placed] fingerprint, or [None] when it does not arrive
+   before [deadline]. *)
+let rec placed_fingerprint c ~deadline =
+  match raw_recv c ~deadline with
+  | Some (P.Placed { fingerprint; valid; _ }) ->
+      Util.check_bool "valid over the socket" true valid;
+      Some fingerprint
+  | Some (P.Failed { msg; _ } | P.Error { msg; _ }) ->
+      Alcotest.failf "submission refused: %s" msg
+  | Some _ -> placed_fingerprint c ~deadline
+  | None -> None
+
+let inline_submit g =
+  P.Submit
+    { spec = P.Inline (O.Graph_io.to_string g); heuristic = None;
+      model = None; priority = 0; deadline = None; placements = false }
+
+let submit_inline c g = raw_send c (inline_submit g)
+
+let offline_ilha g =
+  O.Export.fingerprint
+    ((O.Registry.find "ilha").O.Registry.scheduler O.Params.default
+       (Lazy.force plat) g)
+
+(* A window far longer than any test: a batch that waits for it fails. *)
+let long_window =
+  { O.Scheduld.default_config with
+    O.Scheduld.heuristic = "ilha"; batch_window = 60. }
+
+let lone_submission_not_held () =
+  with_daemon long_window (fun path ->
+      let c = raw_connect path in
+      let g = build_graph (11, 1, 40) in
+      let t0 = Unix.gettimeofday () in
+      submit_inline c g;
+      let fp = placed_fingerprint c ~deadline:(t0 +. 5.) in
+      Alcotest.(check (option string))
+        "placed within 5 s of a 60 s window" (Some (offline_ilha g)) fp;
+      Unix.close c.fd)
+
+let concurrent_clients () =
+  with_daemon long_window (fun path ->
+      let graphs = List.init 8 (fun i -> build_graph (100 + i, i mod 4, 30)) in
+      let conns = List.map (fun _ -> raw_connect path) graphs in
+      List.iter2 submit_inline conns graphs;
+      let deadline = Unix.gettimeofday () +. 20. in
+      List.iteri
+        (fun i (c, g) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "client %d gets the offline ILHA plan" i)
+            (Some (offline_ilha g)) (placed_fingerprint c ~deadline))
+        (List.combine conns graphs);
+      let c = List.hd conns in
+      raw_send c P.Stats;
+      let rec stats () =
+        match raw_recv c ~deadline with
+        | Some (P.Stats_reply s) -> s
+        | Some _ -> stats ()
+        | None -> Alcotest.fail "no stats reply"
+      in
+      let s = stats () in
+      check_int "submitted" 8 s.P.submitted;
+      Util.check_bool
+        (Printf.sprintf "%d batches for %d submissions" s.P.batches
+           s.P.submitted)
+        true
+        (s.P.batches >= 1 && s.P.batches <= s.P.submitted);
+      List.iter (fun c -> Unix.close c.fd) conns)
+
+let megabyte_line () =
+  with_daemon long_window (fun path ->
+      let g =
+        O.Generators.layered (O.Rng.create ~seed:5) ~layers:120 ~width:60
+          ~edge_prob:0.5 ~max_weight:9 ~max_data:9
+      in
+      let request = P.print_request (inline_submit g) in
+      Util.check_bool
+        (Printf.sprintf "one %d-byte line" (String.length request))
+        true
+        (String.length request >= 1_000_000);
+      let c = raw_connect path in
+      raw_send c (inline_submit g);
+      let fp = placed_fingerprint c ~deadline:(Unix.gettimeofday () +. 30.) in
+      Alcotest.(check (option string))
+        "placed with the offline fingerprint" (Some (offline_ilha g)) fp;
+      Unix.close c.fd)
+
 let suite =
   [
     wire_roundtrip;
@@ -571,4 +738,9 @@ let suite =
     Alcotest.test_case "deadline misses are reported" `Quick deadline_missed;
     Alcotest.test_case "inline DAG submission" `Quick inline_graph;
     Alcotest.test_case "scheduld obs counters" `Quick server_counters;
+    Alcotest.test_case "shell: a lone submission is not held for the window"
+      `Quick lone_submission_not_held;
+    Alcotest.test_case "shell: eight concurrent clients get offline plans"
+      `Quick concurrent_clients;
+    Alcotest.test_case "shell: a 1 MB submission line" `Quick megabyte_line;
   ]

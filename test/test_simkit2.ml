@@ -37,8 +37,87 @@ let executor_tests =
           (trace.O.Executor.task_starts.(1) >= 1.));
   ]
 
+(* Graph text for the one-pass reader: valid graphs with a few lines
+   replaced, inserted or dropped, drawn from tokens that hit every branch
+   of the grammar — comments, tabs, '\r', extra or missing fields, ids
+   out of range, duplicates, numbers only the runtime's parsers accept. *)
+let graph_text_gen =
+  QCheck2.Gen.(
+    let num =
+      oneof
+        [
+          map string_of_int (int_range (-2) 12);
+          oneofl
+            [ "0"; "007"; "2.5"; "-0"; "1e3"; "0x1p3"; "0x2"; "+1"; "1_0";
+              "nan"; "inf"; "-1"; "oops"; "3\r"; "1000000000";
+              "99999999999999999999"; "123456789012345678";
+              "1234567890123456"; "" ];
+        ]
+    in
+    let sep = oneofl [ " "; "\t"; "  "; " \t " ] in
+    let fields words =
+      let* seps = list_repeat (List.length words) sep in
+      let* lead = oneofl [ ""; ""; " "; "\t" ] in
+      let* tail = oneofl [ ""; ""; " "; " # note"; "#x"; "\r" ] in
+      return
+        (lead
+        ^ String.concat "" (List.map2 (fun s w -> w ^ s) seps words)
+        ^ tail)
+    in
+    let line =
+      oneof
+        [
+          (let* id = num and* w = num in fields [ "task"; id; w ]);
+          (let* a = num and* b = num and* d = num in
+           fields [ "edge"; a; b; d ]);
+          (let* n = oneofl [ "g"; "my-app"; "x#y" ] in fields [ "graph"; n ]);
+          (let* ws =
+             list_size (int_range 1 5)
+               (oneof [ num; oneofl [ "task"; "edge"; "graph"; "node"; "Task" ] ])
+           in
+           fields ws);
+          oneofl [ ""; "# comment"; "\r"; "\t"; "#" ];
+        ]
+    in
+    let* base = map build_graph graph_gen in
+    let* edits =
+      list_size (int_range 0 3) (triple (int_bound 2) (int_bound 1000) line)
+    in
+    let lines =
+      List.fold_left
+        (fun ls (op, at, l) ->
+          let k = List.length ls in
+          let at = if k = 0 then 0 else at mod k in
+          match op with
+          | 0 -> List.mapi (fun i x -> if i = at then l else x) ls
+          | 1 -> List.filteri (fun i _ -> i <> at) ls
+          | _ ->
+              List.concat
+                (List.mapi (fun i x -> if i = at then [ l; x ] else [ x ]) ls))
+        (String.split_on_char '\n' (O.Graph_io.to_string base))
+        edits
+    in
+    return (String.concat "\n" lines))
+
+let parse_outcome of_string text =
+  match of_string text with
+  | g ->
+      let bits = Int64.bits_of_float in
+      Ok
+        ( O.Graph.name g,
+          List.init (O.Graph.n_tasks g) (fun v -> bits (O.Graph.weight g v)),
+          List.map
+            (fun (e : O.Graph.edge) -> (e.src, e.dst, bits e.data))
+            (O.Graph.edges g) )
+  | exception Invalid_argument msg -> Error msg
+
 let graph_io_tests =
   [
+    qtest ~count:2000 ~print:(Printf.sprintf "%S")
+      "one-pass reader = list-based reference, graphs and errors"
+      graph_text_gen (fun text ->
+        parse_outcome O.Graph_io.of_string text
+        = parse_outcome Io_ref.of_string text);
     qtest ~count:100 "graph text format round-trips" graph_gen (fun params ->
         let g = build_graph params in
         let g' = O.Graph_io.of_string (O.Graph_io.to_string g) in
