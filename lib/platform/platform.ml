@@ -160,7 +160,9 @@ let route t ~src ~dst =
     follow src []
   end
 
-let hop_cost t ~src ~dst =
+let next_hop t ~src ~dst = t.next_hop.(src).(dst)
+
+let[@inline] hop_cost t ~src ~dst =
   let c = t.direct.(src).(dst) in
   if c = Float.infinity then invalid_arg "Platform.hop_cost: no direct link";
   c

@@ -78,6 +78,11 @@ val link : t -> src:int -> dst:int -> float
     [src = dst]. *)
 val route : t -> src:int -> dst:int -> (int * int) list
 
+(** [next_hop t ~src ~dst] is the processor the first hop of
+    [route t ~src ~dst] reaches, without building the route; [-1] when
+    [src = dst]. *)
+val next_hop : t -> src:int -> dst:int -> int
+
 (** [hop_cost t ~src ~dst] is the per-item cost of the {e direct} link used
     by one hop.
     @raise Invalid_argument when no direct link exists. *)

@@ -17,7 +17,10 @@ val add_int : Buffer.t -> int -> unit
 val add_g : Buffer.t -> float -> unit
 
 (** [add_h buf x] appends [Printf.sprintf "%h" x] (hexadecimal,
-    bit-exact). *)
+    bit-exact).  Finite floats are written digit by digit from
+    [Int64.bits_of_float x], with no intermediate string; infinities and
+    NaNs go through the runtime's [caml_hexstring_of_float], as
+    [Printf] does. *)
 val add_h : Buffer.t -> float -> unit
 
 (** [format_float fmt x] is the runtime's C [printf] of [x] under the

@@ -24,10 +24,10 @@ let tid_recv = 2
 (* Body events are ordered by start time.  Rather than materializing
    (ts, line) pairs and sorting them, events are packed int tags —
    [v] for task v, [n + 2i] / [n + 2i + 1] for the send/recv views of
-   comm [i] — and an index sort orders them before a single formatting
-   pass into the output buffer.  Ties keep the historical order of the
-   previous implementation (a stable sort over a prepend-built list):
-   reverse emission order, i.e. descending tag. *)
+   comm [i] — and [Prelude.Tagsort] orders them before a single
+   formatting pass into the output buffer.  Ties keep the historical
+   order of the previous implementation (a stable sort over a
+   prepend-built list): reverse emission order, i.e. descending tag. *)
 let to_chrome_trace ?(time_unit = 1.0) s =
   let g = Schedule.graph s in
   let n = Graph.n_tasks g in
@@ -52,12 +52,10 @@ let to_chrome_trace ?(time_unit = 1.0) s =
   in
   let starts = Array.init total ts_of in
   let order = Array.init total Fun.id in
-  Array.sort
-    (fun a b ->
-      match Float.compare starts.(a) starts.(b) with
-      | 0 -> Int.compare b a
-      | c -> c)
-    order;
+  (* [Tagsort] breaks equal starts by its [fin] key, descending: the tag
+     itself, exact as a float, gives the descending-tag order *)
+  Prelude.Tagsort.sort ~key:starts ~fin:(Array.init total float_of_int)
+    ~tag:order;
   let p = Platform.p (Schedule.platform s) in
   let buf = Buffer.create (256 + (total * 96)) in
   Buffer.add_char buf '[';
@@ -183,14 +181,12 @@ let fingerprint s =
   if Schedule.all_placed s then put_h buf "m=" (Schedule.makespan s)
   else Buffer.add_string buf "m=-";
   for v = 0 to Graph.n_tasks g - 1 do
-    match Schedule.placement s v with
-    | None ->
-        put buf ";t" v;
-        Buffer.add_string buf "=-"
-    | Some pl ->
-        put buf ";t" v;
-        put buf "=" pl.Schedule.proc;
-        times pl.Schedule.start pl.Schedule.finish
+    put buf ";t" v;
+    if Schedule.is_placed s v then begin
+      put buf "=" (Schedule.proc_of_exn s v);
+      times (Schedule.start_of_exn s v) (Schedule.finish_of_exn s v)
+    end
+    else Buffer.add_string buf "=-"
   done;
   (* copy lines appear only on duplicated schedules, so single-copy
      fingerprints are bit-identical to the pre-duplication era *)

@@ -236,13 +236,6 @@ let comm_at t i = Vec.get t.comms i
 let comm_head_at t i = Vec.get t.heads i
 let iter_comms t ~f = Vec.iter f t.comms
 
-let n_comms_of_edge t edge = List.length t.edge_comms.(edge)
-
-let fold_comms_of_edge t edge ~init ~f =
-  (* [edge_comms] keeps indices newest-first; fold right restores route
-     order without materializing the hop list. *)
-  List.fold_right (fun i acc -> f acc (Vec.get t.comms i)) t.edge_comms.(edge) init
-
 let phase_at t i = Vec.get t.phases i
 let iter_phases t ~f = Vec.iter (fun (s, fin) -> f s fin) t.phases
 

@@ -167,11 +167,6 @@ val iter_comms : t -> f:(comm -> unit) -> unit
 (** Hops recorded for one edge, in route order. *)
 val comms_of_edge : t -> int -> comm list
 
-(** [fold_comms_of_edge t edge ~init ~f] folds over the edge's hops in
-    route order without building the list. *)
-val fold_comms_of_edge : t -> int -> init:'a -> f:('a -> comm -> 'a) -> 'a
-
-val n_comms_of_edge : t -> int -> int
 val n_comm_events : t -> int
 
 (** Alias of {!n_comm_events}. *)

@@ -4,8 +4,15 @@ module Comm_model = Commmodel.Comm_model
 
 let eps = 1e-9
 
-let feq a b = Prelude.Stats.fequal ~eps a b
-let fle a b = a <= b +. (eps *. max 1. (max (abs_float a) (abs_float b)))
+(* [Stdlib.max] at type [float]: the polymorphic one boxes its
+   arguments for [caml_greaterequal].  With it [feq] (which is
+   [Prelude.Stats.fequal ~eps]) and [fle] inline into the edge pass and
+   allocate nothing. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
+let[@inline] scale a b = fmax 1. (fmax (abs_float a) (abs_float b))
+let[@inline] feq a b = abs_float (a -. b) <= eps *. scale a b
+let[@inline] fle a b = a <= b +. (eps *. scale a b)
 
 let pp_route route =
   String.concat ", "
@@ -19,18 +26,26 @@ let pp_route route =
 (* disjoint".  Instead of materializing per-resource lists of labelled *)
 (* intervals — one tuple and one formatted string per event, even on   *)
 (* success — events are packed int tags bucketed per resource id in    *)
-(* CSR form, one permutation is sorted by (resource, start), and a     *)
-(* single linear sweep compares adjacent events; labels are formatted  *)
-(* only for offending pairs.                                           *)
+(* CSR form with their starts and finishes beside them, each bucket is *)
+(* sorted on its own by [Prelude.Tagsort] (start ascending, longest    *)
+(* first), and one linear pass per bucket compares adjacent events;    *)
+(* labels are formatted only for offending pairs.                      *)
+(*                                                                     *)
+(* Two events overlap when the later start (on equal starts, the       *)
+(* shorter event's) falls more than [eps] before the other's finish.   *)
+(* Sorted longest first among equal starts, any overlapping pair       *)
+(* implies an overlapping adjacent pair: if slots [i < j] overlap,     *)
+(* then slot [i + 1] starts no later than [j], so it overlaps [i].     *)
 (* ------------------------------------------------------------------ *)
 
 (* [sweep ~n_res ~emit ~start ~finish ~on_overlap] — [emit yield]
    must produce the same (resource, tag) sequence on both calls: the
    first sizes the buckets, the second fills them.  [start]/[finish]
-   hold every tag's interval, filled once by the caller, so the sort
-   and the sweep compare flat floats instead of calling back (and
-   boxing a float) on every comparison. *)
-let sweep ~n_res ~emit ~start ~finish ~on_overlap =
+   hold every tag's interval, filled once by the caller; the bucket
+   fill copies them next to the tags, so the sort and the pass compare
+   flat floats. *)
+let sweep ~n_res ~emit ~(start : float array) ~(finish : float array)
+    ~on_overlap =
   if n_res > 0 then begin
     let off = Array.make (n_res + 1) 0 in
     emit (fun res _tag -> off.(res + 1) <- off.(res + 1) + 1);
@@ -40,38 +55,46 @@ let sweep ~n_res ~emit ~start ~finish ~on_overlap =
     let total = off.(n_res) in
     if total > 1 then begin
       let tags = Array.make total 0 in
-      let res_of = Array.make total 0 in
-      let st = Array.make total 0. in
+      let st = Array.create_float total in
+      let fn = Array.create_float total in
       let cursor = Array.sub off 0 n_res in
       emit (fun res tag ->
           let i = cursor.(res) in
           tags.(i) <- tag;
-          res_of.(i) <- res;
           st.(i) <- start.(tag);
+          fn.(i) <- finish.(tag);
           cursor.(res) <- i + 1);
-      let idx = Array.init total Fun.id in
-      Array.sort
-        (fun a b ->
-          match Int.compare res_of.(a) res_of.(b) with
-          | 0 -> Float.compare st.(a) st.(b)
-          | c -> c)
-        idx;
-      for k = 0 to total - 2 do
-        let a = idx.(k) and b = idx.(k + 1) in
-        if res_of.(a) = res_of.(b) && st.(b) < finish.(tags.(a)) -. eps then
-          on_overlap res_of.(a) tags.(a) tags.(b)
+      Prelude.Tagsort.sort_buckets ~off ~key:st ~fin:fn ~tag:tags;
+      for r = 0 to n_res - 1 do
+        for k = off.(r) to off.(r + 1) - 2 do
+          if st.(k + 1) < fn.(k) -. eps then
+            on_overlap r tags.(k) tags.(k + 1)
+        done
       done
     end
   end
 
+let sweep_overlaps ~res ~start ~finish =
+  let n_res = Array.fold_left (fun m r -> max m (r + 1)) 0 res in
+  let found = ref [] in
+  sweep ~n_res
+    ~emit:(fun yield -> Array.iteri (fun i r -> yield r i) res)
+    ~start ~finish
+    ~on_overlap:(fun r a b -> found := (r, a, b) :: !found);
+  List.rev !found
+
 (* Sorted-interval disjointness on labelled lists — shared by the
    copy-aware checker and the list-based [Reference]. *)
 module Reference_disjoint = struct
-  (* Check that sorted-by-start intervals are pairwise disjoint; report via
-     [on_overlap a b] with both full intervals. *)
+  (* Check that intervals are pairwise disjoint; report via
+     [on_overlap a b] with both full intervals.  Sorted by start, longest
+     first among equal starts, as the streaming sweep does. *)
   let check_disjoint intervals ~on_overlap =
     let sorted =
-      List.sort (fun (s1, _, _) (s2, _, _) -> compare s1 s2) intervals
+      List.stable_sort
+        (fun (s1, f1, _) (s2, f2, _) ->
+          match Float.compare s1 s2 with 0 -> Float.compare f2 f1 | c -> c)
+        intervals
     in
     let rec walk = function
       | (s1, f1, l1) :: ((s2, f2, l2) :: _ as rest) ->
@@ -417,17 +440,18 @@ let check s =
        the exact [feq] test runs inside the callback's caller. *)
     let ph_starts = Array.init nph (fun i -> fst (Schedule.phase_at s i)) in
     let ph_order = Array.init nph Fun.id in
-    Array.sort (fun a b -> Float.compare ph_starts.(a) ph_starts.(b)) ph_order;
+    Prelude.Tagsort.sort ~key:ph_starts
+      ~fin:(Array.init nph (fun i -> snd (Schedule.phase_at s i)))
+      ~tag:ph_order;
     let iter_phases_matching x ~f =
       let band = eps *. 2. *. (1. +. abs_float x) in
       let lo = ref 0 and hi = ref nph in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if ph_starts.(ph_order.(mid)) < x -. band then lo := mid + 1
-        else hi := mid
+        if ph_starts.(mid) < x -. band then lo := mid + 1 else hi := mid
       done;
       let k = ref !lo in
-      while !k < nph && ph_starts.(ph_order.(!k)) <= x +. band do
+      while !k < nph && ph_starts.(!k) <= x +. band do
         f ph_order.(!k);
         incr k
       done
@@ -439,24 +463,44 @@ let check s =
           if feq ps c.start && feq pf c.finish then found := true);
       !found
     in
-    (* 3. precedence and communication chains *)
-    let expected_hop_span ~data ~cost =
+    (* 3. precedence and communication chains.  Each edge's hops, in
+       commit (= route) order, as CSR slices of comm indices, so the pass
+       below walks them without a list, a tuple or a closure per edge. *)
+    let n_edges = Graph.n_edges g in
+    let hop_off = Array.make (n_edges + 1) 0 in
+    for i = 0 to nc - 1 do
+      let e = (Schedule.comm_at s i).Schedule.edge in
+      hop_off.(e + 1) <- hop_off.(e + 1) + 1
+    done;
+    for e = 0 to n_edges - 1 do
+      hop_off.(e + 1) <- hop_off.(e + 1) + hop_off.(e)
+    done;
+    let hops = Array.make nc 0 in
+    let cursor = Array.sub hop_off 0 n_edges in
+    for i = 0 to nc - 1 do
+      let e = (Schedule.comm_at s i).Schedule.edge in
+      hops.(cursor.(e)) <- i;
+      cursor.(e) <- cursor.(e) + 1
+    done;
+    (* a hop's span is [data * cost], plus [2o + l] under latency+overhead *)
+    let lat_o, lat_l, lat =
       match model.Comm_model.regime with
-      | Comm_model.Latency_overhead { o; l } -> (2. *. o) +. (data *. cost) +. l
-      | Comm_model.Port | Comm_model.Bsp _ -> data *. cost
+      | Comm_model.Latency_overhead { o; l } -> (o, l, true)
+      | Comm_model.Port | Comm_model.Bsp _ -> (0., 0., false)
     in
     let is_bsp =
       match model.Comm_model.regime with
       | Comm_model.Bsp _ -> true
       | Comm_model.Port | Comm_model.Latency_overhead _ -> false
     in
-    for e = 0 to Graph.n_edges g - 1 do
+    for e = 0 to n_edges - 1 do
       let u = Graph.edge_src g e and v = Graph.edge_dst g e in
       let data = Graph.edge_data g e in
       let up = Schedule.proc_of_exn s u and vp = Schedule.proc_of_exn s v in
-      let ufin = Schedule.finish_of_exn s u in
-      let vstart = Schedule.start_of_exn s v in
-      let hop_count = Schedule.n_comms_of_edge s e in
+      let ufin = finish_of.(u) in
+      let vstart = start_of.(v) in
+      let first = hop_off.(e) and last = hop_off.(e + 1) - 1 in
+      let hop_count = last - first + 1 in
       if up = vp then begin
         if hop_count > 0 then
           err "edge %d: local edge on processor %d carries communication \
@@ -484,10 +528,7 @@ let check s =
           err "edge %d: remote edge has %d events, BSP expects exactly one" e
             hop_count
         else begin
-          let c =
-            Schedule.fold_comms_of_edge s e ~init:None ~f:(fun _ c -> Some c)
-            |> Option.get
-          in
+          let c = Schedule.comm_at s hops.(first) in
           if not (in_phase c) then
             err "edge %d: event [%g,%g) matches no recorded comm phase" e
               c.start c.finish;
@@ -508,17 +549,19 @@ let check s =
             e v vp vstart u up ufin
       end
       else begin
-        (* Route conformance, streamed: walk the platform route alongside
-           the hop fold; the hop list is only materialized on error. *)
-        let route = Platform.route plat ~src:up ~dst:vp in
-        let rest, ok =
-          Schedule.fold_comms_of_edge s e ~init:(route, true)
-            ~f:(fun (rest, ok) (c : Schedule.comm) ->
-              match rest with
-              | (a, b) :: tl when a = c.src_proc && b = c.dst_proc -> (tl, ok)
-              | _ -> ([], false))
-        in
-        if (not ok) || rest <> [] then begin
+        (* Route conformance: every hop leaves the processor the previous
+           one reached, towards the platform's next hop to [vp], and the
+           last one reaches [vp].  Hop lists are formatted only on error. *)
+        let at = ref up and follows = ref true in
+        for k = first to last do
+          let c = Schedule.comm_at s hops.(k) in
+          if
+            c.src_proc <> !at
+            || c.dst_proc <> Platform.next_hop plat ~src:c.src_proc ~dst:vp
+          then follows := false;
+          at := c.dst_proc
+        done;
+        if not (!follows && !at = vp) then begin
           let hop_pairs =
             List.map
               (fun (c : Schedule.comm) -> (c.src_proc, c.dst_proc))
@@ -526,31 +569,31 @@ let check s =
           in
           err "edge %d: communication hops [%s] do not follow the platform \
                route %d->%d [%s]"
-            e (pp_route hop_pairs) up vp (pp_route route)
+            e (pp_route hop_pairs) up vp
+            (pp_route (Platform.route plat ~src:up ~dst:vp))
         end;
-        let arrival =
-          Schedule.fold_comms_of_edge s e ~init:ufin
-            ~f:(fun prev (c : Schedule.comm) ->
-              let expect =
-                expected_hop_span ~data
-                  ~cost:
-                    (Platform.hop_cost plat ~src:c.src_proc ~dst:c.dst_proc)
-              in
-              if not (feq (c.finish -. c.start) expect) then
-                err "edge %d: hop %d->%d has duration %g over [%g,%g), \
-                     expected %g"
-                  e c.src_proc c.dst_proc (c.finish -. c.start) c.start
-                  c.finish expect;
-              if not (fle prev c.start) then
-                err
-                  "edge %d: hop %d->%d starts at %g before data is ready at %g"
-                  e c.src_proc c.dst_proc c.start prev;
-              c.finish)
-        in
-        if not (fle arrival vstart) then
+        let arrival = ref ufin in
+        for k = first to last do
+          let c = Schedule.comm_at s hops.(k) in
+          let cost = Platform.hop_cost plat ~src:c.src_proc ~dst:c.dst_proc in
+          let expect =
+            if lat then (2. *. lat_o) +. (data *. cost) +. lat_l
+            else data *. cost
+          in
+          if not (feq (c.finish -. c.start) expect) then
+            err "edge %d: hop %d->%d has duration %g over [%g,%g), \
+                 expected %g"
+              e c.src_proc c.dst_proc (c.finish -. c.start) c.start c.finish
+              expect;
+          if not (fle !arrival c.start) then
+            err "edge %d: hop %d->%d starts at %g before data is ready at %g"
+              e c.src_proc c.dst_proc c.start !arrival;
+          arrival := c.finish
+        done;
+        if not (fle !arrival vstart) then
           err "edge %d: task %d on processor %d starts at %g before data \
                arrives at %g"
-            e v vp vstart arrival
+            e v vp vstart !arrival
       end
     done;
     (* 3b. BSP phase pricing: a phase moving an h-relation of volume [h]

@@ -23,9 +23,10 @@
     (human-readable, deterministic order).
 
     The checker streams: occupancy constraints bucket packed int event
-    tags per resource and run one sorted sweep each, with labels
-    formatted only for offending pairs, so validating a clean
-    million-task schedule allocates O(events) ints and no strings. *)
+    tags per resource, sort each bucket by start (longest first among
+    equal starts) and compare adjacent events, with labels formatted
+    only for offending pairs, so validating a clean million-task
+    schedule allocates O(events) ints and floats and no strings. *)
 val check : Schedule.t -> (unit, string list) result
 
 (** @raise Failure with the first violations when invalid. *)
@@ -39,4 +40,28 @@ val is_valid : Schedule.t -> bool
     stays off the large-instance paths. *)
 module Reference : sig
   val check : Schedule.t -> (unit, string list) result
+
+  (** [check_disjoint intervals ~on_overlap] is the list-based overlap
+      check on one resource, which the copy-aware path of {!check} uses
+      too: [intervals] are [(start, finish, label)], and [on_overlap a b]
+      receives adjacent overlapping intervals, [a] first in the order of
+      {!sweep_overlaps}. *)
+  val check_disjoint :
+    (float * float * string) list ->
+    on_overlap:(float * float * string -> float * float * string -> unit) ->
+    unit
 end
+
+(** The occupancy sweep behind {!check}'s processor, link and port
+    checks, on bare intervals, for tests.  Interval [i] is
+    [[start.(i), finish.(i))] on resource [res.(i)] (resources are
+    [0 .. max res]).  Per resource, intervals are ordered by start, the
+    longest first among equal starts; [a] before [b] overlap when
+    [start.(b) < finish.(a) - 1e-9].  The result lists the adjacent
+    overlapping pairs [(resource, a, b)] the sweep reports, resource by
+    resource: a resource has one iff two of its intervals overlap. *)
+val sweep_overlaps :
+  res:int array ->
+  start:float array ->
+  finish:float array ->
+  (int * int * int) list

@@ -1,9 +1,10 @@
-(* Vec, Pqueue, Stats, Rng, Table. *)
+(* Vec, Pqueue, Stats, Rng, Table, Tagsort. *)
 
 module O = Onesched
 module Vec = Prelude.Vec
 module Pqueue = Prelude.Pqueue
 module Stats = Prelude.Stats
+module Tagsort = Prelude.Tagsort
 open Util
 
 let vec_tests =
@@ -160,4 +161,99 @@ let table_tests =
         check_bool "quoted" true (contains (O.Table.to_csv t) "\"x,y\""));
   ]
 
-let suite = vec_tests @ pqueue_tests @ stats_tests @ rng_tests @ table_tests
+(* ---- Tagsort against List.stable_sort on the same complete order ---- *)
+
+let tagsort_order (k1, f1, t1) (k2, f2, t2) =
+  match Float.compare k1 k2 with
+  | 0 -> ( match Float.compare f2 f1 with 0 -> Int.compare t1 t2 | c -> c)
+  | c -> c
+
+(* Keys and finishes from small grids, so equal keys, equal (key, fin)
+   pairs and whole equal triples all occur; lengths cluster around the
+   insertion-run threshold and its first merge widths. *)
+let tagsort_gen =
+  QCheck2.Gen.(
+    let r = Tagsort.run in
+    let* len =
+      oneof
+        [
+          int_range 0 (2 * r + 2);
+          int_range (r - 2) (r + 2);
+          int_range ((4 * r) - 2) ((4 * r) + 2);
+          int_range 0 300;
+        ]
+    in
+    let* shape = int_bound 3 in
+    let* elts =
+      list_repeat len
+        (triple
+           (map float_of_int (int_bound 6))
+           (map float_of_int (int_bound 3))
+           (int_bound 20))
+    in
+    let sorted = List.stable_sort tagsort_order elts in
+    return
+      (match shape with
+      | 0 -> elts
+      | 1 -> sorted
+      | 2 -> List.rev sorted
+      | _ -> List.map (fun _ -> (1., 2., 3)) elts))
+
+let tagsort_print elts =
+  String.concat "; "
+    (List.map (fun (k, f, t) -> Printf.sprintf "(%g,%g,%d)" k f t) elts)
+
+let arrays_of elts =
+  ( Array.of_list (List.map (fun (k, _, _) -> k) elts),
+    Array.of_list (List.map (fun (_, f, _) -> f) elts),
+    Array.of_list (List.map (fun (_, _, t) -> t) elts) )
+
+let triples key fin tag =
+  List.init (Array.length key) (fun i -> (key.(i), fin.(i), tag.(i)))
+
+let tagsort_tests =
+  [
+    qtest ~count:500 "sort = List.stable_sort (key, fin desc, tag)"
+      ~print:tagsort_print tagsort_gen (fun elts ->
+        let key, fin, tag = arrays_of elts in
+        Tagsort.sort ~key ~fin ~tag;
+        triples key fin tag = List.stable_sort tagsort_order elts);
+    qtest ~count:300 "sort_buckets sorts each bucket and nothing else"
+      ~print:(fun (elts, cuts) ->
+        tagsort_print elts ^ " | cuts "
+        ^ String.concat "," (List.map string_of_int cuts))
+      QCheck2.Gen.(
+        let* elts = tagsort_gen in
+        let len = List.length elts in
+        let* upto = int_bound len in
+        let* cuts = list_size (int_bound 6) (int_bound upto) in
+        return (elts, List.sort compare cuts @ [ upto ]))
+      (fun (elts, cuts) ->
+        let key, fin, tag = arrays_of elts in
+        let off = Array.of_list (0 :: cuts) in
+        Tagsort.sort_buckets ~off ~key ~fin ~tag;
+        let all = Array.of_list elts in
+        let expect = ref [] in
+        for b = Array.length off - 2 downto 0 do
+          let lo = off.(b) and hi = off.(b + 1) in
+          let bucket = Array.to_list (Array.sub all lo (hi - lo)) in
+          expect := List.stable_sort tagsort_order bucket @ !expect
+        done;
+        let upto = off.(Array.length off - 1) in
+        let tail =
+          Array.to_list (Array.sub all upto (Array.length all - upto))
+        in
+        triples key fin tag = !expect @ tail);
+    Alcotest.test_case "ties: longest first, then ascending tag" `Quick
+      (fun () ->
+        let key = [| 1.; 0.; 1.; 1.; 0. |]
+        and fin = [| 2.; 5.; 9.; 2.; 5. |]
+        and tag = [| 7; 4; 3; 1; 2 |] in
+        Tagsort.sort ~key ~fin ~tag;
+        Alcotest.(check (list int))
+          "tags" [ 2; 4; 3; 1; 7 ] (Array.to_list tag));
+  ]
+
+let suite =
+  vec_tests @ pqueue_tests @ stats_tests @ rng_tests @ table_tests
+  @ tagsort_tests

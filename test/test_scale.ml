@@ -186,5 +186,110 @@ let validate_tests =
         check_both "start before arrival" s false);
   ]
 
+(* ---------------- the occupancy sweep vs brute force ---------------- *)
+
+(* The validator's tolerance. *)
+let eps = 1e-9
+
+(* The pairwise rule: of two intervals on one resource, take first the
+   one starting earlier (the longer one on equal starts); they overlap
+   when the other starts more than [eps] before its finish. *)
+let pair_overlaps (sa, fa) (sb, fb) =
+  let f1, s2 =
+    if sa < sb || (sa = sb && fa >= fb) then (fa, sb) else (fb, sa)
+  in
+  s2 < f1 -. eps
+
+(* Resources holding an overlapping pair, by the O(n^2) check. *)
+let brute_force_resources res start finish =
+  let n = Array.length res in
+  let bad = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if
+        res.(i) = res.(j)
+        && pair_overlaps (start.(i), finish.(i)) (start.(j), finish.(j))
+      then bad := res.(i) :: !bad
+    done
+  done;
+  List.sort_uniq compare !bad
+
+(* Several resources; starts on a small grid, mostly exact so runs of
+   equal starts are common, else nudged by sub-eps and eps-sized
+   amounts; lengths from zero and sub-eps up to intervals spanning
+   most of the grid. *)
+let intervals_gen =
+  QCheck2.Gen.(
+    let* n_res = int_range 1 4 in
+    let* n = int_range 0 30 in
+    list_repeat n
+      (triple (int_bound (n_res - 1))
+         (map2
+            (fun base jitter -> float_of_int base +. jitter)
+            (int_bound 8)
+            (oneofl [ 0.; 0.; 0.; 4e-10; 1e-9; 1.6e-9; 0.5 ]))
+         (oneofl [ 0.; 3e-10; 1e-9; 1.5e-9; 0.5; 1.; 2.5; 20. ])))
+
+let print_intervals l =
+  String.concat "; "
+    (List.map (fun (r, s, len) -> Printf.sprintf "r%d [%h,+%h)" r s len) l)
+
+let sweep_tests =
+  [
+    qtest ~count:1000 "sweep agrees with the pairwise check"
+      ~print:print_intervals intervals_gen (fun l ->
+        let res = Array.of_list (List.map (fun (r, _, _) -> r) l) in
+        let start = Array.of_list (List.map (fun (_, s, _) -> s) l) in
+        let finish = Array.of_list (List.map (fun (_, s, len) -> s +. len) l) in
+        let expect = brute_force_resources res start finish in
+        let reports = O.Validate.sweep_overlaps ~res ~start ~finish in
+        (* every report is a real overlap on its resource *)
+        List.for_all
+          (fun (r, a, b) ->
+            a <> b && res.(a) = r && res.(b) = r
+            && pair_overlaps (start.(a), finish.(a)) (start.(b), finish.(b)))
+          reports
+        && List.sort_uniq compare (List.map (fun (r, _, _) -> r) reports)
+           = expect
+        (* the list-based check agrees resource by resource, whatever
+           the input order *)
+        && List.for_all
+             (fun rev ->
+               let flagged = ref [] in
+               for r = 0 to Array.fold_left max (-1) res do
+                 let on_r =
+                   List.filter_map
+                     (fun i ->
+                       if res.(i) = r then
+                         Some (start.(i), finish.(i), string_of_int i)
+                       else None)
+                     (List.init (Array.length res) Fun.id)
+                 in
+                 O.Validate.Reference.check_disjoint
+                   (if rev then List.rev on_r else on_r)
+                   ~on_overlap:(fun (s1, f1, _) (s2, f2, _) ->
+                     if not (pair_overlaps (s1, f1) (s2, f2)) then
+                       Alcotest.failf "check_disjoint: false overlap";
+                     flagged := r :: !flagged)
+               done;
+               List.sort_uniq compare !flagged = expect)
+             [ false; true ]);
+    Alcotest.test_case "an equal-start overlap is seen whatever the tie order"
+      `Quick (fun () ->
+        (* [0, 10) and [0, 5e-10) start together.  Compared short one
+           first, the short one's finish hides the overlap; longest
+           first, the pair is reported. *)
+        Alcotest.(check (list (triple int int int)))
+          "sweep" [ (0, 0, 1) ]
+          (O.Validate.sweep_overlaps ~res:[| 0; 0 |] ~start:[| 0.; 0. |]
+             ~finish:[| 10.; 5e-10 |]);
+        let seen = ref [] in
+        O.Validate.Reference.check_disjoint
+          [ (0., 5e-10, "short"); (0., 10., "long") ]
+          ~on_overlap:(fun (_, _, a) (_, _, b) -> seen := (a, b) :: !seen);
+        Alcotest.(check (list (pair string string)))
+          "check_disjoint" [ ("long", "short") ] !seen);
+  ]
+
 let suite =
-  int_heap_tests @ graph_arrays_tests @ validate_tests
+  int_heap_tests @ graph_arrays_tests @ validate_tests @ sweep_tests
