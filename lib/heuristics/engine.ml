@@ -78,6 +78,9 @@ let priced_create () =
      task being priced (predecessor finish, source, edge, source
      processor, edge data — sorted by the §4.3 greedy order), computed
      once per task rather than once per candidate;
+   - the [sp_*] arrays cache, per incoming row, the bound's send-port
+     probe ({!send_arrival}), valid while [sp_gen] equals [gen] and the
+     first hop's duration equals [sp_dur];
    - [cur] receives the candidate being priced and [best] holds the
      scan's incumbent; an improvement swaps the two. *)
 type t = {
@@ -89,6 +92,10 @@ type t = {
   routes : hop_set array option array;
   comp_tls : Timeline.t array array;
   comp_ids : int array array;
+  (* per processor, its send-only busy set (what a message leaving it
+     holds on its side): the bound's stage 3 probes it *)
+  send_tls : Timeline.t array array;
+  send_ids : int array array;
   (* the BSP phase busy set (barrier + every compute); empty otherwise *)
   phase_tls : Timeline.t array;
   phase_ids : int array;
@@ -116,6 +123,18 @@ type t = {
   mutable inc_proc : int array;
   mutable inc_data : float array;
   mutable inc_max_fin : float;
+  (* scan generation: bumped whenever committed state, [floor] or the
+     incoming table may have changed, which voids the [sp_*] cache *)
+  mutable gen : int;
+  mutable sp_gen : int array;
+  mutable sp_dur : float array;
+  mutable sp_start : float array;
+  (* the stage-3 gate's ceiling ([gate_at.(0)]), valid while [gate_gen]
+     equals [gen]; per source processor, the most a route out of it costs
+     per data item ([out_cost], negative until computed) *)
+  mutable gate_gen : int;
+  gate_at : float array;
+  out_cost : float array;
   (* commit log: per commit, the task and the schedule's comm-event and
      phase counts before the commit — enough to rewind any suffix of
      commits in reverse order *)
@@ -150,6 +169,12 @@ let create ?(policy = Insertion) sched =
     routes = Array.make (p * p) None;
     comp_tls = Array.init p (fun i -> [| Resource.compute res i |]);
     comp_ids = Array.init p (fun i -> [| Resource.compute_id res i |]);
+    send_tls =
+      Array.init p (fun i ->
+          Array.of_list (List.map fst (Resource.send_busy_ids res i)));
+    send_ids =
+      Array.init p (fun i ->
+          Array.of_list (List.map snd (Resource.send_busy_ids res i)));
     phase_tls;
     phase_ids;
     buf_s = Array.make (max nid 1) [||];
@@ -171,6 +196,13 @@ let create ?(policy = Insertion) sched =
     inc_proc = [||];
     inc_data = [||];
     inc_max_fin = 0.;
+    gen = 0;
+    sp_gen = [||];
+    sp_dur = [||];
+    sp_start = [||];
+    gate_gen = -1;
+    gate_at = [| 0. |];
+    out_cost = Array.make p (-1.);
     log_task = [||];
     log_comms = [||];
     log_phases = [||];
@@ -359,8 +391,10 @@ let rep_fin_proc sched src =
 (* The finish of a copy of [src] local to [proc], if any — consulted by
    the port evaluators before pricing a remote transfer.  [None] on every
    single-copy schedule (the primary case is handled by the [q = proc]
-   test), keeping the historical path branch-for-branch identical. *)
-let dup_local_finish sched ~src ~proc =
+   test), keeping the historical path branch-for-branch identical.
+   Inlined: the bound and the pricing ask it for every remote input of
+   every candidate. *)
+let[@inline] dup_local_finish sched ~src ~proc =
   if not (Schedule.has_dups sched) then None
   else
     match Schedule.copy_on sched ~task:src ~proc with
@@ -382,8 +416,12 @@ let prepare_incoming t ~task =
       t.inc_src <- Array.make cap 0;
       t.inc_edge <- Array.make cap 0;
       t.inc_proc <- Array.make cap 0;
-      t.inc_data <- Array.make cap 0.
+      t.inc_data <- Array.make cap 0.;
+      t.sp_gen <- Array.make cap (-1);
+      t.sp_dur <- Array.make cap 0.;
+      t.sp_start <- Array.make cap 0.
     end;
+    t.gen <- t.gen + 1;
     let n = ref 0 in
     Graph.fold_pred_edges g task ~init:() ~f:(fun () e ->
         let src = Graph.edge_src g e in
@@ -714,21 +752,28 @@ let push_hop c ~edge ~src ~dst start =
   c.p_start.(n) <- start;
   c.p_n <- n + 1
 
-let price_port ~floor t ~task ~proc =
+(* With [abort], pricing stops as soon as [ready +. exec] reaches the
+   incumbent's EFT: inputs come in §4.3 finish order, so [ready] only
+   grows, the compute probe never returns a slot before it, and ties keep
+   the incumbent — the candidate cannot win.  Returns [false] when it
+   stopped early, leaving [t.cur] unfinished. *)
+let price_port ~floor ~abort t ~task ~proc =
   let c = t.cur in
+  let exec = Schedule.exec_duration t.sched ~task ~proc in
   let ready = ref floor in
-  for i = 0 to t.inc_len - 1 do
-    let fin = t.inc_fin.(i) in
-    let q = t.inc_proc.(i) in
-    let data = t.inc_data.(i) in
+  let i = ref 0 and live = ref true in
+  while !live && !i < t.inc_len do
+    let fin = t.inc_fin.(!i) in
+    let q = t.inc_proc.(!i) in
+    let data = t.inc_data.(!i) in
     if q = proc || data = 0. then begin
       if fin > !ready then ready := fin
     end
     else begin
-      match dup_local_finish t.sched ~src:t.inc_src.(i) ~proc with
+      match dup_local_finish t.sched ~src:t.inc_src.(!i) ~proc with
       | Some f -> if f > !ready then ready := f
       | None ->
-          let e = t.inc_edge.(i) in
+          let e = t.inc_edge.(!i) in
           let route = route_for t ~src:q ~dst:proc in
           let data_ready = ref (if fin > floor then fin else floor) in
           for h = 0 to Array.length route - 1 do
@@ -746,15 +791,19 @@ let price_port ~floor t ~task ~proc =
             data_ready := finish
           done;
           if !data_ready > !ready then ready := !data_ready
-    end
+    end;
+    incr i;
+    if abort && !ready +. exec >= t.best.p_times.(1) then live := false
   done;
-  let duration = Schedule.exec_duration t.sched ~task ~proc in
-  let est =
-    probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
-      ~duration
-  in
-  c.p_times.(0) <- est;
-  c.p_times.(1) <- est +. duration
+  if !live then begin
+    let est =
+      probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
+        ~duration:exec
+    in
+    c.p_times.(0) <- est;
+    c.p_times.(1) <- est +. exec
+  end;
+  !live
 
 (* Arena mirror of [Reference.evaluate_bsp]: same arithmetic in the same
    order, so both engines stay bit-identical. *)
@@ -865,8 +914,10 @@ let price_latency ~floor t ~task ~proc ~o ~l =
   c.p_times.(0) <- est;
   c.p_times.(1) <- est +. duration
 
-(* The one pricing core: evaluates [task] on [proc] into [t.cur]. *)
-let price ~floor t ~task ~proc =
+(* The one pricing core: evaluates [task] on [proc] into [t.cur].
+   [abort] lets the port regime stop a candidate that cannot beat the
+   incumbent in [t.best] ({!price_port}); returns [false] when it did. *)
+let price ~floor ~abort t ~task ~proc =
   Obs.Counters.evaluation ();
   prepare_incoming t ~task;
   arena_reset t;
@@ -875,10 +926,13 @@ let price ~floor t ~task ~proc =
   c.p_proc <- proc;
   c.p_phased <- false;
   match t.regime with
-  | Comm_model.Port -> price_port ~floor t ~task ~proc
-  | Comm_model.Bsp { g; l } -> price_bsp ~floor t ~task ~proc ~g ~l
+  | Comm_model.Port -> price_port ~floor ~abort t ~task ~proc
+  | Comm_model.Bsp { g; l } ->
+      price_bsp ~floor t ~task ~proc ~g ~l;
+      true
   | Comm_model.Latency_overhead { o; l } ->
-      price_latency ~floor t ~task ~proc ~o ~l
+      price_latency ~floor t ~task ~proc ~o ~l;
+      true
 
 let materialize c =
   let hops = ref [] in
@@ -903,25 +957,119 @@ let materialize c =
 let evaluate ?(floor = 0.) t ~task ~proc =
   if !use_reference then Reference.evaluate ~floor t ~task ~proc
   else begin
-    price ~floor t ~task ~proc;
+    let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
     materialize t.cur
   end
 
+(* The latest finish over [q]'s send-only busy set; inlined, like
+   [Timeline.last_finish], so that the float stays unboxed. *)
+let[@inline] send_last_finish t q =
+  let tls = t.send_tls.(q) in
+  let lf = ref 0. in
+  for j = 0 to Array.length tls - 1 do
+    let f = Timeline.last_finish tls.(j) in
+    if f > !lf then lf := f
+  done;
+  !lf
+
+(* The most a route out of [q] costs per data item. *)
+let fill_out_cost t q =
+  let plat = Schedule.platform t.sched in
+  let c = ref 0. in
+  for r = 0 to t.p - 1 do
+    if r <> q && Platform.link plat ~src:q ~dst:r > !c then
+      c := Platform.link plat ~src:q ~dst:r
+  done;
+  t.out_cost.(q) <- !c
+
+(* Computed on first use; inlined so that the cached read does not box. *)
+let[@inline] out_cost t q =
+  if t.out_cost.(q) < 0. then fill_out_cost t q;
+  t.out_cost.(q)
+
+(* The gate of stage 3, into [t.gate_at.(0)]: a ceiling on the latest
+   arrival stage 3 can give any candidate, each input with data leaving
+   at its send port's last finish — the probe never returns more than
+   [max after lf] — and crossing the costliest route out of its source.
+   Rows with an idle send port are left out: stage 1 already counts
+   them.  It depends on no candidate, so it is computed once per
+   generation; it may sit a rounding step below stage 3 on multi-hop
+   routes, which can only skip a stage 3, never change a result. *)
+let set_send_ceiling ~floor t =
+  let reach = ref neg_infinity in
+  for i = 0 to t.inc_len - 1 do
+    let data = t.inc_data.(i) in
+    if data <> 0. then begin
+      let q = t.inc_proc.(i) in
+      let fin = t.inc_fin.(i) in
+      let lf = send_last_finish t q in
+      if lf > (if fin > floor then fin else floor) then begin
+        let arrival = lf +. (data *. out_cost t q) in
+        if arrival > !reach then reach := arrival
+      end
+    end
+  done;
+  t.gate_at.(0) <- !reach;
+  t.gate_gen <- t.gen
+
+(* Stage 3 of {!bound}: the latest arrival of [task]'s remote inputs on
+   [proc] when each message first waits for its source's committed send
+   port — the first hop's send-only busy set, probed at [max fin floor]
+   for [data *. h_cost] with the arena empty, later hops' costs added on
+   top.  The send set is a subset of the hop's joint busy set and the
+   slot search is monotone in [after] and in its blockers, so each
+   arrival stays at or below the evaluator's.  A port idle after [after]
+   is not probed: its slot is [after] itself, which stage 1 already
+   counted.  The probe depends on the row, the generation and the first
+   hop's duration only — not on [proc]'s side of the link — so it is
+   cached under exactly that key: one probe per input per task on
+   uniform links. *)
+let send_arrival ~floor t ~proc =
+  let ready = ref neg_infinity in
+  for i = 0 to t.inc_len - 1 do
+    let q = t.inc_proc.(i) and data = t.inc_data.(i) in
+    let fin = t.inc_fin.(i) in
+    let after = if fin > floor then fin else floor in
+    if q <> proc && data <> 0. && send_last_finish t q > after then
+      (* stage 1 has just cached the route of every remote input *)
+      match
+        (dup_local_finish t.sched ~src:t.inc_src.(i) ~proc,
+         t.routes.((q * t.p) + proc))
+      with
+      | None, Some route ->
+          let d0 = data *. route.(0).h_cost in
+          if not (t.sp_gen.(i) = t.gen && t.sp_dur.(i) = d0) then begin
+            t.sp_start.(i) <-
+              probe t ~tls:t.send_tls.(q) ~ids:t.send_ids.(q) ~after
+                ~duration:d0;
+            t.sp_gen.(i) <- t.gen;
+            t.sp_dur.(i) <- d0
+          end;
+          let arrival = ref (t.sp_start.(i) +. d0) in
+          for h = 1 to Array.length route - 1 do
+            arrival := !arrival +. (data *. route.(h).h_cost)
+          done;
+          if !arrival > !ready then ready := !arrival
+      | _ -> ()
+  done;
+  !ready
+
 (* A lower bound on the EFT of [task] on [proc], from committed state
-   alone, in two stages.  Under the port regime it mirrors
+   alone, in three stages, each run only when the previous one stays
+   below [cutoff].  Under the port regime stage 1 mirrors
    [price_port]'s branches: a local or zero-data input is ready at its
    finish, a local duplicate copy at that copy's finish, and a remote
    input at [max fin floor] plus each route hop's [data *. h_cost],
    added hop by hop in the evaluator's order — a probe never returns a
    slot before its [after] and rounding is monotone, so each partial sum
-   stays at or below the evaluator's.  When [ready +. exec] already
-   reaches [cutoff] it is returned as is; otherwise one probe of
-   [proc]'s committed compute timeline at [ready], arena empty, tightens
-   it: the slot search is exact, hence monotone in [after], and the
-   tentative intervals it leaves out can only delay the real slot.  The
-   BSP and latency+overhead regimes keep the plain bound, latest
-   predecessor finish (or [floor]) plus execution. *)
-let bound ~floor t ~task ~proc ~cutoff =
+   stays at or below the evaluator's.  Stage 2 probes [proc]'s committed
+   compute timeline at [ready], arena empty: the slot search is exact,
+   hence monotone in [after], and the tentative intervals it leaves out
+   can only delay the real slot.  Stage 3 ({!send_arrival}) prices each
+   remote input's wait for its committed send port.  The BSP and
+   latency+overhead regimes keep the plain bound, latest predecessor
+   finish (or [floor]) plus execution. *)
+let bound ~floor ~gate t ~task ~proc ~cutoff =
   prepare_incoming t ~task;
   let exec = Schedule.exec_duration t.sched ~task ~proc in
   match t.regime with
@@ -951,13 +1099,31 @@ let bound ~floor t ~task ~proc ~cutoff =
       if !ready +. exec >= cutoff then !ready +. exec
       else begin
         arena_reset t;
-        probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
-          ~duration:exec
-        +. exec
+        let lb =
+          probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
+            ~duration:exec
+          +. exec
+        in
+        (* stage 1 is at most [lb], so only the remote arrivals can
+           lift stage 3 above it; with [gate], stage 3 runs only when
+           its ceiling reaches [cutoff] *)
+        if
+          lb >= cutoff
+          || gate
+             && begin
+                  if t.gate_gen <> t.gen then set_send_ceiling ~floor t;
+                  t.gate_at.(0) +. exec < cutoff
+                end
+        then lb
+        else
+          let sent = send_arrival ~floor t ~proc +. exec in
+          if sent > lb then sent else lb
       end
 
+(* The all-stage bound, ungated. *)
 let lower_bound ?(floor = 0.) t ~task ~proc =
-  bound ~floor t ~task ~proc ~cutoff:infinity
+  t.gen <- t.gen + 1;
+  bound ~floor ~gate:false t ~task ~proc ~cutoff:infinity
 
 (* Make the candidate just priced into [t.cur], at index [i], the
    incumbent unless the incumbent's EFT is at least as good: ties keep
@@ -978,25 +1144,33 @@ let rec is_sorted_strict = function
 (* Candidate scans                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Earliest-best scan of a non-empty candidate array: a candidate whose
-   {!bound} reaches the incumbent's EFT is pruned — exact, since its
-   true EFT is at least the bound and ties keep the incumbent — and
-   every other one is priced into scratch; only the winner is
+(* Offer [task] on [proc], at index [i], to the scan in flight: once
+   there is an incumbent, a candidate whose {!bound} reaches its EFT is
+   pruned and one whose pricing reaches it is aborted — both exact, since
+   the true EFT is at least either figure and ties keep the incumbent,
+   the earlier index.  Every other candidate is priced into scratch. *)
+let consider ~floor t ~task ~proc i =
+  if
+    t.best_idx >= 0
+    &&
+    let cutoff = t.best.p_times.(1) in
+    bound ~floor ~gate:true t ~task ~proc ~cutoff >= cutoff
+  then Obs.Counters.pruned_evaluation ()
+  else if price ~floor ~abort:(t.best_idx >= 0) t ~task ~proc then offer t i
+  else Obs.Counters.aborted_evaluation ()
+
+(* A new scan: committed state or [floor] may have changed since the
+   last one, so the send-probe cache starts afresh. *)
+let start_scan t =
+  t.best_idx <- -1;
+  t.gen <- t.gen + 1
+
+(* Earliest-best scan of a non-empty candidate array; only the winner is
    materialized. *)
 let scan_candidates ~floor t ~task procs =
-  t.best_idx <- -1;
+  start_scan t;
   for i = 0 to Array.length procs - 1 do
-    let proc = procs.(i) in
-    if
-      t.best_idx >= 0
-      &&
-      let cutoff = t.best.p_times.(1) in
-      bound ~floor t ~task ~proc ~cutoff >= cutoff
-    then Obs.Counters.pruned_evaluation ()
-    else begin
-      price ~floor t ~task ~proc;
-      offer t i
-    end
+    consider ~floor t ~task ~proc:procs.(i) i
   done;
   materialize t.best
 
@@ -1019,16 +1193,14 @@ let best_proc ?(floor = 0.) t ~task =
   else scan_candidates ~floor t ~task t.all_procs
 
 (* Earliest-best scan over the alive rows of a pending (task, proc)
-   table — ILHA's reschedule step.  Same shape as [scan_candidates]
-   minus the pruning (rows price different tasks, whose lower bounds are
-   unrelated); returns the winning row alongside its eval. *)
+   table — ILHA's reschedule step — with the same pruning and early
+   abort as [scan_candidates]: rows price different tasks, but each
+   bound is a bound on its own row's EFT, and ties go to the lowest row.
+   Returns the winning row alongside its eval. *)
 let scan_pending ~floor t ~tasks ~procs ~alive =
-  t.best_idx <- -1;
+  start_scan t;
   for i = 0 to Array.length tasks - 1 do
-    if alive.(i) then begin
-      price ~floor t ~task:tasks.(i) ~proc:procs.(i);
-      offer t i
-    end
+    if alive.(i) then consider ~floor t ~task:tasks.(i) ~proc:procs.(i) i
   done;
   if t.best_idx < 0 then None else Some (t.best_idx, materialize t.best)
 

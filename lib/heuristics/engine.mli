@@ -16,9 +16,11 @@
     reusable arena of tentative busy intervals keyed by stable resource
     ids, caches platform routes per processor pair and the incoming-edge
     table per task, prices losing candidates into flat scratch buffers,
-    and prunes candidates in {!best_proc_among} whose finish-time lower
-    bound ({!lower_bound}) cannot beat the incumbent ({!Obs.Counters}
-    reports [pruned evaluations] and [route-cache hits]).  The original
+    prunes candidates in {!best_proc_among} and {!best_pending} whose
+    finish-time lower bound ({!lower_bound}) cannot beat the incumbent,
+    and stops pricing a candidate as soon as its inputs alone put it out
+    of the running ({!Obs.Counters} reports [pruned evaluations],
+    [aborted evaluations] and [route-cache hits]).  The original
     list-based evaluator survives as {!Reference}, and
     {!with_reference} re-routes the public API through it; both produce
     bit-identical schedules. *)
@@ -68,21 +70,29 @@ val best_proc : ?floor:float -> t -> task:int -> eval
     Candidates that are already strictly sorted (every current caller)
     are used as-is; otherwise the list is sorted and de-duplicated
     first.  A candidate whose {!lower_bound} reaches the incumbent's
-    finish time is pruned without a full evaluation; pruning never
-    changes the result because the bound never exceeds the true finish
-    time and ties keep the incumbent.  Losing candidates are priced into
-    the engine's scratch space: only the winner is built as an {!eval}.
+    finish time is pruned without a full evaluation, and, under the port
+    regime, one whose inputs priced so far already do is abandoned
+    mid-pricing; neither ever changes the result because both figures
+    are at most the true finish time and ties keep the incumbent.  The
+    bound's last stage, the committed send-port wait, runs only when a
+    cheap ceiling on it reaches the incumbent.  Losing candidates are
+    priced into the engine's scratch space: only the winner is built as
+    an {!eval}.
     @raise Invalid_argument on an empty list. *)
 val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
 
 (** [lower_bound t ~task ~proc] — the finish-time lower bound
     {!best_proc_among} prunes with, exposed as a test hook; all
     predecessors of [task] must be placed.  Under the port regime it is
-    the earliest slot of [task] on [proc]'s committed compute timeline
-    after every input's earliest possible arrival (a remote input
-    crossing its route hop by hop on idle ports), plus the execution
-    time; under BSP and latency+overhead it is the latest predecessor
-    finish (or [floor]) plus the execution time.  Never above
+    the larger of two figures: the earliest slot of [task] on [proc]'s
+    committed compute timeline after every input's earliest possible
+    arrival (a remote input crossing its route hop by hop on idle
+    ports), plus the execution time; and every remote input's arrival
+    when its first hop waits for the earliest slot of the source's
+    committed send port, plus the execution time.  Scans run the stages
+    lazily and gate the last one; this hook always runs all of them.
+    Under BSP and latency+overhead it is the latest predecessor finish
+    (or [floor]) plus the execution time.  Never above
     [(evaluate ?floor t ~task ~proc).eft]. *)
 val lower_bound : ?floor:float -> t -> task:int -> proc:int -> float
 
@@ -90,8 +100,9 @@ val lower_bound : ?floor:float -> t -> task:int -> proc:int -> float
     minimising [evaluate ~task:tasks.(i) ~proc:procs.(i)].eft] (ties to
     the lowest index), or [None] when no row is alive.  ILHA's
     reschedule step calls this once per commit over its whole ready
-    chunk.  Rows are priced into the engine's scratch space, unpruned:
-    only the winner is built as an {!eval}.
+    chunk.  Rows are pruned and aborted exactly as in
+    {!best_proc_among} (ties go to the lowest row) and priced into the
+    engine's scratch space: only the winner is built as an {!eval}.
     @raise Invalid_argument on mismatched array lengths. *)
 val best_pending :
   ?floor:float ->

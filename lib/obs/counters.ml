@@ -1,6 +1,7 @@
 type snapshot = {
   evaluations : int;
   pruned_evaluations : int;
+  aborted_evaluations : int;
   route_cache_hits : int;
   gap_probes : int;
   joint_gap_probes : int;
@@ -26,6 +27,7 @@ let zero : snapshot =
   {
     evaluations = 0;
     pruned_evaluations = 0;
+    aborted_evaluations = 0;
     route_cache_hits = 0;
     gap_probes = 0;
     joint_gap_probes = 0;
@@ -52,6 +54,7 @@ let zero : snapshot =
 type state = {
   mutable evaluations : int;
   mutable pruned_evaluations : int;
+  mutable aborted_evaluations : int;
   mutable route_cache_hits : int;
   mutable gap_probes : int;
   mutable joint_gap_probes : int;
@@ -82,6 +85,7 @@ let key : state Domain.DLS.key =
       {
         evaluations = 0;
         pruned_evaluations = 0;
+        aborted_evaluations = 0;
         route_cache_hits = 0;
         gap_probes = 0;
         joint_gap_probes = 0;
@@ -114,6 +118,7 @@ let reset () =
   let s = state () in
   s.evaluations <- 0;
   s.pruned_evaluations <- 0;
+  s.aborted_evaluations <- 0;
   s.route_cache_hits <- 0;
   s.gap_probes <- 0;
   s.joint_gap_probes <- 0;
@@ -139,6 +144,7 @@ let snapshot () : snapshot =
   {
     evaluations = s.evaluations;
     pruned_evaluations = s.pruned_evaluations;
+    aborted_evaluations = s.aborted_evaluations;
     route_cache_hits = s.route_cache_hits;
     gap_probes = s.gap_probes;
     joint_gap_probes = s.joint_gap_probes;
@@ -164,6 +170,7 @@ let merge (d : snapshot) =
   let s = state () in
   s.evaluations <- s.evaluations + d.evaluations;
   s.pruned_evaluations <- s.pruned_evaluations + d.pruned_evaluations;
+  s.aborted_evaluations <- s.aborted_evaluations + d.aborted_evaluations;
   s.route_cache_hits <- s.route_cache_hits + d.route_cache_hits;
   s.gap_probes <- s.gap_probes + d.gap_probes;
   s.joint_gap_probes <- s.joint_gap_probes + d.joint_gap_probes;
@@ -188,6 +195,7 @@ let diff (a : snapshot) (b : snapshot) : snapshot =
   {
     evaluations = b.evaluations - a.evaluations;
     pruned_evaluations = b.pruned_evaluations - a.pruned_evaluations;
+    aborted_evaluations = b.aborted_evaluations - a.aborted_evaluations;
     route_cache_hits = b.route_cache_hits - a.route_cache_hits;
     gap_probes = b.gap_probes - a.gap_probes;
     joint_gap_probes = b.joint_gap_probes - a.joint_gap_probes;
@@ -211,8 +219,9 @@ let diff (a : snapshot) (b : snapshot) : snapshot =
 
 (* The print order below is part of the CLI contract (cram tests pin it):
    evaluations, pruned evaluations, route-cache hits, gap probes, joint
-   gap probes, tentative hops, commits, copies — then the fault block
-   (retries, repairs, backoff time) only when something bumped it. *)
+   gap probes, tentative hops, commits, copies — then aborted
+   evaluations and the fault block (retries, repairs, backoff time), each
+   only when something bumped it. *)
 let pp fmt (c : snapshot) =
   Format.fprintf fmt
     "@[<v>evaluations:      %d@,\
@@ -222,9 +231,15 @@ let pp fmt (c : snapshot) =
      joint gap probes: %d@,\
      tentative hops:   %d@,\
      commits:          %d@,\
-     copies:           %d@]"
+     copies:           %d"
     c.evaluations c.pruned_evaluations c.route_cache_hits c.gap_probes
     c.joint_gap_probes c.tentative_hops c.commits c.copies;
+  (* only a port-regime scan with an incumbent aborts a candidate, so
+     every other run keeps its historical output; the line sits inside
+     the vertical box above, which always breaks before it *)
+  if c.aborted_evaluations <> 0 then
+    Format.fprintf fmt "@,aborted evaluations: %d" c.aborted_evaluations;
+  Format.fprintf fmt "@]";
   (* fault-handling counters only appear once something bumped them, so
      fault-free runs keep their historical output *)
   if c.retries <> 0 || c.repairs <> 0 || c.backoff_s <> 0. then
@@ -271,6 +286,12 @@ let pruned_evaluation () =
   if !on then
     let s = state () in
     s.pruned_evaluations <- s.pruned_evaluations + 1
+[@@inline]
+
+let aborted_evaluation () =
+  if !on then
+    let s = state () in
+    s.aborted_evaluations <- s.aborted_evaluations + 1
 [@@inline]
 
 let route_cache_hit () =

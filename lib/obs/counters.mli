@@ -1,14 +1,19 @@
 (** Hot-path counters for the scheduling engine and the fault-handling
     machinery.
 
-    Eight monotonic counters cover the per-decision costs that dominate
+    Nine monotonic counters cover the per-decision costs that dominate
     every list heuristic in this library:
 
-    - [evaluations]: calls to [Engine.evaluate] — one candidate
-      (task, processor) pair priced;
-    - [pruned_evaluations]: candidate processors skipped without a full
-      evaluation because a lower bound on their finish time already met
-      the incumbent ([Engine.best_proc_among]'s fast path);
+    - [evaluations]: candidate (task, processor) pairs priced — by
+      [Engine.evaluate] or by a candidate scan, aborted ones included;
+    - [pruned_evaluations]: candidates a scan skipped without pricing
+      because a lower bound on their finish time already met the
+      incumbent ([Engine.best_proc_among], [Engine.best_pending]);
+    - [aborted_evaluations]: priced candidates whose pricing a scan
+      stopped early, once the inputs priced so far already put their
+      finish time at or past the incumbent's (port regime only); each is
+      also counted in [evaluations], so [evaluations + pruned_evaluations]
+      stays the number of candidates scanned;
     - [route_cache_hits]: per-(source, destination) route/busy-set
       lookups served from the engine's cache instead of recomputing
       [Platform.route] and the port busy sets;
@@ -81,6 +86,7 @@
 type snapshot = {
   evaluations : int;
   pruned_evaluations : int;
+  aborted_evaluations : int;
   route_cache_hits : int;
   gap_probes : int;
   joint_gap_probes : int;
@@ -126,7 +132,8 @@ val merge : snapshot -> unit
 (** Pretty one-line-per-counter rendering.  The line order is stable and
     part of the CLI contract (cram tests pin it): evaluations, pruned
     evaluations, route-cache hits, gap probes, joint gap probes,
-    tentative hops, commits, copies — then the fault block (retries,
+    tentative hops, commits, copies — then aborted evaluations, printed
+    only when nonzero, the fault block (retries,
     repairs, backoff time), the incremental-kernel block (rollbacks,
     replayed tasks, search pruned) and the online block (replans, shed
     jobs, frozen tasks, deadline misses) and the scheduld block
@@ -138,6 +145,7 @@ val pp : Format.formatter -> snapshot -> unit
 
 val evaluation : unit -> unit
 val pruned_evaluation : unit -> unit
+val aborted_evaluation : unit -> unit
 val route_cache_hit : unit -> unit
 val gap_probe : unit -> unit
 val joint_gap_probe : unit -> unit

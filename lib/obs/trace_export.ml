@@ -80,9 +80,9 @@ let to_chrome ?(pid = 0) ?counters events =
       in
       emit
         (Printf.sprintf
-           {|{"name":"engine probes","ph":"C","ts":%.3f,"pid":%d,"args":{"evaluations":%d,"pruned_evaluations":%d,"route_cache_hits":%d,"gap_probes":%d,"joint_gap_probes":%d,"tentative_hops":%d,"commits":%d,"copies":%d,"retries":%d,"repairs":%d,"backoff_s":%g,"rollbacks":%d,"replayed_tasks":%d,"search_pruned_nodes":%d,"replans":%d,"shed_jobs":%d,"frozen_tasks":%d,"deadline_misses":%d}}|}
+           {|{"name":"engine probes","ph":"C","ts":%.3f,"pid":%d,"args":{"evaluations":%d,"pruned_evaluations":%d,"aborted_evaluations":%d,"route_cache_hits":%d,"gap_probes":%d,"joint_gap_probes":%d,"tentative_hops":%d,"commits":%d,"copies":%d,"retries":%d,"repairs":%d,"backoff_s":%g,"rollbacks":%d,"replayed_tasks":%d,"search_pruned_nodes":%d,"replans":%d,"shed_jobs":%d,"frozen_tasks":%d,"deadline_misses":%d}}|}
            (us last) pid c.Counters.evaluations c.Counters.pruned_evaluations
-           c.Counters.route_cache_hits c.Counters.gap_probes
+           c.Counters.aborted_evaluations c.Counters.route_cache_hits c.Counters.gap_probes
            c.Counters.joint_gap_probes c.Counters.tentative_hops
            c.Counters.commits c.Counters.copies c.Counters.retries
            c.Counters.repairs c.Counters.backoff_s c.Counters.rollbacks

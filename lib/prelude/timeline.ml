@@ -27,7 +27,8 @@ let intervals t =
   in
   loop (t.len - 1) []
 
-let last_finish t = if t.len = 0 then 0. else t.finishes.(t.len - 1)
+(* Inlined so that callers comparing it against a float do not box it. *)
+let[@inline] last_finish t = if t.len = 0 then 0. else t.finishes.(t.len - 1)
 
 let total_busy t =
   let acc = ref 0. in

@@ -408,6 +408,126 @@ let bound_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Send-port bound stage and early abort                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [f ()] with the counters it bumped. *)
+let counted f =
+  O.Obs_counters.enable ();
+  O.Obs_counters.reset ();
+  Fun.protect ~finally:O.Obs_counters.disable (fun () ->
+      let r = f () in
+      (r, O.Obs_counters.snapshot ()))
+
+let check_counts what ~evaluations ~pruned ~aborted ~probes
+    (c : O.Obs_counters.snapshot) =
+  check_int (what ^ ": evaluations") evaluations c.O.Obs_counters.evaluations;
+  check_int (what ^ ": pruned") pruned c.O.Obs_counters.pruned_evaluations;
+  check_int (what ^ ": aborted") aborted c.O.Obs_counters.aborted_evaluations;
+  check_int (what ^ ": joint gap probes") probes
+    c.O.Obs_counters.joint_gap_probes
+
+(* Best processor for [task] from both engines, the fast one counted. *)
+let best_both engine ~task =
+  let fast, c = counted (fun () -> O.Engine.best_proc engine ~task) in
+  let slow = O.Engine.with_reference (fun () -> O.Engine.best_proc engine ~task) in
+  check_bool "eval = reference eval" true (fast = slow);
+  (fast, c)
+
+let pruning_stage_tests =
+  [
+    Alcotest.test_case "a busy send port prunes at stage 3" `Quick (fun () ->
+        (* 0 -> 1 carries 10 units, holding P0's send port over [1, 11);
+           task 3 fills P0's compute over [1, 21).  Task 2 needs 12
+           units from task 0: on P0 it finishes at 22.  On P1 and P2
+           stage 1 gives 1 + 12 + 1 = 14 and the compute timelines are
+           free at 13, so stage 2 gives 14 too; only the send port, free
+           at 11, lifts the bound to 11 + 12 + 1 = 24 >= 22.  The gate's
+           ceiling must count the message itself: 11 + 1 alone would
+           stay below 22. *)
+        let g =
+          O.Graph.create ~name:"busy-send" ~weights:[| 1.; 1.; 1.; 20. |]
+            ~edges:[ (0, 1, 10.); (0, 2, 12.) ]
+            ()
+        in
+        let engine = engine_for ~p:3 g in
+        O.Engine.schedule_on engine ~task:0 ~proc:0;
+        O.Engine.schedule_on engine ~task:3 ~proc:0;
+        O.Engine.schedule_on engine ~task:1 ~proc:1;
+        let ev, c = best_both engine ~task:2 in
+        check_int "local wins" 0 ev.O.Engine.proc;
+        check_float "eft" 22. ev.O.Engine.eft;
+        check_float "P1's bound sees the send port" 24.
+          (O.Engine.lower_bound engine ~task:2 ~proc:1);
+        (* probes: P0's compute slot, the stage-2 compute probe of P1 and
+           P2, and one send-port probe shared by both through the cache *)
+        check_counts "stage 3" ~evaluations:1 ~pruned:2 ~aborted:0 ~probes:4 c);
+    Alcotest.test_case "early abort stops a losing candidate" `Quick (fun () ->
+        (* Tasks 0 and 1 on P0 and P1 each send 5 units to task 2; tasks
+           3 and 4 fill both compute timelines over [1, 9).  On P0 task 2
+           finishes at 10.  P1 is pruned at stage 2 (its compute is free
+           at 9: 10 >= 10).  On P2 every bound stage gives 1 + 5 + 1 = 7,
+           and no send port is busy, so P2 is priced: the first message
+           takes P2's receive port over [1, 6), the second waits until 11,
+           so [ready + exec] = 12 >= 10 stops the pricing before the
+           compute probe. *)
+        let g =
+          O.Graph.create ~name:"abort" ~weights:[| 1.; 1.; 1.; 8.; 8. |]
+            ~edges:[ (0, 2, 5.); (1, 2, 5.) ]
+            ()
+        in
+        let engine = engine_for ~p:3 g in
+        O.Engine.schedule_on engine ~task:0 ~proc:0;
+        O.Engine.schedule_on engine ~task:1 ~proc:1;
+        O.Engine.schedule_on engine ~task:3 ~proc:0;
+        O.Engine.schedule_on engine ~task:4 ~proc:1;
+        let ev, c = best_both engine ~task:2 in
+        check_int "P0 wins" 0 ev.O.Engine.proc;
+        check_float "eft" 10. ev.O.Engine.eft;
+        check_float "P2 really finishes at 12" 12.
+          (O.Engine.evaluate engine ~task:2 ~proc:2).O.Engine.eft;
+        (* probes: P0's hop and compute slot, P1's and P2's stage-2
+           compute probes, P2's two hops — and no compute probe for P2 *)
+        check_counts "abort" ~evaluations:2 ~pruned:1 ~aborted:1 ~probes:6 c);
+    Alcotest.test_case "the pending scan prunes and aborts, exactly" `Quick
+      (fun () ->
+        let plat = O.Platform.paper_platform () in
+        let g = (O.Suite.find "stencil").O.Suite.build ~n:10 ~ccr:10. in
+        let params = O.Params.with_reschedule O.Params.default true in
+        let run () = fingerprint (O.Ilha.schedule ~params plat g) in
+        let fp_fast, fast = counted run in
+        let fp_slow, slow = counted (fun () -> O.Engine.with_reference run) in
+        check_bool "same schedule" true (fp_fast = fp_slow);
+        check_bool "pruning fired" true
+          (fast.O.Obs_counters.pruned_evaluations > 0);
+        check_bool "early abort fired" true
+          (fast.O.Obs_counters.aborted_evaluations > 0);
+        (* an aborted candidate counts as evaluated, not pruned *)
+        check_int "evaluated + pruned = reference evaluations"
+          slow.O.Obs_counters.evaluations
+          (fast.O.Obs_counters.evaluations
+          + fast.O.Obs_counters.pruned_evaluations));
+    qtest ~count:100 "best_pending = reference under --reschedule"
+      ~print:(fun (gspec, _, _, (b, one_comm)) ->
+        Printf.sprintf "%s b=%d scan=%s" (print_graph gspec) b
+          (if one_comm then "1comm" else "0comm"))
+      QCheck2.Gen.(
+        tup4 graph_gen platform_gen model_gen (pair (int_range 1 6) bool))
+      (fun (gspec, plat, model, (b, one_comm)) ->
+        let params =
+          O.Params.with_scan
+            (O.Params.with_b
+               (O.Params.with_reschedule (O.Params.of_model model) true)
+               (Some b))
+            (if one_comm then O.Params.Scan_one_comm else O.Params.Scan_zero_comm)
+        in
+        let run () = O.Ilha.schedule ~params plat (build_graph gspec) in
+        let fast = run () in
+        let slow = O.Engine.with_reference run in
+        fingerprint fast = fingerprint slow);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Commit log and rewind                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -486,4 +606,4 @@ let rewind_tests =
 let suite =
   basic_tests @ serialization_tests @ routing_tests @ equivalence_tests
   @ equivalence_property_tests @ reference_mode_tests @ rewind_tests
-  @ bound_tests
+  @ bound_tests @ pruning_stage_tests

@@ -42,6 +42,7 @@ let counter_tests =
         O.Obs_counters.evaluation ();
         O.Obs_counters.evaluation ();
         O.Obs_counters.pruned_evaluation ();
+        O.Obs_counters.aborted_evaluation ();
         O.Obs_counters.route_cache_hit ();
         O.Obs_counters.gap_probe ();
         O.Obs_counters.joint_gap_probe ();
@@ -51,6 +52,8 @@ let counter_tests =
         let c = O.Obs_counters.snapshot () in
         check_int "evaluations" 2 c.O.Obs_counters.evaluations;
         check_int "pruned evaluations" 1 c.O.Obs_counters.pruned_evaluations;
+        check_int "aborted evaluations" 1
+          c.O.Obs_counters.aborted_evaluations;
         check_int "route cache hits" 1 c.O.Obs_counters.route_cache_hits;
         check_int "gap probes" 1 c.O.Obs_counters.gap_probes;
         check_int "joint gap probes" 1 c.O.Obs_counters.joint_gap_probes;
@@ -71,6 +74,26 @@ let counter_tests =
         check_int "evaluations delta" 1 d.O.Obs_counters.evaluations;
         check_int "commits delta" 1 d.O.Obs_counters.commits;
         check_int "copies delta" 0 d.O.Obs_counters.copies);
+    Alcotest.test_case "aborted evaluations print only when nonzero" `Quick
+      (fun () ->
+        let show c = Format.asprintf "%a" O.Obs_counters.pp c in
+        let quiet = show O.Obs_counters.zero in
+        check_bool "absent at zero" false (contains quiet "aborted");
+        let c = { O.Obs_counters.zero with O.Obs_counters.aborted_evaluations = 3 } in
+        let loud = show c in
+        check_bool "after copies when nonzero" true
+          (List.nth (String.split_on_char '\n' loud) 8
+          = "aborted evaluations: 3");
+        (* the lines perfbench parses keep their names *)
+        check_bool "evaluations line kept" true
+          (contains loud "evaluations:      0");
+        check_bool "pruned line kept" true
+          (contains loud "pruned evaluations: 0");
+        (* merge folds it in like every other field *)
+        with_obs_on @@ fun () ->
+        O.Obs_counters.merge c;
+        check_int "merged" 3
+          (O.Obs_counters.snapshot ()).O.Obs_counters.aborted_evaluations);
     Alcotest.test_case "a real schedule drives every hot counter" `Quick
       (fun () ->
         with_obs_on @@ fun () ->
@@ -269,7 +292,8 @@ let export_tests =
         check_bool "metadata present" true
           (contains json {|"ph":"M"|} && contains json "scheduler");
         check_bool "counter track present" true
-          (contains json {|"ph":"C"|} && contains json "evaluations"));
+          (contains json {|"ph":"C"|} && contains json "evaluations"
+          && contains json {|"aborted_evaluations":|}));
     Alcotest.test_case "orphan events are repaired on export" `Quick
       (fun () ->
         with_obs_on @@ fun () ->
