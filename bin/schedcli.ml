@@ -706,7 +706,8 @@ let online_cmd =
       & info [ "from-scratch" ]
           ~doc:
             "Rebuild every re-plan from scratch instead of rewinding the \
-             commit log (the bench baseline).")
+             commit log (the baseline incremental re-planning is timed \
+             against).")
   in
   let parse_arrival spec rng job =
     let num what conv s =

@@ -221,7 +221,8 @@ let diff (a : snapshot) (b : snapshot) : snapshot =
    evaluations, pruned evaluations, route-cache hits, gap probes, joint
    gap probes, tentative hops, commits, copies — then aborted
    evaluations and the fault block (retries, repairs, backoff time), each
-   only when something bumped it. *)
+   only when something bumped it.  Every line sits in one vertical box,
+   so each [@,] breaks whatever box the caller prints it in. *)
 let pp fmt (c : snapshot) =
   Format.fprintf fmt
     "@[<v>evaluations:      %d@,\
@@ -235,27 +236,25 @@ let pp fmt (c : snapshot) =
     c.evaluations c.pruned_evaluations c.route_cache_hits c.gap_probes
     c.joint_gap_probes c.tentative_hops c.commits c.copies;
   (* only a port-regime scan with an incumbent aborts a candidate, so
-     every other run keeps its historical output; the line sits inside
-     the vertical box above, which always breaks before it *)
+     every other run keeps its historical output *)
   if c.aborted_evaluations <> 0 then
     Format.fprintf fmt "@,aborted evaluations: %d" c.aborted_evaluations;
-  Format.fprintf fmt "@]";
   (* fault-handling counters only appear once something bumped them, so
      fault-free runs keep their historical output *)
   if c.retries <> 0 || c.repairs <> 0 || c.backoff_s <> 0. then
     Format.fprintf fmt
-      "@,@[<v>retries:          %d@,\
+      "@,retries:          %d@,\
        repairs:          %d@,\
-       backoff time:     %g@]"
+       backoff time:     %g"
       c.retries c.repairs c.backoff_s;
   (* incremental-kernel counters follow the same convention: from-scratch
      builds never print them *)
   if c.rollbacks <> 0 || c.replayed_tasks <> 0 || c.search_pruned_nodes <> 0
   then
     Format.fprintf fmt
-      "@,@[<v>rollbacks:        %d@,\
+      "@,rollbacks:        %d@,\
        replayed tasks:   %d@,\
-       search pruned:    %d@]"
+       search pruned:    %d"
       c.rollbacks c.replayed_tasks c.search_pruned_nodes;
   (* rolling-horizon online counters: offline runs never print them *)
   if
@@ -263,18 +262,19 @@ let pp fmt (c : snapshot) =
     || c.deadline_misses <> 0
   then
     Format.fprintf fmt
-      "@,@[<v>replans:          %d@,\
+      "@,replans:          %d@,\
        shed jobs:        %d@,\
        frozen tasks:     %d@,\
-       deadline misses:  %d@]"
+       deadline misses:  %d"
       c.replans c.shed_jobs c.frozen_tasks c.deadline_misses;
   (* scheduld daemon counters: anything else never prints them *)
   if c.requests <> 0 || c.batched_replans <> 0 || c.queued_jobs <> 0 then
     Format.fprintf fmt
-      "@,@[<v>requests:         %d@,\
+      "@,requests:         %d@,\
        batched replans:  %d@,\
-       queued jobs:      %d@]"
-      c.requests c.batched_replans c.queued_jobs
+       queued jobs:      %d"
+      c.requests c.batched_replans c.queued_jobs;
+  Format.fprintf fmt "@]"
 
 let evaluation () =
   if !on then

@@ -112,6 +112,37 @@ let counter_tests =
           (c.O.Obs_counters.pruned_evaluations > 0);
         check_bool "route cache is reused" true
           (c.O.Obs_counters.route_cache_hits > 0));
+    Alcotest.test_case "optional blocks keep one counter per line in any box"
+      `Quick (fun () ->
+        let c =
+          {
+            O.Obs_counters.zero with
+            O.Obs_counters.copies = 3;
+            retries = 1;
+            rollbacks = 2;
+            requests = 4;
+          }
+        in
+        (* 8 base lines, then the fault, incremental and daemon blocks *)
+        let expect = 8 + 3 + 3 + 3 in
+        List.iter
+          (fun (box, show) ->
+            let lines = String.split_on_char '\n' (show c) in
+            check_int (box ^ ": line count") expect (List.length lines);
+            List.iter
+              (fun l ->
+                check_bool
+                  (Printf.sprintf "%s: one counter on %S" box l)
+                  true
+                  (List.length (String.split_on_char ':' l) = 2
+                  && l = String.trim l))
+              lines)
+          [
+            ("hov", Format.asprintf "@[<hov>%a@]" O.Obs_counters.pp);
+            ("h", Format.asprintf "@[<h>%a@]" O.Obs_counters.pp);
+            ("hov 2", Format.asprintf "@[<hov 2>%a@]" O.Obs_counters.pp);
+            ("none", Format.asprintf "%a" O.Obs_counters.pp);
+          ]);
   ]
 
 let span_tests =

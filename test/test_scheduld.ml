@@ -371,6 +371,48 @@ let concurrency_determinism () =
         true (c = base_c))
     [ 2; 4 ]
 
+(* Offered load on the real clock: [c] clients each submit four
+   48-task layered jobs, and the backlog drains in coalesced batches of
+   up to [c] jobs priced on four domains.  Every job is placed with a
+   valid schedule, and the stats reply carries a positive p99 service
+   latency. *)
+let offered_load () =
+  List.iter
+    (fun c ->
+      let per_client = 4 in
+      let config =
+        {
+          O.Scheduld.default_config with
+          O.Scheduld.jobs = 4;
+          max_batch = c;
+          queue_cap = c * per_client;
+        }
+      in
+      let core = O.Scheduld.create ~config (Lazy.force plat) in
+      let clients = List.init c (fun _ -> O.Scheduld.connect core) in
+      for _ = 1 to per_client do
+        List.iter (fun client -> submit core ~client "layered:6:8:48") clients
+      done;
+      flush_all core;
+      let placed =
+        List.filter_map
+          (function _, P.Placed { valid; _ } -> Some valid | _ -> None)
+          (replies core)
+      in
+      check_int
+        (Printf.sprintf "%d clients: every job placed" c)
+        (c * per_client) (List.length placed);
+      check_bool
+        (Printf.sprintf "%d clients: every schedule valid" c)
+        true
+        (List.for_all Fun.id placed);
+      (match (O.Scheduld.stats core).P.p99_ms with
+      | Some x when x > 0. -> ()
+      | Some x -> Alcotest.failf "%d clients: p99 %g ms is not positive" c x
+      | None -> Alcotest.failf "%d clients: no p99 latency" c);
+      O.Scheduld.shutdown core)
+    [ 10; 50 ]
+
 (* ---------------- admission control and lifecycle ---------------- *)
 
 let shedding () =
@@ -743,4 +785,6 @@ let suite =
     Alcotest.test_case "shell: eight concurrent clients get offline plans"
       `Quick concurrent_clients;
     Alcotest.test_case "shell: a 1 MB submission line" `Quick megabyte_line;
+    Alcotest.test_case "offered load: 10 and 50 clients x 4 jobs" `Quick
+      offered_load;
   ]
