@@ -489,7 +489,7 @@ let robustness_cmd =
       value & opt_all fault_conv []
       & info [ "fault" ]
           ~doc:
-            "Inject a fault (repeatable): crash:P\\@T, outage:P\\@T1-T2, \
+            "Inject a fault (repeatable): crash:P@T, outage:P@T1-T2, \
              degrade:PxF, or flaky:PROB[:RETRIES[:BACKOFF]].  Times are \
              absolute or a percentage of the nominal makespan (25%).  \
              Crashes are repaired online; the repaired schedule is \
@@ -652,8 +652,8 @@ let online_cmd =
       value & opt_all fault_conv []
       & info [ "fault" ]
           ~doc:
-            "Inject a fault as trace events (repeatable): crash:P\\@T, \
-             outage:P\\@T1-T2 (becomes down + rejoin), or rejoin:P\\@T.  \
+            "Inject a fault as trace events (repeatable): crash:P@T, \
+             outage:P@T1-T2 (becomes down + rejoin), or rejoin:P@T.  \
              Times must be absolute — there is no nominal makespan to \
              anchor percentages against in an online run.")
   in

@@ -1,7 +1,7 @@
 (** One runnable experiment per figure/table of the paper, plus the
     ablations DESIGN.md commits to.  Each experiment renders a
     self-describing text report (tables built with {!Prelude.Table});
-    the bench harness and the CLI just pick and print.
+    [schedcli figures] just picks and prints.
 
     Identifiers: [e1] (§2.3 serialization example), [e2] (§4.4 toy,
     Figure 4), [e3] (§5.2 speedup bound), [fig7]–[fig12] (the six testbed

@@ -1,6 +1,6 @@
 (** ASCII line charts — the textual equivalent of the paper's Figures 7-12
-    (speedup vs. problem size, one marker per heuristic), so a bench run
-    shows the curve shapes directly in the terminal. *)
+    (speedup vs. problem size, one marker per heuristic), so
+    [schedcli figures] shows the curve shapes directly in the terminal. *)
 
 (** [render ?width ?height ~x_label ~y_label series] — each series is a
     name (its first character becomes the plot marker) and its [(x, y)]

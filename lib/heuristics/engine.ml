@@ -344,7 +344,7 @@ let route_for t ~src ~dst =
   let key = (src * t.p) + dst in
   match t.routes.(key) with
   | Some r ->
-      Obs.Counters.route_cache_hit ();
+      Obs.Counters.(bump route_cache_hits);
       r
   | None ->
       let plat = Schedule.platform t.sched in
@@ -562,7 +562,7 @@ module Reference = struct
                         slot t ~tls ~scratch:!scratch ~after:data_ready
                           ~duration
                       in
-                      Obs.Counters.tentative_hop ();
+                      Obs.Counters.(bump tentative_hops);
                       hops :=
                         { edge = e; src_proc = a; dst_proc = b; start }
                         :: !hops;
@@ -623,7 +623,7 @@ module Reference = struct
         let hops =
           List.map
             (fun (e, q) ->
-              Obs.Counters.tentative_hop ();
+              Obs.Counters.(bump tentative_hops);
               { edge = e; src_proc = q; dst_proc = proc; start = c })
             remote
         in
@@ -675,7 +675,7 @@ module Reference = struct
                       place (if a' > s then a' else f)
                   in
                   let s, f, r0 = place data_ready in
-                  Obs.Counters.tentative_hop ();
+                  Obs.Counters.(bump tentative_hops);
                   hops :=
                     { edge = e; src_proc = a; dst_proc = b; start = s } :: !hops;
                   let s1 = min (s +. o) f in
@@ -696,7 +696,7 @@ module Reference = struct
     { proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
 
   let evaluate ?(floor = 0.) t ~task ~proc =
-    Obs.Counters.evaluation ();
+    Obs.Counters.(bump evaluations);
     match t.regime with
     | Comm_model.Port -> evaluate_port ~floor t ~task ~proc
     | Comm_model.Bsp { g; l } -> evaluate_bsp ~floor t ~task ~proc ~g ~l
@@ -782,7 +782,7 @@ let price_port ~floor ~abort t ~task ~proc =
             let start =
               probe t ~tls:hs.h_tls ~ids:hs.h_ids ~after:!data_ready ~duration
             in
-            Obs.Counters.tentative_hop ();
+            Obs.Counters.(bump tentative_hops);
             push_hop c ~edge:e ~src:hs.h_src ~dst:hs.h_dst start;
             let finish = start +. duration in
             for j = 0 to Array.length hs.h_ids - 1 do
@@ -842,7 +842,7 @@ let price_bsp ~floor t ~task ~proc ~g:gp ~l:lp =
       for i = 0 to t.inc_len - 1 do
         let q = t.inc_proc.(i) in
         if q <> proc && t.inc_data.(i) <> 0. then begin
-          Obs.Counters.tentative_hop ();
+          Obs.Counters.(bump tentative_hops);
           push_hop c ~edge:t.inc_edge.(i) ~src:q ~dst:proc ph
         end
       done;
@@ -892,7 +892,7 @@ let price_latency ~floor t ~task ~proc ~o ~l =
             place (if a' > s then a' else f)
         in
         let s, f, r0 = place !data_ready in
-        Obs.Counters.tentative_hop ();
+        Obs.Counters.(bump tentative_hops);
         push_hop c ~edge:e ~src:hs.h_src ~dst:hs.h_dst s;
         let s1 = min (s +. o) f in
         for j = 0 to Array.length hs.h_send_ids - 1 do
@@ -918,7 +918,7 @@ let price_latency ~floor t ~task ~proc ~o ~l =
    [abort] lets the port regime stop a candidate that cannot beat the
    incumbent in [t.best] ({!price_port}); returns [false] when it did. *)
 let price ~floor ~abort t ~task ~proc =
-  Obs.Counters.evaluation ();
+  Obs.Counters.(bump evaluations);
   prepare_incoming t ~task;
   arena_reset t;
   let c = t.cur in
@@ -1155,9 +1155,9 @@ let consider ~floor t ~task ~proc i =
     &&
     let cutoff = t.best.p_times.(1) in
     bound ~floor ~gate:true t ~task ~proc ~cutoff >= cutoff
-  then Obs.Counters.pruned_evaluation ()
+  then Obs.Counters.(bump pruned_evaluations)
   else if price ~floor ~abort:(t.best_idx >= 0) t ~task ~proc then offer t i
-  else Obs.Counters.aborted_evaluation ()
+  else Obs.Counters.(bump aborted_evaluations)
 
 (* A new scan: committed state or [floor] may have changed since the
    last one, so the send-probe cache starts afresh. *)
@@ -1246,7 +1246,7 @@ let log_push t ~task ~proc ~comms_before ~phases_before =
   t.log_len <- t.log_len + 1
 
 let commit t ~task ev =
-  Obs.Counters.commit ();
+  Obs.Counters.(bump commits);
   log_push t ~task ~proc:(-1)
     ~comms_before:(Schedule.n_comm_events t.sched)
     ~phases_before:(Schedule.n_phases t.sched);
@@ -1292,7 +1292,7 @@ let commit_copy t ~task ev =
   (match ev.phase with
   | Some _ -> invalid_arg "Engine.commit_copy: duplication is port-regime only"
   | None -> ());
-  Obs.Counters.commit ();
+  Obs.Counters.(bump commits);
   log_push t ~task ~proc:ev.proc
     ~comms_before:(Schedule.n_comm_events t.sched)
     ~phases_before:(Schedule.n_phases t.sched);
@@ -1317,7 +1317,7 @@ let commit_proc_at t i = t.log_proc.(i)
 let rewind t ~to_ =
   if to_ < 0 || to_ > t.log_len then invalid_arg "Engine.rewind: bad index";
   if to_ < t.log_len then begin
-    Obs.Counters.rollback ();
+    Obs.Counters.(bump rollbacks);
     let had_dups = Schedule.has_dups t.sched in
     while t.log_len > to_ do
       let i = t.log_len - 1 in

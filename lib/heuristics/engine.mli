@@ -157,8 +157,8 @@ val schedule_best : ?floor:float -> t -> task:int -> eval
 (** [with_reference f] runs [f] with {!evaluate}, {!best_proc},
     {!best_proc_among} and {!best_pending} re-routed through the
     {!Reference} evaluator (restoring the previous mode on exit,
-    including on exceptions).  Used by equivalence tests and benchmarks
-    to run whole heuristics on the pre-arena implementation. *)
+    including on exceptions).  Used by equivalence tests to run whole
+    heuristics on the pre-arena implementation. *)
 val with_reference : (unit -> 'a) -> 'a
 
 (** The straightforward list-based evaluator the arena engine replaced —

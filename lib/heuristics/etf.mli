@@ -8,7 +8,7 @@
     through the shared engine.
 
     Like GDL this is quadratic in the ready-set size — a strong but slow
-    baseline for the tournament bench. *)
+    baseline. *)
 
 val schedule :
   ?params:Params.t -> Platform.t -> Taskgraph.Graph.t -> Sched.Schedule.t

@@ -18,7 +18,7 @@ type t = {
 let commit_suffix t ~from ~count_replays =
   for i = from to t.n - 1 do
     let v = t.order.(i) in
-    if count_replays then Obs.Counters.replayed_task ();
+    if count_replays then Obs.Counters.(bump replayed_tasks);
     Engine.schedule_on t.engine ~task:v ~proc:t.alloc.(v)
   done;
   t.dirty <- t.n

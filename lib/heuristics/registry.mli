@@ -1,5 +1,5 @@
-(** Name-indexed scheduler registry used by the CLI, the experiment harness
-    and the tournament bench.
+(** Name-indexed scheduler registry used by the CLI and the experiment
+    harness.
 
     Every entry exposes the same uniform signature: a {!Params.t} record
     carrying all tuning knobs (model, slot policy, averaging, ILHA's chunk

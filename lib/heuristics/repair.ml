@@ -43,7 +43,7 @@ let schedule_suffix ?(params = Params.default) ~floor ~candidates engine ~todo =
     let task = Prelude.Pqueue.Int_heap.pop_exn ready in
     let ev = Engine.best_proc_among ~floor engine ~task candidates in
     Engine.commit engine ~task ev;
-    Obs.Counters.repair ();
+    Obs.Counters.(bump repairs);
     remapped := task :: !remapped;
     Graph.iter_succ_edges g task ~f:(fun e ->
         let u = Graph.edge_dst g e in

@@ -42,7 +42,7 @@ let best_schedule ?(params = Params.default) plat g =
               explore (remaining - 1) ready' current_max';
               Engine.rewind engine ~to_:mark
             end
-            else Obs.Counters.search_pruned_node ()
+            else Obs.Counters.(bump search_pruned_nodes)
           done)
         ready
   in

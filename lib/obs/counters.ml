@@ -1,112 +1,59 @@
-type snapshot = {
-  evaluations : int;
-  pruned_evaluations : int;
-  aborted_evaluations : int;
-  route_cache_hits : int;
-  gap_probes : int;
-  joint_gap_probes : int;
-  tentative_hops : int;
-  commits : int;
-  copies : int;
-  retries : int;
-  repairs : int;
-  backoff_s : float;
-  rollbacks : int;
-  replayed_tasks : int;
-  search_pruned_nodes : int;
-  replans : int;
-  shed_jobs : int;
-  frozen_tasks : int;
-  deadline_misses : int;
-  requests : int;
-  batched_replans : int;
-  queued_jobs : int;
-}
+(* Print groups: [Base] always prints; every other group prints only when
+   one of its members is nonzero, so runs that never touch a subsystem
+   keep their historical [--stats] output. *)
+type group = Base | Aborted | Fault | Incremental | Online | Daemon
+type entry = { key : string; label : string; group : group }
 
-let zero : snapshot =
-  {
-    evaluations = 0;
-    pruned_evaluations = 0;
-    aborted_evaluations = 0;
-    route_cache_hits = 0;
-    gap_probes = 0;
-    joint_gap_probes = 0;
-    tentative_hops = 0;
-    commits = 0;
-    copies = 0;
-    retries = 0;
-    repairs = 0;
-    backoff_s = 0.;
-    rollbacks = 0;
-    replayed_tasks = 0;
-    search_pruned_nodes = 0;
-    replans = 0;
-    shed_jobs = 0;
-    frozen_tasks = 0;
-    deadline_misses = 0;
-    requests = 0;
-    batched_replans = 0;
-    queued_jobs = 0;
-  }
+let table = ref []
 
-(* One mutable record rather than eleven refs: a single cache line, and
-   the field stores compile to plain [mov]s. *)
-type state = {
-  mutable evaluations : int;
-  mutable pruned_evaluations : int;
-  mutable aborted_evaluations : int;
-  mutable route_cache_hits : int;
-  mutable gap_probes : int;
-  mutable joint_gap_probes : int;
-  mutable tentative_hops : int;
-  mutable commits : int;
-  mutable copies : int;
-  mutable retries : int;
-  mutable repairs : int;
-  mutable backoff_s : float;
-  mutable rollbacks : int;
-  mutable replayed_tasks : int;
-  mutable search_pruned_nodes : int;
-  mutable replans : int;
-  mutable shed_jobs : int;
-  mutable frozen_tasks : int;
-  mutable deadline_misses : int;
-  mutable requests : int;
-  mutable batched_replans : int;
-  mutable queued_jobs : int;
-}
+let register key label group =
+  table := { key; label; group } :: !table;
+  List.length !table - 1
 
-(* Domain-local scratch: every domain bumps its own record, so workers of
+type counter = int
+
+(* The registry: one line per counter (JSON key, [pp] label, group).
+   Registration order is [pp] order and the Chrome track's key order. *)
+let evaluations = register "evaluations" "evaluations" Base
+let pruned_evaluations = register "pruned_evaluations" "pruned evaluations" Base
+let route_cache_hits = register "route_cache_hits" "route-cache hits" Base
+let gap_probes = register "gap_probes" "gap probes" Base
+let joint_gap_probes = register "joint_gap_probes" "joint gap probes" Base
+let tentative_hops = register "tentative_hops" "tentative hops" Base
+let commits = register "commits" "commits" Base
+let copies = register "copies" "copies" Base
+let aborted_evaluations = register "aborted_evaluations" "aborted evaluations" Aborted
+let retries = register "retries" "retries" Fault
+let repairs = register "repairs" "repairs" Fault
+let backoff_slot = register "backoff_s" "backoff time" Fault
+let rollbacks = register "rollbacks" "rollbacks" Incremental
+let replayed_tasks = register "replayed_tasks" "replayed tasks" Incremental
+let search_pruned_nodes = register "search_pruned_nodes" "search pruned" Incremental
+let replans = register "replans" "replans" Online
+let shed_jobs = register "shed_jobs" "shed jobs" Online
+let frozen_tasks = register "frozen_tasks" "frozen tasks" Online
+let deadline_misses = register "deadline_misses" "deadline misses" Online
+let requests = register "requests" "requests" Daemon
+let batched_replans = register "batched_replans" "batched replans" Daemon
+let queued_jobs = register "queued_jobs" "queued jobs" Daemon
+
+let entries = Array.of_list (List.rev !table)
+let size = Array.length entries
+
+(* Integer counts are indexed by counter (the backoff slot among them
+   stays 0); the one float, [backoff_s], has its own field.  A domain's
+   live state and a snapshot share this type: the state is updated in
+   place, a snapshot is a fresh copy that nothing updates. *)
+type snapshot = { counts : int array; mutable backoff_s : float }
+
+let fresh () = { counts = Array.make size 0; backoff_s = 0. }
+let zero = fresh ()
+
+(* Domain-local scratch: every domain bumps its own state, so workers of
    a {!Prelude.Pool} sweep never contend (or race) on shared counters.
    The pool merges worker snapshots into the spawning domain at its
    barrier, making totals independent of how the work was sharded. *)
-let key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        evaluations = 0;
-        pruned_evaluations = 0;
-        aborted_evaluations = 0;
-        route_cache_hits = 0;
-        gap_probes = 0;
-        joint_gap_probes = 0;
-        tentative_hops = 0;
-        commits = 0;
-        copies = 0;
-        retries = 0;
-        repairs = 0;
-        backoff_s = 0.;
-        rollbacks = 0;
-        replayed_tasks = 0;
-        search_pruned_nodes = 0;
-        replans = 0;
-        shed_jobs = 0;
-        frozen_tasks = 0;
-        deadline_misses = 0;
-        requests = 0;
-        batched_replans = 0;
-        queued_jobs = 0;
-      })
-
+let key : snapshot Domain.DLS.key = Domain.DLS.new_key fresh
 let state () = Domain.DLS.get key
 
 let on = ref false
@@ -116,294 +63,55 @@ let enabled () = !on
 
 let reset () =
   let s = state () in
-  s.evaluations <- 0;
-  s.pruned_evaluations <- 0;
-  s.aborted_evaluations <- 0;
-  s.route_cache_hits <- 0;
-  s.gap_probes <- 0;
-  s.joint_gap_probes <- 0;
-  s.tentative_hops <- 0;
-  s.commits <- 0;
-  s.copies <- 0;
-  s.retries <- 0;
-  s.repairs <- 0;
-  s.backoff_s <- 0.;
-  s.rollbacks <- 0;
-  s.replayed_tasks <- 0;
-  s.search_pruned_nodes <- 0;
-  s.replans <- 0;
-  s.shed_jobs <- 0;
-  s.frozen_tasks <- 0;
-  s.deadline_misses <- 0;
-  s.requests <- 0;
-  s.batched_replans <- 0;
-  s.queued_jobs <- 0
+  Array.fill s.counts 0 size 0;
+  s.backoff_s <- 0.
 
-let snapshot () : snapshot =
+let snapshot () =
   let s = state () in
-  {
-    evaluations = s.evaluations;
-    pruned_evaluations = s.pruned_evaluations;
-    aborted_evaluations = s.aborted_evaluations;
-    route_cache_hits = s.route_cache_hits;
-    gap_probes = s.gap_probes;
-    joint_gap_probes = s.joint_gap_probes;
-    tentative_hops = s.tentative_hops;
-    commits = s.commits;
-    copies = s.copies;
-    retries = s.retries;
-    repairs = s.repairs;
-    backoff_s = s.backoff_s;
-    rollbacks = s.rollbacks;
-    replayed_tasks = s.replayed_tasks;
-    search_pruned_nodes = s.search_pruned_nodes;
-    replans = s.replans;
-    shed_jobs = s.shed_jobs;
-    frozen_tasks = s.frozen_tasks;
-    deadline_misses = s.deadline_misses;
-    requests = s.requests;
-    batched_replans = s.batched_replans;
-    queued_jobs = s.queued_jobs;
-  }
+  { counts = Array.copy s.counts; backoff_s = s.backoff_s }
 
-let merge (d : snapshot) =
+let merge d =
   let s = state () in
-  s.evaluations <- s.evaluations + d.evaluations;
-  s.pruned_evaluations <- s.pruned_evaluations + d.pruned_evaluations;
-  s.aborted_evaluations <- s.aborted_evaluations + d.aborted_evaluations;
-  s.route_cache_hits <- s.route_cache_hits + d.route_cache_hits;
-  s.gap_probes <- s.gap_probes + d.gap_probes;
-  s.joint_gap_probes <- s.joint_gap_probes + d.joint_gap_probes;
-  s.tentative_hops <- s.tentative_hops + d.tentative_hops;
-  s.commits <- s.commits + d.commits;
-  s.copies <- s.copies + d.copies;
-  s.retries <- s.retries + d.retries;
-  s.repairs <- s.repairs + d.repairs;
-  s.backoff_s <- s.backoff_s +. d.backoff_s;
-  s.rollbacks <- s.rollbacks + d.rollbacks;
-  s.replayed_tasks <- s.replayed_tasks + d.replayed_tasks;
-  s.search_pruned_nodes <- s.search_pruned_nodes + d.search_pruned_nodes;
-  s.replans <- s.replans + d.replans;
-  s.shed_jobs <- s.shed_jobs + d.shed_jobs;
-  s.frozen_tasks <- s.frozen_tasks + d.frozen_tasks;
-  s.deadline_misses <- s.deadline_misses + d.deadline_misses;
-  s.requests <- s.requests + d.requests;
-  s.batched_replans <- s.batched_replans + d.batched_replans;
-  s.queued_jobs <- s.queued_jobs + d.queued_jobs
+  Array.iteri (fun i n -> s.counts.(i) <- s.counts.(i) + n) d.counts;
+  s.backoff_s <- s.backoff_s +. d.backoff_s
 
-let diff (a : snapshot) (b : snapshot) : snapshot =
-  {
-    evaluations = b.evaluations - a.evaluations;
-    pruned_evaluations = b.pruned_evaluations - a.pruned_evaluations;
-    aborted_evaluations = b.aborted_evaluations - a.aborted_evaluations;
-    route_cache_hits = b.route_cache_hits - a.route_cache_hits;
-    gap_probes = b.gap_probes - a.gap_probes;
-    joint_gap_probes = b.joint_gap_probes - a.joint_gap_probes;
-    tentative_hops = b.tentative_hops - a.tentative_hops;
-    commits = b.commits - a.commits;
-    copies = b.copies - a.copies;
-    retries = b.retries - a.retries;
-    repairs = b.repairs - a.repairs;
-    backoff_s = b.backoff_s -. a.backoff_s;
-    rollbacks = b.rollbacks - a.rollbacks;
-    replayed_tasks = b.replayed_tasks - a.replayed_tasks;
-    search_pruned_nodes = b.search_pruned_nodes - a.search_pruned_nodes;
-    replans = b.replans - a.replans;
-    shed_jobs = b.shed_jobs - a.shed_jobs;
-    frozen_tasks = b.frozen_tasks - a.frozen_tasks;
-    deadline_misses = b.deadline_misses - a.deadline_misses;
-    requests = b.requests - a.requests;
-    batched_replans = b.batched_replans - a.batched_replans;
-    queued_jobs = b.queued_jobs - a.queued_jobs;
-  }
+let diff a b =
+  { counts = Array.map2 ( - ) b.counts a.counts;
+    backoff_s = b.backoff_s -. a.backoff_s }
 
-(* The print order below is part of the CLI contract (cram tests pin it):
-   evaluations, pruned evaluations, route-cache hits, gap probes, joint
-   gap probes, tentative hops, commits, copies — then aborted
-   evaluations and the fault block (retries, repairs, backoff time), each
-   only when something bumped it.  Every line sits in one vertical box,
-   so each [@,] breaks whatever box the caller prints it in. *)
-let pp fmt (c : snapshot) =
-  Format.fprintf fmt
-    "@[<v>evaluations:      %d@,\
-     pruned evaluations: %d@,\
-     route-cache hits: %d@,\
-     gap probes:       %d@,\
-     joint gap probes: %d@,\
-     tentative hops:   %d@,\
-     commits:          %d@,\
-     copies:           %d"
-    c.evaluations c.pruned_evaluations c.route_cache_hits c.gap_probes
-    c.joint_gap_probes c.tentative_hops c.commits c.copies;
-  (* only a port-regime scan with an incumbent aborts a candidate, so
-     every other run keeps its historical output *)
-  if c.aborted_evaluations <> 0 then
-    Format.fprintf fmt "@,aborted evaluations: %d" c.aborted_evaluations;
-  (* fault-handling counters only appear once something bumped them, so
-     fault-free runs keep their historical output *)
-  if c.retries <> 0 || c.repairs <> 0 || c.backoff_s <> 0. then
-    Format.fprintf fmt
-      "@,retries:          %d@,\
-       repairs:          %d@,\
-       backoff time:     %g"
-      c.retries c.repairs c.backoff_s;
-  (* incremental-kernel counters follow the same convention: from-scratch
-     builds never print them *)
-  if c.rollbacks <> 0 || c.replayed_tasks <> 0 || c.search_pruned_nodes <> 0
-  then
-    Format.fprintf fmt
-      "@,rollbacks:        %d@,\
-       replayed tasks:   %d@,\
-       search pruned:    %d"
-      c.rollbacks c.replayed_tasks c.search_pruned_nodes;
-  (* rolling-horizon online counters: offline runs never print them *)
-  if
-    c.replans <> 0 || c.shed_jobs <> 0 || c.frozen_tasks <> 0
-    || c.deadline_misses <> 0
-  then
-    Format.fprintf fmt
-      "@,replans:          %d@,\
-       shed jobs:        %d@,\
-       frozen tasks:     %d@,\
-       deadline misses:  %d"
-      c.replans c.shed_jobs c.frozen_tasks c.deadline_misses;
-  (* scheduld daemon counters: anything else never prints them *)
-  if c.requests <> 0 || c.batched_replans <> 0 || c.queued_jobs <> 0 then
-    Format.fprintf fmt
-      "@,requests:         %d@,\
-       batched replans:  %d@,\
-       queued jobs:      %d"
-      c.requests c.batched_replans c.queued_jobs;
+let get s c = s.counts.(c)
+let backoff_s s = s.backoff_s
+let value s i = if i = backoff_slot then s.backoff_s else float s.counts.(i)
+let to_list s = List.init size (fun i -> (entries.(i).key, value s i))
+
+(* Every line is [label ^ ":"] padded to 17 columns, then the value, all
+   in one vertical box, so each [@,] breaks whatever box the caller
+   prints it in. *)
+let pp fmt s =
+  let live =
+    List.filteri (fun i _ -> value s i <> 0.) (Array.to_list entries)
+  in
+  let shown g = g = Base || List.exists (fun e -> e.group = g) live in
+  Format.fprintf fmt "@[<v>";
+  Array.iteri
+    (fun i e ->
+      if shown e.group then begin
+        if i > 0 then Format.fprintf fmt "@,";
+        let label = e.label ^ ":" in
+        if i = backoff_slot then Format.fprintf fmt "%-17s %g" label s.backoff_s
+        else Format.fprintf fmt "%-17s %d" label s.counts.(i)
+      end)
+    entries;
   Format.fprintf fmt "@]"
 
-let evaluation () =
+let bump c =
   if !on then
-    let s = state () in
-    s.evaluations <- s.evaluations + 1
-[@@inline]
-
-let pruned_evaluation () =
-  if !on then
-    let s = state () in
-    s.pruned_evaluations <- s.pruned_evaluations + 1
-[@@inline]
-
-let aborted_evaluation () =
-  if !on then
-    let s = state () in
-    s.aborted_evaluations <- s.aborted_evaluations + 1
-[@@inline]
-
-let route_cache_hit () =
-  if !on then
-    let s = state () in
-    s.route_cache_hits <- s.route_cache_hits + 1
-[@@inline]
-
-let gap_probe () =
-  if !on then
-    let s = state () in
-    s.gap_probes <- s.gap_probes + 1
-[@@inline]
-
-let joint_gap_probe () =
-  if !on then
-    let s = state () in
-    s.joint_gap_probes <- s.joint_gap_probes + 1
-[@@inline]
-
-let tentative_hop () =
-  if !on then
-    let s = state () in
-    s.tentative_hops <- s.tentative_hops + 1
-[@@inline]
-
-let commit () =
-  if !on then
-    let s = state () in
-    s.commits <- s.commits + 1
-[@@inline]
-
-let copy () =
-  if !on then
-    let s = state () in
-    s.copies <- s.copies + 1
-[@@inline]
-
-let retry () =
-  if !on then
-    let s = state () in
-    s.retries <- s.retries + 1
-[@@inline]
-
-let repair () =
-  if !on then
-    let s = state () in
-    s.repairs <- s.repairs + 1
+    let counts = (state ()).counts in
+    Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
 [@@inline]
 
 let backoff dt =
   if !on then
     let s = state () in
     s.backoff_s <- s.backoff_s +. dt
-[@@inline]
-
-let rollback () =
-  if !on then
-    let s = state () in
-    s.rollbacks <- s.rollbacks + 1
-[@@inline]
-
-let replayed_task () =
-  if !on then
-    let s = state () in
-    s.replayed_tasks <- s.replayed_tasks + 1
-[@@inline]
-
-let search_pruned_node () =
-  if !on then
-    let s = state () in
-    s.search_pruned_nodes <- s.search_pruned_nodes + 1
-[@@inline]
-
-let replan () =
-  if !on then
-    let s = state () in
-    s.replans <- s.replans + 1
-[@@inline]
-
-let shed_job () =
-  if !on then
-    let s = state () in
-    s.shed_jobs <- s.shed_jobs + 1
-[@@inline]
-
-let frozen_task () =
-  if !on then
-    let s = state () in
-    s.frozen_tasks <- s.frozen_tasks + 1
-[@@inline]
-
-let deadline_miss () =
-  if !on then
-    let s = state () in
-    s.deadline_misses <- s.deadline_misses + 1
-[@@inline]
-
-let server_request () =
-  if !on then
-    let s = state () in
-    s.requests <- s.requests + 1
-[@@inline]
-
-let batched_replan () =
-  if !on then
-    let s = state () in
-    s.batched_replans <- s.batched_replans + 1
-[@@inline]
-
-let queued_job () =
-  if !on then
-    let s = state () in
-    s.queued_jobs <- s.queued_jobs + 1
 [@@inline]

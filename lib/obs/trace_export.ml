@@ -74,21 +74,24 @@ let to_chrome ?(pid = 0) ?counters events =
     events;
   (match counters with
   | None -> ()
-  | Some (c : Counters.snapshot) ->
+  | Some c ->
       let last =
         List.fold_left (fun acc (e : Span.event) -> max acc e.Span.ts) t0 events
       in
+      (* integral values print as JSON integers, exactly *)
+      let number v =
+        if Float.is_integer v then Printf.sprintf "%.0f" v
+        else Printf.sprintf "%g" v
+      in
+      let args =
+        Counters.to_list c
+        |> List.map (fun (k, v) -> Printf.sprintf {|"%s":%s|} k (number v))
+        |> String.concat ","
+      in
       emit
         (Printf.sprintf
-           {|{"name":"engine probes","ph":"C","ts":%.3f,"pid":%d,"args":{"evaluations":%d,"pruned_evaluations":%d,"aborted_evaluations":%d,"route_cache_hits":%d,"gap_probes":%d,"joint_gap_probes":%d,"tentative_hops":%d,"commits":%d,"copies":%d,"retries":%d,"repairs":%d,"backoff_s":%g,"rollbacks":%d,"replayed_tasks":%d,"search_pruned_nodes":%d,"replans":%d,"shed_jobs":%d,"frozen_tasks":%d,"deadline_misses":%d}}|}
-           (us last) pid c.Counters.evaluations c.Counters.pruned_evaluations
-           c.Counters.aborted_evaluations c.Counters.route_cache_hits c.Counters.gap_probes
-           c.Counters.joint_gap_probes c.Counters.tentative_hops
-           c.Counters.commits c.Counters.copies c.Counters.retries
-           c.Counters.repairs c.Counters.backoff_s c.Counters.rollbacks
-           c.Counters.replayed_tasks c.Counters.search_pruned_nodes
-           c.Counters.replans c.Counters.shed_jobs c.Counters.frozen_tasks
-           c.Counters.deadline_misses));
+           {|{"name":"engine probes","ph":"C","ts":%.3f,"pid":%d,"args":{%s}}|}
+           (us last) pid args));
   Buffer.add_string buf "]\n";
   Buffer.contents buf
 

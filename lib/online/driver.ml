@@ -207,7 +207,7 @@ let run ?(config = default_config) plat (events : Event.t list) =
   let replan ~now ~trigger ?(extra_kills = []) () =
     if !members <> [] then begin
       incr n_replans;
-      Obs.Counters.replan ();
+      Obs.Counters.(bump replans);
       let wall0 = Unix.gettimeofday () in
       let report =
         Obs.Span.with_ "replan" @@ fun () ->
@@ -364,7 +364,7 @@ let run ?(config = default_config) plat (events : Event.t list) =
               pl.playout);
         let n_frozen = Hashtbl.length frozen_tbl in
         for _ = 1 to n_frozen do
-          Obs.Counters.frozen_task ()
+          Obs.Counters.(bump frozen_tasks)
         done;
         (* rebuild an engine eval from one frozen copy, against [graph] *)
         let eval_of graph off (c : dcopy) =
@@ -463,7 +463,7 @@ let run ?(config = default_config) plat (events : Event.t list) =
                  (* the first surviving copy replayed becomes the primary *)
                  if Schedule.is_placed s v then Engine.commit_copy e ~task:v ev
                  else Engine.commit e ~task:v ev;
-                 Obs.Counters.replayed_task ()
+                 Obs.Counters.(bump replayed_tasks)
                end)
              !suffix;
            let remapped =
@@ -522,7 +522,7 @@ let run ?(config = default_config) plat (events : Event.t list) =
                            (fun c ->
                              Engine.commit_copy e' ~task:v (eval_of g' off c))
                            dups;
-                         Obs.Counters.replayed_task ()))
+                         Obs.Counters.(bump replayed_tasks)))
                (Graph.topological_order g');
              let remapped =
                Repair.schedule_suffix ~params ~floor:now ~candidates:cands e'
@@ -632,7 +632,7 @@ let run ?(config = default_config) plat (events : Event.t list) =
               | (j, _) :: _ ->
                   j.jstate <- Shed;
                   incr shed;
-                  Obs.Counters.shed_job ();
+                  Obs.Counters.(bump shed_jobs);
                   members := List.filter (fun m -> m != j) !members;
                   incr gen;
                   replan ~now ~trigger:"shed" ();
@@ -647,7 +647,7 @@ let run ?(config = default_config) plat (events : Event.t list) =
     | Some d when fin > d ->
         j.jmissed <- true;
         incr misses;
-        Obs.Counters.deadline_miss ()
+        Obs.Counters.(bump deadline_misses)
     | _ -> ()
   in
   let admit ~now ~trigger j =
@@ -753,7 +753,7 @@ let run ?(config = default_config) plat (events : Event.t list) =
     | P_down { since = s; attempt } when s = since ->
         (* the processor is still unreachable: that retry failed *)
         incr retries;
-        Obs.Counters.retry ();
+        Obs.Counters.(bump retries);
         let attempt = attempt + 1 in
         if attempt >= config.max_retries then begin
           (* give up: declare it dead and re-route its pending work *)

@@ -21,8 +21,8 @@
     When the job mix is unchanged, the re-plan is {e incremental}: the
     engine's commit log is rewound to the longest all-frozen prefix
     ({!Heuristics.Engine.rewind}) and only the straggling frozen
-    decisions are replayed — the path measured by bench part 7 against
-    the from-scratch rebuild.  Admission and shedding recompose the
+    decisions are replayed — the path [test/claims/claims.exe] times
+    against the from-scratch rebuild.  Admission and shedding recompose the
     composite graph and rebuild.
 
     Robustness policies:
@@ -66,7 +66,8 @@ type config = {
   backoff : float;  (** first probe delay; doubles per retry *)
   incremental : bool;
       (** rewind the commit log instead of rebuilding (default [true];
-          [false] forces the from-scratch path — the bench baseline) *)
+          [false] forces the from-scratch path — the baseline the
+          claims executable times it against) *)
   validate : bool;  (** check every re-plan with {!Sched.Validate} *)
   check_frozen : bool;
       (** enforce the bit-identical executed-prefix ledger *)

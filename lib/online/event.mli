@@ -52,7 +52,7 @@ val grammar : string
 
 (** [job_of_spec spec] parses a bare job spec ([TESTBED:N[:CCR]],
     including [layered:L:W:N[:CCR]]) with no trailing options — the form
-    [scheduld] submissions and bench traces use.
+    [scheduld] submissions use.
     @raise Invalid_argument on a malformed spec. *)
 val job_of_spec : string -> job
 

@@ -1,8 +1,8 @@
 (** Work-stealing domain pool for embarrassingly parallel sweeps.
 
-    The evaluation grids of {!Experiments.Batch}, the Monte-Carlo
-    replays of {!Simkit.Robustness} and the bench timing loops are all
-    "run [n] independent cells" workloads.  [iter] fans a cell-index
+    The evaluation grids of {!Experiments.Batch} and the Monte-Carlo
+    replays of {!Simkit.Robustness} are "run [n] independent cells"
+    workloads.  [iter] fans a cell-index
     range out over OCaml 5 domains: each worker owns a deque of
     contiguous indices (one atomic int packing the [lo, hi) range, so a
     chunked front-take by the owner and a back-half steal by an idle

@@ -133,7 +133,7 @@ let sort_extra extra =
   | l -> List.sort (fun (s1, _) (s2, _) -> compare s1 s2) l
 
 let earliest_gap ?(extra = []) t ~after ~duration =
-  Obs.Counters.gap_probe ();
+  Obs.Counters.(bump gap_probes);
   if duration <= 0. then after
   else begin
     let extra = sort_extra extra in
@@ -180,7 +180,7 @@ let earliest_gap ?(extra = []) t ~after ~duration =
    the boxed float it returns. *)
 let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
     ~duration =
-  Obs.Counters.joint_gap_probe ();
+  Obs.Counters.(bump joint_gap_probes);
   if duration <= 0. then after
   else begin
     for j = 0 to k - 1 do

@@ -361,7 +361,7 @@ let restore t s =
     invalid_arg "Schedule.restore: comms were truncated past the snapshot";
   if Vec.length t.phases < s.s_n_phases then
     invalid_arg "Schedule.restore: phases were truncated past the snapshot";
-  Obs.Counters.rollback ();
+  Obs.Counters.(bump rollbacks);
   (* The resource restore already removes every post-snapshot interval, so
      the comm events are popped without retracting them a second time. *)
   Resource.restore t.resource s.res;
@@ -379,7 +379,7 @@ let restore t s =
   done
 
 let copy t =
-  Obs.Counters.copy ();
+  Obs.Counters.(bump copies);
   {
     t with
     resource = Resource.copy t.resource;

@@ -251,8 +251,8 @@ let try_shed t ~for_id ~priority =
       remove_queued t v.jid;
       v.jstate <- Proto.Shed_state;
       t.n_shed <- t.n_shed + 1;
-      Counters.shed_job ();
-      if v.jdeadline <> None then Counters.deadline_miss ();
+      Counters.(bump shed_jobs);
+      if v.jdeadline <> None then Counters.(bump deadline_misses);
       broadcast t ~owner:v.owner (Proto.Shed { id = v.jid; by = for_id });
       true
 
@@ -307,7 +307,7 @@ let handle_submit t ~client (s : Proto.submit) =
           t.order <- id :: t.order;
           Queue.add job t.queue;
           t.n_submitted <- t.n_submitted + 1;
-          Counters.queued_job ();
+          Counters.(bump queued_jobs);
           let queued = pending t in
           t.queue_peak <- max t.queue_peak queued;
           emit t client (Proto.Accepted { id; queued })
@@ -349,7 +349,7 @@ let drain t = t.is_draining <- true
 let input t ~client line =
   if not t.is_stopped then begin
     t.n_requests <- t.n_requests + 1;
-    Counters.server_request ();
+    Counters.(bump requests);
     match Proto.request_of_line line with
     | Error msg -> emit_error t client Proto.Parse msg
     | Ok (Proto.Submit s) -> handle_submit t ~client s
@@ -393,7 +393,7 @@ let flush t =
   let n = Array.length batch in
   if n > 0 then begin
     t.n_batches <- t.n_batches + 1;
-    Counters.batched_replan ();
+    Counters.(bump batched_replans);
     (* Workers never raise: each slot holds the job's own verdict. *)
     let results = Array.make n (Error "not scheduled") in
     let run_one i =
@@ -425,7 +425,7 @@ let flush t =
             let missed =
               match j.jdeadline with
               | Some d when makespan > d ->
-                  Counters.deadline_miss ();
+                  Counters.(bump deadline_misses);
                   true
               | _ -> false
             in

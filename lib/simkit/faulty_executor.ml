@@ -388,7 +388,7 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
             retries := !retries + n_retries;
             backoff_time := !backoff_time +. paused;
             for _ = 1 to n_retries do
-              Obs.Counters.retry ()
+              Obs.Counters.(bump retries)
             done;
             Obs.Counters.backoff paused
           end;

@@ -1,4 +1,4 @@
-(** Random DAG generators for property-based testing and stress benches.
+(** Random DAG generators for property-based testing and stress tests.
 
     All generators are deterministic functions of the supplied {!Prelude.Rng}
     state.  Weights and volumes are drawn as small positive integers stored

@@ -7,7 +7,7 @@ let build ~name ~weights ~links ~ccr =
   Graph.create ~name ~weights ~edges ()
 
 (* The large-instance kernels (lu / laplace / stencil are the testbeds
-   the scale bench pushes to 10^6 tasks) fill flat edge arrays in a
+   [schedcli run] and the claims executable push to 10^5-10^6 tasks) fill flat edge arrays in a
    count-then-fill pass and hand them to [Graph.of_arrays] — no
    association lists, no per-edge boxing.  [emit] must yield exactly
    [n_edges] (src, dst) pairs. *)

@@ -302,23 +302,23 @@ let reference_mode_tests =
                       O.Heft.schedule ~params plat g))
             in
             check_int (name ^ ": reference never prunes") 0
-              slow.O.Obs_counters.pruned_evaluations;
+              O.Obs_counters.(get slow pruned_evaluations);
             let fp_fast, fast =
               count (fun () -> O.Heft.schedule ~params plat g)
             in
             let what = name ^ ": " in
             check_bool (what ^ "same schedule") true (fp_fast = fp_slow);
             check_bool (what ^ "pruning fired") true
-              (fast.O.Obs_counters.pruned_evaluations > 0);
+              (O.Obs_counters.(get fast pruned_evaluations) > 0);
             check_bool (what ^ "route cache hit") true
-              (fast.O.Obs_counters.route_cache_hits > 0);
+              (O.Obs_counters.(get fast route_cache_hits) > 0);
             (* Every candidate is either evaluated or pruned — none
                vanish. *)
             check_int
               (what ^ "evaluated + pruned = reference evaluations")
-              slow.O.Obs_counters.evaluations
-              (fast.O.Obs_counters.evaluations
-              + fast.O.Obs_counters.pruned_evaluations))
+              O.Obs_counters.(get slow evaluations)
+              O.Obs_counters.(
+                get fast evaluations + get fast pruned_evaluations))
           [
             ("lu", lu, O.Params.default);
             ( "25x100 fan-in 4",
@@ -421,11 +421,14 @@ let counted f =
 
 let check_counts what ~evaluations ~pruned ~aborted ~probes
     (c : O.Obs_counters.snapshot) =
-  check_int (what ^ ": evaluations") evaluations c.O.Obs_counters.evaluations;
-  check_int (what ^ ": pruned") pruned c.O.Obs_counters.pruned_evaluations;
-  check_int (what ^ ": aborted") aborted c.O.Obs_counters.aborted_evaluations;
+  check_int (what ^ ": evaluations") evaluations
+    O.Obs_counters.(get c evaluations);
+  check_int (what ^ ": pruned") pruned
+    O.Obs_counters.(get c pruned_evaluations);
+  check_int (what ^ ": aborted") aborted
+    O.Obs_counters.(get c aborted_evaluations);
   check_int (what ^ ": joint gap probes") probes
-    c.O.Obs_counters.joint_gap_probes
+    O.Obs_counters.(get c joint_gap_probes)
 
 (* Best processor for [task] from both engines, the fast one counted. *)
 let best_both engine ~task =
@@ -499,14 +502,13 @@ let pruning_stage_tests =
         let fp_slow, slow = counted (fun () -> O.Engine.with_reference run) in
         check_bool "same schedule" true (fp_fast = fp_slow);
         check_bool "pruning fired" true
-          (fast.O.Obs_counters.pruned_evaluations > 0);
+          (O.Obs_counters.(get fast pruned_evaluations) > 0);
         check_bool "early abort fired" true
-          (fast.O.Obs_counters.aborted_evaluations > 0);
+          (O.Obs_counters.(get fast aborted_evaluations) > 0);
         (* an aborted candidate counts as evaluated, not pruned *)
         check_int "evaluated + pruned = reference evaluations"
-          slow.O.Obs_counters.evaluations
-          (fast.O.Obs_counters.evaluations
-          + fast.O.Obs_counters.pruned_evaluations));
+          O.Obs_counters.(get slow evaluations)
+          O.Obs_counters.(get fast evaluations + get fast pruned_evaluations));
     qtest ~count:100 "best_pending = reference under --reschedule"
       ~print:(fun (gspec, _, _, (b, one_comm)) ->
         Printf.sprintf "%s b=%d scan=%s" (print_graph gspec) b

@@ -26,60 +26,74 @@ let with_obs_on f =
       O.Obs_span.disable ())
     f
 
+(* A snapshot holding exactly the bumps [f] makes. *)
+let bumped f =
+  with_obs_on @@ fun () ->
+  f ();
+  O.Obs_counters.snapshot ()
+
 let counter_tests =
   [
     Alcotest.test_case "disabled bumps are no-ops" `Quick (fun () ->
         with_obs_off @@ fun () ->
         O.Obs_counters.reset ();
-        O.Obs_counters.evaluation ();
-        O.Obs_counters.gap_probe ();
-        O.Obs_counters.commit ();
+        O.Obs_counters.(bump evaluations);
+        O.Obs_counters.(bump gap_probes);
+        O.Obs_counters.(bump commits);
         check_bool "still zero" true
           (O.Obs_counters.snapshot () = O.Obs_counters.zero));
     Alcotest.test_case "enabled bumps accumulate and reset zeroes" `Quick
       (fun () ->
         with_obs_on @@ fun () ->
-        O.Obs_counters.evaluation ();
-        O.Obs_counters.evaluation ();
-        O.Obs_counters.pruned_evaluation ();
-        O.Obs_counters.aborted_evaluation ();
-        O.Obs_counters.route_cache_hit ();
-        O.Obs_counters.gap_probe ();
-        O.Obs_counters.joint_gap_probe ();
-        O.Obs_counters.tentative_hop ();
-        O.Obs_counters.commit ();
-        O.Obs_counters.copy ();
+        O.Obs_counters.(bump evaluations);
+        O.Obs_counters.(bump evaluations);
+        O.Obs_counters.(bump pruned_evaluations);
+        O.Obs_counters.(bump aborted_evaluations);
+        O.Obs_counters.(bump route_cache_hits);
+        O.Obs_counters.(bump gap_probes);
+        O.Obs_counters.(bump joint_gap_probes);
+        O.Obs_counters.(bump tentative_hops);
+        O.Obs_counters.(bump commits);
+        O.Obs_counters.(bump copies);
         let c = O.Obs_counters.snapshot () in
-        check_int "evaluations" 2 c.O.Obs_counters.evaluations;
-        check_int "pruned evaluations" 1 c.O.Obs_counters.pruned_evaluations;
+        check_int "evaluations" 2 O.Obs_counters.(get c evaluations);
+        check_int "pruned evaluations" 1
+          O.Obs_counters.(get c pruned_evaluations);
         check_int "aborted evaluations" 1
-          c.O.Obs_counters.aborted_evaluations;
-        check_int "route cache hits" 1 c.O.Obs_counters.route_cache_hits;
-        check_int "gap probes" 1 c.O.Obs_counters.gap_probes;
-        check_int "joint gap probes" 1 c.O.Obs_counters.joint_gap_probes;
-        check_int "tentative hops" 1 c.O.Obs_counters.tentative_hops;
-        check_int "commits" 1 c.O.Obs_counters.commits;
-        check_int "copies" 1 c.O.Obs_counters.copies;
+          O.Obs_counters.(get c aborted_evaluations);
+        check_int "route cache hits" 1
+          O.Obs_counters.(get c route_cache_hits);
+        check_int "gap probes" 1 O.Obs_counters.(get c gap_probes);
+        check_int "joint gap probes" 1
+          O.Obs_counters.(get c joint_gap_probes);
+        check_int "tentative hops" 1 O.Obs_counters.(get c tentative_hops);
+        check_int "commits" 1 O.Obs_counters.(get c commits);
+        check_int "copies" 1 O.Obs_counters.(get c copies);
         O.Obs_counters.reset ();
         check_bool "reset zeroes" true
           (O.Obs_counters.snapshot () = O.Obs_counters.zero));
     Alcotest.test_case "diff is per-field subtraction" `Quick (fun () ->
         with_obs_on @@ fun () ->
-        O.Obs_counters.evaluation ();
+        O.Obs_counters.(bump evaluations);
         let before = O.Obs_counters.snapshot () in
-        O.Obs_counters.evaluation ();
-        O.Obs_counters.commit ();
+        O.Obs_counters.(bump evaluations);
+        O.Obs_counters.(bump commits);
         let after = O.Obs_counters.snapshot () in
         let d = O.Obs_counters.diff before after in
-        check_int "evaluations delta" 1 d.O.Obs_counters.evaluations;
-        check_int "commits delta" 1 d.O.Obs_counters.commits;
-        check_int "copies delta" 0 d.O.Obs_counters.copies);
+        check_int "evaluations delta" 1 O.Obs_counters.(get d evaluations);
+        check_int "commits delta" 1 O.Obs_counters.(get d commits);
+        check_int "copies delta" 0 O.Obs_counters.(get d copies));
     Alcotest.test_case "aborted evaluations print only when nonzero" `Quick
       (fun () ->
         let show c = Format.asprintf "%a" O.Obs_counters.pp c in
         let quiet = show O.Obs_counters.zero in
         check_bool "absent at zero" false (contains quiet "aborted");
-        let c = { O.Obs_counters.zero with O.Obs_counters.aborted_evaluations = 3 } in
+        let c =
+          bumped (fun () ->
+              for _ = 1 to 3 do
+                O.Obs_counters.(bump aborted_evaluations)
+              done)
+        in
         let loud = show c in
         check_bool "after copies when nonzero" true
           (List.nth (String.split_on_char '\n' loud) 8
@@ -89,11 +103,11 @@ let counter_tests =
           (contains loud "evaluations:      0");
         check_bool "pruned line kept" true
           (contains loud "pruned evaluations: 0");
-        (* merge folds it in like every other field *)
+        (* merge folds it in like every other counter *)
         with_obs_on @@ fun () ->
         O.Obs_counters.merge c;
         check_int "merged" 3
-          (O.Obs_counters.snapshot ()).O.Obs_counters.aborted_evaluations);
+          O.Obs_counters.(get (snapshot ()) aborted_evaluations));
     Alcotest.test_case "a real schedule drives every hot counter" `Quick
       (fun () ->
         with_obs_on @@ fun () ->
@@ -103,25 +117,47 @@ let counter_tests =
         let c = O.Obs_counters.snapshot () in
         let tasks = O.Graph.n_tasks g in
         check_bool "one evaluation per (task, proc) at least" true
-          (c.O.Obs_counters.evaluations >= tasks);
-        check_int "one commit per task" tasks c.O.Obs_counters.commits;
+          (O.Obs_counters.(get c evaluations) >= tasks);
+        check_int "one commit per task" tasks O.Obs_counters.(get c commits);
         check_bool "gap probes outnumber commits" true
-          (c.O.Obs_counters.gap_probes + c.O.Obs_counters.joint_gap_probes
-          > c.O.Obs_counters.commits);
+          O.Obs_counters.(
+            get c gap_probes + get c joint_gap_probes > get c commits);
         check_bool "candidate pruning fires" true
-          (c.O.Obs_counters.pruned_evaluations > 0);
+          (O.Obs_counters.(get c pruned_evaluations) > 0);
         check_bool "route cache is reused" true
-          (c.O.Obs_counters.route_cache_hits > 0));
+          (O.Obs_counters.(get c route_cache_hits) > 0));
+    Alcotest.test_case "the doc's counter table lists the registry" `Quick
+      (fun () ->
+        (* first cells of the table under "| counter |", header and
+           separator skipped *)
+        let rec table = function
+          | l :: _ :: rest when String.starts_with ~prefix:"| counter |" l ->
+              rows rest
+          | _ :: rest -> table rest
+          | [] -> []
+        and rows = function
+          | l :: rest when String.starts_with ~prefix:"| `" l ->
+              List.nth (String.split_on_char '`' l) 1 :: rows rest
+          | _ -> []
+        in
+        let doc =
+          In_channel.with_open_text "../doc/observability.md"
+            In_channel.input_all
+        in
+        Alcotest.(check (list string))
+          "doc/observability.md rows"
+          (List.map fst (O.Obs_counters.to_list O.Obs_counters.zero))
+          (table (String.split_on_char '\n' doc)));
     Alcotest.test_case "optional blocks keep one counter per line in any box"
       `Quick (fun () ->
         let c =
-          {
-            O.Obs_counters.zero with
-            O.Obs_counters.copies = 3;
-            retries = 1;
-            rollbacks = 2;
-            requests = 4;
-          }
+          bumped (fun () ->
+              O.Obs_counters.(
+                List.iter bump
+                  [ copies; copies; copies; retries; rollbacks; rollbacks ];
+                for _ = 1 to 4 do
+                  bump requests
+                done))
         in
         (* 8 base lines, then the fault, incremental and daemon blocks *)
         let expect = 8 + 3 + 3 + 3 in
@@ -250,9 +286,9 @@ let report_tests =
         in
         let c = report.O.Obs_report.counters in
         check_int "window commits = one run" (O.Graph.n_tasks g)
-          c.O.Obs_counters.commits;
+          O.Obs_counters.(get c commits);
         check_int "pre-window commits excluded"
-          before.O.Obs_counters.commits c.O.Obs_counters.commits;
+          O.Obs_counters.(get before commits) O.Obs_counters.(get c commits);
         check_bool "heft phase reported" true
           (List.mem_assoc "heft" report.O.Obs_report.phases);
         check_bool "rank phase reported" true
@@ -325,6 +361,38 @@ let export_tests =
         check_bool "counter track present" true
           (contains json {|"ph":"C"|} && contains json "evaluations"
           && contains json {|"aborted_evaluations":|}));
+    Alcotest.test_case "counter track carries every registered key" `Quick
+      (fun () ->
+        let c =
+          bumped (fun () ->
+              O.Obs_counters.(
+                List.iter bump [ requests; batched_replans; queued_jobs ];
+                backoff 0.5))
+        in
+        let json = O.Obs_trace.to_chrome ~counters:c [] in
+        let track =
+          List.find (fun l -> field l "ph" = Some {|"C"|}) (trace_lines json)
+        in
+        let keys =
+          [ "evaluations"; "pruned_evaluations"; "route_cache_hits";
+            "gap_probes"; "joint_gap_probes"; "tentative_hops"; "commits";
+            "copies"; "aborted_evaluations"; "retries"; "repairs";
+            "backoff_s"; "rollbacks"; "replayed_tasks";
+            "search_pruned_nodes"; "replans"; "shed_jobs"; "frozen_tasks";
+            "deadline_misses"; "requests"; "batched_replans"; "queued_jobs" ]
+        in
+        check_int "22 keys" 22 (List.length keys);
+        check_float "backoff reader" 0.5 (O.Obs_counters.backoff_s c);
+        List.iter
+          (fun k ->
+            check_bool (k ^ " present") true (field track k <> None))
+          keys;
+        check_bool "registry order" true
+          (List.map fst (O.Obs_counters.to_list c) = keys);
+        List.iter
+          (fun (k, v) -> check_bool k true (field track k = Some v))
+          [ ("requests", "1"); ("batched_replans", "1"); ("queued_jobs", "1");
+            ("backoff_s", "0.5"); ("evaluations", "0") ]);
     Alcotest.test_case "orphan events are repaired on export" `Quick
       (fun () ->
         with_obs_on @@ fun () ->
@@ -361,7 +429,7 @@ let runner_obs_tests =
         | None -> Alcotest.fail "expected an obs payload"
         | Some report ->
             check_bool "counted the run" true
-              (report.O.Obs_report.counters.O.Obs_counters.commits > 0));
+              O.Obs_counters.(get report.O.Obs_report.counters commits > 0));
   ]
 
 (* deterministic: List.iter over the first line of the exporter output

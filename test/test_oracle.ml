@@ -258,7 +258,7 @@ let search_tests =
         Fun.protect ~finally:O.Obs_counters.disable (fun () ->
             ignore (O.Search.best_makespan plat g);
             check_bool "search_pruned_nodes > 0" true
-              ((O.Obs_counters.snapshot ()).O.Obs_counters.search_pruned_nodes
+              (O.Obs_counters.(get (snapshot ()) search_pruned_nodes)
               > 0)));
   ]
 

@@ -175,15 +175,15 @@ let obs_tests =
         in
         let baseline = totals 1 in
         (* a real workload bumps something — guard against a vacuous pass *)
-        baseline.O.Obs_counters.evaluations > 0
+        O.Obs_counters.(get baseline evaluations) > 0
         && List.for_all (fun jobs -> totals jobs = baseline) jobs_axis);
     Alcotest.test_case "counter merge is the per-domain sum" `Quick (fun () ->
         O.Obs_counters.enable ();
         O.Obs_counters.reset ();
-        O.Pool.iter ~jobs:4 777 (fun _ -> O.Obs_counters.commit ());
+        O.Pool.iter ~jobs:4 777 (fun _ -> O.Obs_counters.(bump commits));
         let s = O.Obs_counters.snapshot () in
         O.Obs_counters.disable ();
-        check_int "commits" 777 s.O.Obs_counters.commits);
+        check_int "commits" 777 O.Obs_counters.(get s commits));
   ]
 
 (* ---------------- Pool.Team ---------------- *)
@@ -205,7 +205,7 @@ let team_tests =
                 O.Pool.Team.run team ~jobs ~n (fun ~worker i ->
                     hits.(i) <- hits.(i) + 1;
                     owner.(i) <- worker;
-                    O.Obs_counters.commit ());
+                    O.Obs_counters.(bump commits));
                 let s = O.Obs_counters.snapshot () in
                 let w = max 1 (min jobs (min n 4)) in
                 Array.iteri
@@ -217,7 +217,7 @@ let team_tests =
                   owner;
                 check_int
                   (Printf.sprintf "jobs %d, n %d: merged commits" jobs n)
-                  n s.O.Obs_counters.commits)
+                  n O.Obs_counters.(get s commits))
               [ (1, 37); (2, 37); (4, 1013); (8, 3); (4, 1) ];
             O.Obs_counters.disable ();
             O.Pool.Team.run team ~jobs:4 ~n:0 (fun ~worker:_ _ ->

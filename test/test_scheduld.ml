@@ -579,9 +579,9 @@ let server_counters () =
   flush_all core;
   let c = O.Obs_counters.snapshot () in
   O.Obs_counters.disable ();
-  check_int "requests" 3 c.O.Obs_counters.requests;
-  check_int "queued jobs" 2 c.O.Obs_counters.queued_jobs;
-  check_int "batched replans" 1 c.O.Obs_counters.batched_replans;
+  check_int "requests" 3 O.Obs_counters.(get c requests);
+  check_int "queued jobs" 2 O.Obs_counters.(get c queued_jobs);
+  check_int "batched replans" 1 O.Obs_counters.(get c batched_replans);
   Util.check_bool "pp shows the scheduld block" true
     (Util.contains
        (Format.asprintf "%a" O.Obs_counters.pp c)
