@@ -80,21 +80,22 @@ let render ?(width = 1000) ?(lane_height = 26) ?show_ports s =
          (margin_left + plot_width)
          (y0 + lane_height))
   done;
-  (* tasks *)
+  (* tasks; duplicate copies are labelled with a trailing prime *)
   for v = 0 to Graph.n_tasks g - 1 do
-    let pl = Schedule.placement_exn s v in
-    if pl.Schedule.finish > pl.Schedule.start then begin
-      let y0 = margin_top + (pl.Schedule.proc * proc_height) in
-      rect
-        ~x:(x pl.Schedule.start)
-        ~y:y0
-        ~w:(x pl.Schedule.finish - x pl.Schedule.start)
-        ~h:lane_height ~fill:(colour v)
-        ~title:
-          (Printf.sprintf "v%d on P%d: [%g, %g)" v pl.Schedule.proc
-             pl.Schedule.start pl.Schedule.finish)
-        ~label:(Printf.sprintf "v%d" v)
-    end
+    List.iteri
+      (fun i (pl : Schedule.placement) ->
+        if pl.finish > pl.start then begin
+          let name = Printf.sprintf "v%d%s" v (if i = 0 then "" else "'") in
+          rect ~x:(x pl.start)
+            ~y:(margin_top + (pl.proc * proc_height))
+            ~w:(x pl.finish - x pl.start)
+            ~h:lane_height ~fill:(colour v)
+            ~title:
+              (Printf.sprintf "%s on P%d: [%g, %g)" name pl.proc pl.start
+                 pl.finish)
+            ~label:name
+        end)
+      (Schedule.copies s v)
   done;
   (* communications on port lanes *)
   if show_ports then

@@ -1,11 +1,11 @@
 (** Discrete-event execution of a schedule's decisions.
 
-    A third, independent implementation of the one-port semantics (after
-    the builder's timelines and {!Pert}'s longest-path re-timing): keep
-    only the schedule's {e decisions} — the allocation, each processor's
-    task order, each port's/link's message order — and execute them with
-    an event queue.  An event (task execution or communication hop) fires
-    as soon as
+    The second of two independent timing procedures over one decision
+    graph ({!Decisions}, shared with {!Pert}'s longest-path re-timing):
+    keep only the schedule's {e decisions} — the allocation, each
+    processor's task order, each port's/link's message order — and
+    execute them with an event queue.  An event (task execution or
+    communication hop) fires as soon as
 
     - all its data dependencies have completed, and
     - it is at the head of the FIFO of {e every} resource it occupies
@@ -16,7 +16,8 @@
     a simulator stepping through time.  Because the decision orders come
     from a valid schedule, execution always completes, and the resulting
     makespan must equal {!Pert.compacted_makespan} — the property tests
-    pin the two implementations against each other. *)
+    pin the two procedures against each other, and on the port rungs
+    both against the builder's own makespan. *)
 
 type trace = {
   makespan : float;

@@ -1,6 +1,4 @@
-module Graph = Taskgraph.Graph
 module Schedule = Sched.Schedule
-module Comm_model = Commmodel.Comm_model
 module Rng = Prelude.Rng
 
 type stats = { retries : int; backoff_time : float; deferred : int }
@@ -15,17 +13,11 @@ type outcome =
       stats : stats;
     }
 
-type resource = Compute of int | Send of int | Recv of int | Link of int * int
-
-let feed_eps = 1e-9
-
 (* Mirrors Executor.run event for event; the fault hooks sit exactly at
    the dispatch point, so an empty scenario replays the fault-free
    arithmetic bit for bit. *)
 let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
   let rng = match rng with Some r -> r | None -> Rng.create ~seed:0 in
-  let g = Schedule.graph s in
-  let model = Schedule.model s in
   let p = Platform.p (Schedule.platform s) in
   List.iter (Fault.validate ~p) faults;
   (* --- scenario tables --- *)
@@ -64,234 +56,33 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
     in
     down.(q) <- pair (List.sort compare crashes.(q)) (List.sort compare rejoins.(q)) []
   done;
-  let n = Graph.n_tasks g in
-  let comms = Array.of_list (Schedule.comms s) in
-  let k = Array.length comms in
-  let nd = Schedule.n_dup_copies s in
-  let copy_task = if nd = 0 then [||] else Array.make nd 0 in
-  let copy_pl = Array.make (max nd 1) { Schedule.task = 0; proc = 0; start = 0.; finish = 0. } in
-  let copy_ix = Hashtbl.create 16 in
-  if nd > 0 then begin
-    let j = ref 0 in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (c : Schedule.placement) ->
-          copy_task.(!j) <- v;
-          copy_pl.(!j) <- c;
-          Hashtbl.add copy_ix (v, c.proc) (n + k + !j);
-          incr j)
-        (Schedule.dup_copies s v)
-    done
-  end;
-  let copy_node v q =
-    if (Schedule.placement_exn s v).proc = q then v
-    else match Hashtbl.find_opt copy_ix (v, q) with Some node -> node | None -> v
-  in
-  let total = n + k + nd in
-  let duration = Array.make total 0. in
-  let task_proc = Array.make n 0 in
-  for v = 0 to n - 1 do
-    let pl = Schedule.placement_exn s v in
-    duration.(v) <- pl.Schedule.finish -. pl.Schedule.start;
-    task_proc.(v) <- pl.Schedule.proc
-  done;
-  Array.iteri (fun i (c : Schedule.comm) -> duration.(n + i) <- c.finish -. c.start) comms;
-  for j = 0 to nd - 1 do
-    duration.(n + k + j) <- copy_pl.(j).Schedule.finish -. copy_pl.(j).Schedule.start
-  done;
-  (* --- data dependencies (same wiring as Executor) --- *)
-  let dependents = Array.make total [] in
-  let deps_remaining = Array.make total 0 in
-  let add_dep a b =
-    if a <> b then begin
-      dependents.(a) <- b :: dependents.(a);
-      deps_remaining.(b) <- deps_remaining.(b) + 1
-    end
-  in
-  if nd = 0 then begin
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri (fun i (c : Schedule.comm) -> per_edge.(c.edge) <- (n + i) :: per_edge.(c.edge)) comms;
-    List.iter
-      (fun (e : Graph.edge) ->
-        match List.rev per_edge.(e.id) with
-        | [] -> add_dep e.src e.dst
-        | hops ->
-            let last =
-              List.fold_left
-                (fun prev hop ->
-                  add_dep prev hop;
-                  hop)
-                e.src hops
-            in
-            add_dep last e.dst)
-      (Graph.edges g)
-  end
-  else begin
-    (* Copy-set wiring: one provenance chain per remote delivery, running
-       source copy -> hops -> destination copy; consumer copies also pick
-       up their local / zero-data feeds. *)
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri
-      (fun i (c : Schedule.comm) ->
-        per_edge.(c.edge) <- (n + i, Schedule.comm_head_at s i) :: per_edge.(c.edge))
-      comms;
-    let chains_of e =
-      List.fold_left
-        (fun acc (node, head) ->
-          match acc with
-          | cur :: rest when not head -> (node :: cur) :: rest
-          | _ -> [ node ] :: acc)
-        []
-        (List.rev per_edge.(e))
-      |> List.rev_map List.rev
-    in
-    List.iter
-      (fun (e : Graph.edge) ->
-        List.iter
-          (fun chain ->
-            let first = comms.(List.hd chain - n) in
-            let last_node = List.nth chain (List.length chain - 1) in
-            let last = comms.(last_node - n) in
-            add_dep (copy_node e.src first.Schedule.src_proc) (List.hd chain);
-            let rec seq = function
-              | a :: (b :: _ as rest) ->
-                  add_dep a b;
-                  seq rest
-              | [ _ ] | [] -> ()
-            in
-            seq chain;
-            add_dep last_node (copy_node e.dst last.Schedule.dst_proc))
-          (chains_of e.id);
-        let data = Graph.edge_data g e.id in
-        List.iter
-          (fun (cv : Schedule.placement) ->
-            if data = 0. then begin
-              let rep =
-                match Schedule.copies s e.src with
-                | c :: rest ->
-                    List.fold_left
-                      (fun (b : Schedule.placement) (c : Schedule.placement) ->
-                        if
-                          c.finish < b.finish
-                          || (c.finish = b.finish && c.proc < b.proc)
-                        then c
-                        else b)
-                      c rest
-                | [] -> Schedule.placement_exn s e.src
-              in
-              add_dep (copy_node e.src rep.proc) (copy_node e.dst cv.proc)
-            end
-            else
-              match Schedule.copy_on s ~task:e.src ~proc:cv.proc with
-              | Some cu when cu.finish <= cv.start +. feed_eps ->
-                  add_dep (copy_node e.src cu.proc) (copy_node e.dst cv.proc)
-              | _ -> ())
-          (Schedule.copies s e.dst))
-      (Graph.edges g)
-  end;
-  (* --- resource FIFOs in recorded start order --- *)
-  let streams : (resource, (float * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let occupy resource node start =
-    let q =
-      match Hashtbl.find_opt streams resource with
-      | Some q -> q
-      | None ->
-          let q = ref [] in
-          Hashtbl.add streams resource q;
-          q
-    in
-    q := (start, node) :: !q
-  in
-  for v = 0 to n - 1 do
-    let pl = Schedule.placement_exn s v in
-    occupy (Compute pl.Schedule.proc) v pl.Schedule.start
-  done;
-  for j = 0 to nd - 1 do
-    occupy (Compute copy_pl.(j).Schedule.proc) (n + k + j) copy_pl.(j).Schedule.start
-  done;
-  (* Mirrors Pert/Executor: only port-regime events occupy whole-span
-     resources; BSP / latency+overhead events stay pure dependency
-     events. *)
-  (match model.Comm_model.regime with
-  | Comm_model.Bsp _ | Comm_model.Latency_overhead _ -> ()
-  | Comm_model.Port ->
-      Array.iteri
-        (fun i (c : Schedule.comm) ->
-          let node = n + i in
-          (match model.Comm_model.ports with
-          | Comm_model.Unlimited -> ()
-          | Comm_model.One_port_bidirectional ->
-              occupy (Send c.src_proc) node c.start;
-              occupy (Recv c.dst_proc) node c.start
-          | Comm_model.One_port_unidirectional ->
-              occupy (Send c.src_proc) node c.start;
-              occupy (Send c.dst_proc) node c.start);
-          if model.Comm_model.link_contention then
-            occupy (Link (min c.src_proc c.dst_proc, max c.src_proc c.dst_proc)) node c.start;
-          if not model.Comm_model.overlap then begin
-            occupy (Compute c.src_proc) node c.start;
-            occupy (Compute c.dst_proc) node c.start
-          end)
-        comms);
-  let node_resources = Array.make total [] in
-  let fifo : (resource, int array) Hashtbl.t = Hashtbl.create 64 in
-  let cursor : (resource, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let free_at : (resource, float ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun resource q ->
-      let arr = Array.of_list (List.sort compare !q) in
-      let order = Array.map snd arr in
-      Array.iter
-        (fun node -> node_resources.(node) <- resource :: node_resources.(node))
-        order;
-      Hashtbl.add fifo resource order;
-      Hashtbl.add cursor resource (ref 0);
-      Hashtbl.add free_at resource (ref 0.))
-    streams;
-  (* --- simulation --- *)
+  (* --- the decision graph and this run's FIFO state --- *)
+  let d = Decisions.build s in
+  let n = d.n_tasks and total = Decisions.n_nodes d in
+  let deps_remaining = Decisions.in_degrees d in
+  let cursor = Array.make (Array.length d.streams) 0 in
+  let free_at = Array.make (Array.length d.streams) 0. in
   let ready_time = Array.make total 0. in
   let fired = Array.make total false in
-  let dead = Array.make total false in
   let running =
     Prelude.Pqueue.create ~compare:(fun (t1, n1) (t2, n2) ->
         match compare (t1 : float) t2 with 0 -> compare n1 n2 | c -> c)
   in
   let events_fired = ref 0 in
-  let task_starts = Array.make n (if nd = 0 then 0. else infinity) in
+  let task_starts = Array.make n infinity in
   (* a duplicated task completes at its earliest surviving copy's finish *)
-  let task_fin = if nd = 0 then [||] else Array.make n infinity in
-  let makespan = ref 0. in
+  let task_fin = Array.make n infinity in
   let retries = ref 0 in
   let backoff_time = ref 0. in
   let deferred = ref 0 in
+  let at_head node r =
+    let order = d.streams.(r) in
+    cursor.(r) < Array.length order && order.(cursor.(r)) = node
+  in
   let can_fire node =
     (not fired.(node))
     && deps_remaining.(node) = 0
-    && List.for_all
-         (fun r ->
-           let cur = !(Hashtbl.find cursor r) in
-           let order = Hashtbl.find fifo r in
-           cur < Array.length order && order.(cur) = node)
-         node_resources.(node)
-  in
-  let task_of node =
-    if node < n then Some node
-    else if node >= n + k then Some copy_task.(node - n - k)
-    else None
-  in
-  (* The compute element a dispatch runs on, for crash windows. *)
-  let compute_proc node =
-    if node < n then Some task_proc.(node)
-    else if node >= n + k then Some copy_pl.(node - n - k).Schedule.proc
-    else None
-  in
-  (* Every processor a dispatch must find alive and out of blackout. *)
-  let involved node =
-    match compute_proc node with
-    | Some q -> [ q ]
-    | None ->
-        let c = comms.(node - n) in
-        [ c.Schedule.src_proc; c.Schedule.dst_proc ]
+    && List.for_all (at_head node) d.node_streams.(node)
   in
   (* Outage deferral to a fixpoint: escaping one window may land inside
      another (possibly on the other endpoint of a hop). *)
@@ -306,32 +97,45 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
     in
     if t' > t then defer procs t' else t
   in
-  let rec try_fire node =
+  (* the new heads of this node's FIFOs are now candidates *)
+  let rec fire_heads node =
+    List.iter
+      (fun r ->
+        if cursor.(r) < Array.length d.streams.(r) then
+          try_fire d.streams.(r).(cursor.(r)))
+      d.node_streams.(node)
+  and try_fire node =
     if can_fire node then begin
       let start0 =
-        List.fold_left
-          (fun acc r -> max acc !(Hashtbl.find free_at r))
-          ready_time.(node) node_resources.(node)
+        List.fold_left (fun acc r -> max acc free_at.(r)) ready_time.(node)
+          d.node_streams.(node)
       in
-      let procs = involved node in
+      (* the compute element a task dispatch runs on, for crash windows *)
+      let q = d.proc.(node) in
+      let is_compute = q >= 0 in
+      let c = if is_compute then None else Some d.comms.(node - n) in
+      (* every processor a dispatch must find alive and out of blackout *)
+      let procs =
+        match c with
+        | Some c -> [ c.Schedule.src_proc; c.Schedule.dst_proc ]
+        | None -> [ q ]
+      in
       let start = defer procs start0 in
       if start > start0 then incr deferred;
       (* duration under jitter and link degradation *)
-      let is_compute = compute_proc node <> None in
-      let d =
-        if is_compute then
-          if task_jitter > 0. then
-            duration.(node) *. (1. +. Rng.float rng task_jitter)
-          else duration.(node)
-        else begin
-          let c = comms.(node - n) in
-          let d =
-            if comm_jitter > 0. then
-              duration.(node) *. (1. +. Rng.float rng comm_jitter)
-            else duration.(node)
-          in
-          d *. degrade.(c.Schedule.src_proc) *. degrade.(c.Schedule.dst_proc)
-        end
+      let dur =
+        match c with
+        | None ->
+            if task_jitter > 0. then
+              d.duration.(node) *. (1. +. Rng.float rng task_jitter)
+            else d.duration.(node)
+        | Some c ->
+            let dur =
+              if comm_jitter > 0. then
+                d.duration.(node) *. (1. +. Rng.float rng comm_jitter)
+              else d.duration.(node)
+            in
+            dur *. degrade.(c.Schedule.src_proc) *. degrade.(c.Schedule.dst_proc)
       in
       (* a crashed compute element kills whatever it is running when the
          crash hits and runs nothing dispatched inside a down window —
@@ -339,50 +143,41 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
          duplicated task merely loses that copy; it completes as long as
          some replica survives. *)
       let killed =
-        match compute_proc node with
-        | None -> false
-        | Some q ->
-            List.exists
-              (fun (a, b) ->
-                (start >= a && start < b) || (start < a && start +. d > a))
-              down.(q)
+        is_compute
+        && List.exists
+             (fun (a, b) ->
+               (start >= a && start < b) || (start < a && start +. dur > a))
+             down.(q)
       in
       (* flaky transmission: bounded retries with exponential backoff;
          [None] = the hop exhausted its budget and the data is lost *)
       let transmission =
         if killed then None
-        else if (not is_compute) && duration.(node) > 0. then
+        else if (not is_compute) && d.duration.(node) > 0. then
           match !flaky with
-          | None -> Some (d, 0, 0.)
+          | None -> Some (dur, 0, 0.)
           | Some (prob, max_retries, backoff) ->
               let rec attempt i elapsed paused =
                 if Rng.float rng 1. < prob then
                   if i >= max_retries then None
                   else begin
                     let pause = backoff *. (2. ** float_of_int i) in
-                    attempt (i + 1) (elapsed +. d +. pause) (paused +. pause)
+                    attempt (i + 1) (elapsed +. dur +. pause) (paused +. pause)
                   end
-                else Some (elapsed +. d, i, paused)
+                else Some (elapsed +. dur, i, paused)
               in
               attempt 0 0. 0.
-        else Some (d, 0, 0.)
+        else Some (dur, 0, 0.)
       in
+      fired.(node) <- true;
       match transmission with
       | None ->
           (* lost work is cancelled: vacate every FIFO position without
              occupying time so unrelated traffic keeps flowing, but never
              complete — dependents stay blocked and strand *)
-          fired.(node) <- true;
-          dead.(node) <- true;
-          List.iter (fun r -> incr (Hashtbl.find cursor r)) node_resources.(node);
-          List.iter
-            (fun r ->
-              let cur = !(Hashtbl.find cursor r) in
-              let order = Hashtbl.find fifo r in
-              if cur < Array.length order then try_fire order.(cur))
-            node_resources.(node)
+          List.iter (fun r -> cursor.(r) <- cursor.(r) + 1) d.node_streams.(node);
+          fire_heads node
       | Some (elapsed, n_retries, paused) ->
-          fired.(node) <- true;
           incr events_fired;
           if n_retries > 0 then begin
             retries := !retries + n_retries;
@@ -393,29 +188,18 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
             Obs.Counters.backoff paused
           end;
           let finish = start +. elapsed in
-          (match task_of node with
-          | None -> ()
-          | Some v ->
-              if nd = 0 then begin
-                task_starts.(v) <- start;
-                if finish > !makespan then makespan := finish
-              end
-              else begin
-                if start < task_starts.(v) then task_starts.(v) <- start;
-                if finish < task_fin.(v) then task_fin.(v) <- finish
-              end);
+          let v = d.task.(node) in
+          if v >= 0 then begin
+            if start < task_starts.(v) then task_starts.(v) <- start;
+            if finish < task_fin.(v) then task_fin.(v) <- finish
+          end;
           List.iter
             (fun r ->
-              Hashtbl.find free_at r := finish;
-              incr (Hashtbl.find cursor r))
-            node_resources.(node);
+              free_at.(r) <- finish;
+              cursor.(r) <- cursor.(r) + 1)
+            d.node_streams.(node);
           Prelude.Pqueue.add running (finish, node);
-          List.iter
-            (fun r ->
-              let cur = !(Hashtbl.find cursor r) in
-              let order = Hashtbl.find fifo r in
-              if cur < Array.length order then try_fire order.(cur))
-            node_resources.(node)
+          fire_heads node
     end
   in
   for node = 0 to total - 1 do
@@ -429,55 +213,31 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
           (fun b ->
             deps_remaining.(b) <- deps_remaining.(b) - 1;
             if ready_time.(b) < finish then ready_time.(b) <- finish)
-          dependents.(node);
-        List.iter try_fire dependents.(node);
+          d.dependents.(node);
+        List.iter try_fire d.dependents.(node);
         step ()
   in
   step ();
   let stats =
     { retries = !retries; backoff_time = !backoff_time; deferred = !deferred }
   in
-  if nd > 0 then
-    Array.iter
-      (fun f -> if f < infinity && f > !makespan then makespan := f)
-      task_fin;
-  (* A task completes when any of its copies does; on single-copy
-     schedules "every event fired live" is the same condition. *)
-  let task_completed v =
-    if nd = 0 then fired.(v) && not dead.(v) else task_fin.(v) < infinity
+  let makespan =
+    Array.fold_left (fun m f -> if f < infinity && f > m then f else m) 0. task_fin
   in
-  let completed =
-    if nd = 0 then !events_fired = total
-    else begin
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        if not (task_completed v) then ok := false
-      done;
-      !ok
-    end
-  in
-  if completed then
+  (* A task completes when any of its copies does. *)
+  let stranded = List.filter (fun v -> task_fin.(v) = infinity) (List.init n Fun.id) in
+  if stranded = [] then
     Completed
       {
-        trace =
-          {
-            Executor.makespan = !makespan;
-            task_starts;
-            events_fired = !events_fired;
-          };
+        trace = { Executor.makespan; task_starts; events_fired = !events_fired };
         stats;
       }
-  else begin
-    let stranded = ref [] in
-    for v = n - 1 downto 0 do
-      if not (task_completed v) then stranded := v :: !stranded
-    done;
+  else
     Stranded
       {
-        stranded = !stranded;
+        stranded;
         events_fired = !events_fired;
         total_events = total;
-        partial_makespan = !makespan;
+        partial_makespan = makespan;
         stats;
       }
-  end

@@ -1,261 +1,46 @@
-module Graph = Taskgraph.Graph
-module Schedule = Sched.Schedule
-module Comm_model = Commmodel.Comm_model
+type event = Task of int | Hop of Sched.Schedule.comm
 
-type event = Task of int | Hop of Schedule.comm
-
-type t = {
-  events : event array;
-      (* tasks 0..n-1, hops in commit order, then duplicate copies *)
-  succs : int list array; (* dependency edges between event nodes *)
-  durations : float array; (* original event durations *)
-  n_tasks : int;
-  copy_task : int array;
-      (* for nodes >= n + k: the task each duplicate copy replicates;
-         empty on single-copy schedules *)
-  original_makespan : float;
-}
-
-(* Resources an event occupies, as comparable keys. *)
-type resource = Compute of int | Send of int | Recv of int | Link of int * int
-
-let feed_eps = 1e-9
+(* The shared decision graph; [succs] adds each resource stream, chained
+   node to node, after the data edges. *)
+type t = { d : Decisions.t; succs : int list array }
 
 let build sched =
-  let g = Schedule.graph sched in
-  let model = Schedule.model sched in
-  let n = Graph.n_tasks g in
-  let comms = Array.of_list (Schedule.comms sched) in
-  let k = Array.length comms in
-  let nd = Schedule.n_dup_copies sched in
-  (* Duplicate copies become event nodes after the hops; the primary copy
-     of every task keeps its historical node id. *)
-  let copy_task = if nd = 0 then [||] else Array.make nd 0 in
-  let copy_pl = Array.make (max nd 1) { Schedule.task = 0; proc = 0; start = 0.; finish = 0. } in
-  let copy_ix = Hashtbl.create 16 in
-  if nd > 0 then begin
-    let j = ref 0 in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (c : Schedule.placement) ->
-          copy_task.(!j) <- v;
-          copy_pl.(!j) <- c;
-          Hashtbl.add copy_ix (v, c.proc) (n + k + !j);
-          incr j)
-        (Schedule.dup_copies sched v)
-    done
-  end;
-  (* The node running task [v]'s copy on [q]; the primary maps to [v]. *)
-  let copy_node v q =
-    if (Schedule.placement_exn sched v).proc = q then v
-    else match Hashtbl.find_opt copy_ix (v, q) with Some node -> node | None -> v
-  in
-  let total = n + k + nd in
-  let events =
-    Array.init total (fun i ->
-        if i < n then Task i
-        else if i < n + k then Hop comms.(i - n)
-        else Task copy_task.(i - n - k))
-  in
-  let succs = Array.make total [] in
-  let add_edge a b = if a <> b then succs.(a) <- b :: succs.(a) in
-  (* Data dependencies. *)
-  if nd = 0 then begin
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri
-      (fun i (c : Schedule.comm) ->
-        per_edge.(c.edge) <- (n + i) :: per_edge.(c.edge))
-      comms;
-    List.iter
-      (fun (e : Graph.edge) ->
-        match List.rev per_edge.(e.id) with
-        | [] -> add_edge e.src e.dst
-        | hops ->
-            let last =
-              List.fold_left
-                (fun prev hop ->
-                  add_edge prev hop;
-                  hop)
-                e.src hops
-            in
-            add_edge last e.dst)
-      (Graph.edges g)
-  end
-  else begin
-    (* Copy-set wiring: an edge carries one provenance chain per remote
-       delivery; each chain runs source copy -> hops -> destination copy,
-       and every consumer copy additionally picks up its local /
-       zero-data feed. *)
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri
-      (fun i (c : Schedule.comm) ->
-        per_edge.(c.edge) <-
-          (n + i, Schedule.comm_head_at sched i) :: per_edge.(c.edge))
-      comms;
-    let chains_of e =
-      List.fold_left
-        (fun acc (node, head) ->
-          match acc with
-          | cur :: rest when not head -> (node :: cur) :: rest
-          | _ -> [ node ] :: acc)
-        []
-        (List.rev per_edge.(e))
-      |> List.rev_map List.rev
-    in
-    List.iter
-      (fun (e : Graph.edge) ->
-        List.iter
-          (fun chain ->
-            let first = comms.(List.hd chain - n) in
-            let last_node = List.nth chain (List.length chain - 1) in
-            let last = comms.(last_node - n) in
-            add_edge (copy_node e.src first.Schedule.src_proc) (List.hd chain);
-            let rec seq = function
-              | a :: (b :: _ as rest) ->
-                  add_edge a b;
-                  seq rest
-              | [ _ ] | [] -> ()
-            in
-            seq chain;
-            add_edge last_node (copy_node e.dst last.Schedule.dst_proc))
-          (chains_of e.id);
-        (* local and zero-data feeds per consumer copy *)
-        let data = Graph.edge_data g e.id in
-        List.iter
-          (fun (cv : Schedule.placement) ->
-            if data = 0. then begin
-              (* representative (earliest-finishing) copy of the source *)
-              let rep =
-                match Schedule.copies sched e.src with
-                | c :: rest ->
-                    List.fold_left
-                      (fun (b : Schedule.placement) (c : Schedule.placement) ->
-                        if
-                          c.finish < b.finish
-                          || (c.finish = b.finish && c.proc < b.proc)
-                        then c
-                        else b)
-                      c rest
-                | [] -> Schedule.placement_exn sched e.src
-              in
-              add_edge (copy_node e.src rep.proc) (copy_node e.dst cv.proc)
-            end
-            else
-              match Schedule.copy_on sched ~task:e.src ~proc:cv.proc with
-              | Some cu when cu.finish <= cv.start +. feed_eps ->
-                  add_edge (copy_node e.src cu.proc) (copy_node e.dst cv.proc)
-              | _ -> ())
-          (Schedule.copies sched e.dst))
-      (Graph.edges g)
-  end;
-  (* Resource streams: every event occupying one resource is ordered by its
-     recorded start (ties by node id — only zero-duration events can tie). *)
-  let streams = Hashtbl.create 64 in
-  let occupy resource node start =
-    let key = resource in
-    let old = try Hashtbl.find streams key with Not_found -> [] in
-    Hashtbl.replace streams key ((start, node) :: old)
-  in
-  for v = 0 to n - 1 do
-    let pl = Schedule.placement_exn sched v in
-    occupy (Compute pl.proc) v pl.start
-  done;
-  for j = 0 to nd - 1 do
-    occupy (Compute copy_pl.(j).proc) (n + k + j) copy_pl.(j).start
-  done;
-  (* Only port-regime events occupy whole-span resources.  BSP and
-     latency+overhead events carry partial or no occupancy over their
-     span, so chaining them on port streams would force compaction
-     {e above} the scheduled times; they stay pure dependency events. *)
-  (match model.Comm_model.regime with
-  | Comm_model.Bsp _ | Comm_model.Latency_overhead _ -> ()
-  | Comm_model.Port ->
-      Array.iteri
-        (fun i (c : Schedule.comm) ->
-          let node = n + i in
-          (match model.Comm_model.ports with
-          | Comm_model.Unlimited -> ()
-          | Comm_model.One_port_bidirectional ->
-              occupy (Send c.src_proc) node c.start;
-              occupy (Recv c.dst_proc) node c.start
-          | Comm_model.One_port_unidirectional ->
-              (* one physical port per processor: pool both directions *)
-              occupy (Send c.src_proc) node c.start;
-              occupy (Send c.dst_proc) node c.start);
-          if model.Comm_model.link_contention then
-            occupy
-              (Link (min c.src_proc c.dst_proc, max c.src_proc c.dst_proc))
-              node c.start;
-          if not model.Comm_model.overlap then begin
-            occupy (Compute c.src_proc) node c.start;
-            occupy (Compute c.dst_proc) node c.start
-          end)
-        comms);
-  Hashtbl.iter
-    (fun _ stream ->
-      let sorted = List.sort compare stream in
-      let rec chain = function
-        | (_, a) :: ((_, b) :: _ as rest) ->
-            add_edge a b;
-            chain rest
-        | [ _ ] | [] -> ()
-      in
-      chain sorted)
-    streams;
-  let durations =
-    Array.init total (fun i ->
-        if i < n then
-          let pl = Schedule.placement_exn sched i in
-          pl.finish -. pl.start
-        else if i < n + k then comms.(i - n).finish -. comms.(i - n).start
-        else
-          let pl = copy_pl.(i - n - k) in
-          pl.Schedule.finish -. pl.Schedule.start)
-  in
-  {
-    events;
-    succs;
-    durations;
-    n_tasks = n;
-    copy_task;
-    original_makespan = Schedule.makespan sched;
-  }
+  let d = Decisions.build sched in
+  let succs = Array.copy d.dependents in
+  Array.iter
+    (fun order ->
+      for i = 1 to Array.length order - 1 do
+        let a = order.(i - 1) and b = order.(i) in
+        if a <> b then succs.(a) <- b :: succs.(a)
+      done)
+    d.streams;
+  { d; succs }
 
-let n_events t = Array.length t.events
+let n_events t = Decisions.n_nodes t.d
 
 let retime t ~task_duration ~hop_duration =
-  let m = Array.length t.events in
+  let d = t.d in
+  let m = n_events t in
   let duration node =
-    match t.events.(node) with
-    | Task v -> task_duration v t.durations.(node)
-    | Hop c -> hop_duration c t.durations.(node)
+    let v = d.task.(node) in
+    if v >= 0 then task_duration v d.duration.(node)
+    else hop_duration d.comms.(node - d.n_tasks) d.duration.(node)
   in
   let indeg = Array.make m 0 in
   Array.iter (List.iter (fun b -> indeg.(b) <- indeg.(b) + 1)) t.succs;
   let start = Array.make m 0. in
   let queue = Queue.create () in
-  Array.iteri (fun node d -> if d = 0 then Queue.add node queue) indeg;
+  Array.iteri (fun node deg -> if deg = 0 then Queue.add node queue) indeg;
   let processed = ref 0 in
   (* A duplicated task completes at its earliest copy's finish, so the
-     makespan is max over tasks of min over copies; with no duplicates
-     this degenerates to the historical max over task finishes. *)
-  let dups = Array.length t.copy_task > 0 in
-  let task_fin = if dups then Array.make t.n_tasks infinity else [||] in
-  let makespan = ref 0. in
-  let record node finish =
-    match t.events.(node) with
-    | Hop _ -> ()
-    | Task v ->
-        if dups then begin
-          if finish < task_fin.(v) then task_fin.(v) <- finish
-        end
-        else if finish > !makespan then makespan := finish
-  in
+     makespan is max over tasks of min over copies. *)
+  let task_fin = Array.make d.n_tasks infinity in
   while not (Queue.is_empty queue) do
     let node = Queue.pop queue in
     incr processed;
     let finish = start.(node) +. duration node in
-    record node finish;
+    let v = d.task.(node) in
+    if v >= 0 && finish < task_fin.(v) then task_fin.(v) <- finish;
     List.iter
       (fun b ->
         if finish > start.(b) then start.(b) <- finish;
@@ -265,9 +50,7 @@ let retime t ~task_duration ~hop_duration =
   done;
   if !processed <> m then
     invalid_arg "Pert.retime: cyclic event order (corrupt schedule)";
-  if dups then
-    Array.iter (fun f -> if f > !makespan then makespan := f) task_fin;
-  !makespan
+  Array.fold_left Float.max 0. task_fin
 
 let compacted_makespan t =
   retime t ~task_duration:(fun _ d -> d) ~hop_duration:(fun _ d -> d)

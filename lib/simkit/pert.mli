@@ -2,8 +2,9 @@
 
     A schedule fixes three kinds of decisions: where tasks run, in which
     order each processor executes its tasks, and in which order each port
-    carries its messages.  This module extracts exactly those decisions as
-    a DAG over events (task executions and communication hops) whose edges
+    carries its messages.  This module takes exactly those decisions from
+    the shared decision graph ({!Decisions}) as a DAG over events (task
+    executions, duplicate copies and communication hops) whose edges
     are:
 
     - data dependencies (source finish → first hop → … → last hop →

@@ -31,9 +31,10 @@ let profile ?(buckets = 40) s =
   let make () = Array.init p (fun _ -> Array.make buckets 0.) in
   let compute = make () and send = make () and recv = make () in
   for v = 0 to Graph.n_tasks g - 1 do
-    let pl = Schedule.placement_exn s v in
-    deposit compute.(pl.Schedule.proc) ~buckets ~makespan ~start:pl.Schedule.start
-      ~finish:pl.Schedule.finish
+    List.iter
+      (fun (pl : Schedule.placement) ->
+        deposit compute.(pl.proc) ~buckets ~makespan ~start:pl.start ~finish:pl.finish)
+      (Schedule.copies s v)
   done;
   List.iter
     (fun (c : Schedule.comm) ->
@@ -48,9 +49,10 @@ let compute_fractions s =
   let makespan = Schedule.makespan s in
   let busy = Array.make p 0. in
   for v = 0 to Graph.n_tasks g - 1 do
-    let pl = Schedule.placement_exn s v in
-    busy.(pl.Schedule.proc) <-
-      busy.(pl.Schedule.proc) +. (pl.Schedule.finish -. pl.Schedule.start)
+    List.iter
+      (fun (pl : Schedule.placement) ->
+        busy.(pl.proc) <- busy.(pl.proc) +. (pl.finish -. pl.start))
+      (Schedule.copies s v)
   done;
   if makespan > 0. then Array.map (fun b -> b /. makespan) busy else busy
 

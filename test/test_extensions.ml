@@ -181,29 +181,50 @@ let utilization_tests =
     Alcotest.test_case "fractions are consistent with metrics" `Quick (fun () ->
         let g = O.Kernels.laplace ~n:8 ~ccr:5. in
         let plat = O.Platform.paper_platform () in
-        let sched = O.Ilha.schedule plat g in
-        let fracs = O.Utilization.compute_fractions sched in
-        let metrics = O.Metrics.compute sched in
-        check_float "mean matches metrics" metrics.O.Metrics.mean_utilization
-          (Array.fold_left ( +. ) 0. fracs /. float_of_int (Array.length fracs)));
+        List.iter
+          (fun sched ->
+            let fracs = O.Utilization.compute_fractions sched in
+            let metrics = O.Metrics.compute sched in
+            check_float "mean matches metrics" metrics.O.Metrics.mean_utilization
+              (Array.fold_left ( +. ) 0. fracs /. float_of_int (Array.length fracs)))
+          [ O.Ilha.schedule plat g; dup_fork_join () ]);
     Alcotest.test_case "profile buckets stay in [0,1] and cover busy time"
       `Quick (fun () ->
         let g = O.Kernels.stencil ~n:6 ~ccr:3. in
         let plat = O.Platform.homogeneous ~p:4 ~link_cost:1. in
-        let sched = O.Heft.schedule plat g in
-        let p = O.Utilization.profile ~buckets:20 sched in
-        Array.iter
-          (Array.iter (fun v -> check_bool "in range" true (v >= 0. && v <= 1.0 +. 1e-9)))
-          p.O.Utilization.compute;
-        (* bucket mass sums back to total busy fraction *)
-        let fracs = O.Utilization.compute_fractions sched in
-        Array.iteri
-          (fun q row ->
-            let mass =
-              Array.fold_left ( +. ) 0. row /. float_of_int p.O.Utilization.buckets
+        List.iter
+          (fun sched ->
+            let p = O.Utilization.profile ~buckets:20 sched in
+            Array.iter
+              (Array.iter (fun v ->
+                   check_bool "in range" true (v >= 0. && v <= 1.0 +. 1e-9)))
+              p.O.Utilization.compute;
+            (* bucket mass sums back to total busy fraction *)
+            let fracs = O.Utilization.compute_fractions sched in
+            let mass q =
+              Array.fold_left ( +. ) 0. p.O.Utilization.compute.(q)
+              /. float_of_int p.O.Utilization.buckets
             in
-            check_bool "mass matches" true (Prelude.Stats.fequal ~eps:1e-6 mass fracs.(q)))
-          p.O.Utilization.compute);
+            let total = ref 0. in
+            Array.iteri
+              (fun q f ->
+                check_bool "mass matches" true
+                  (Prelude.Stats.fequal ~eps:1e-6 (mass q) f);
+                total := !total +. mass q)
+              fracs;
+            (* and the mass is the busy time of every copy *)
+            let busy = ref 0. in
+            for v = 0 to O.Graph.n_tasks (O.Schedule.graph sched) - 1 do
+              List.iter
+                (fun (c : O.Schedule.placement) ->
+                  busy := !busy +. (c.O.Schedule.finish -. c.O.Schedule.start))
+                (O.Schedule.copies sched v)
+            done;
+            check_bool "mass covers every copy" true
+              (Prelude.Stats.fequal ~eps:1e-6
+                 (!total *. O.Schedule.makespan sched)
+                 !busy))
+          [ O.Heft.schedule plat g; dup_fork_join () ]);
     Alcotest.test_case "port fractions are 0 without communications" `Quick
       (fun () ->
         let g = O.Graph.create ~weights:[| 1.; 1. |] ~edges:[] () in

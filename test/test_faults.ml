@@ -104,11 +104,10 @@ let makespan_of = function
    executor IS the plain executor, bit for bit. *)
 let empty_scenario_matches =
   qtest "empty scenario reproduces Executor.run exactly"
-    QCheck2.Gen.(tup3 graph_gen platform_gen model_gen)
-    (fun (gd, plat, model) ->
+    QCheck2.Gen.(tup4 graph_gen platform_gen model_gen bool)
+    (fun (gd, plat, model, dup) ->
       let g = build_graph gd in
-      let params = O.Params.of_model model in
-      let sched = O.Heft.schedule ~params plat g in
+      let sched = heft_or_dup ~dup (O.Params.of_model model) plat g in
       let reference = O.Executor.run sched in
       match O.Faulty_executor.run ~faults:[] sched with
       | O.Faulty_executor.Completed { trace; stats } ->

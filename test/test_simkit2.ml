@@ -8,10 +8,10 @@ open Util
 let executor_tests =
   [
     qtest ~count:80 "executor agrees with PERT compaction"
-      QCheck2.Gen.(tup3 graph_gen platform_gen model_gen)
-      (fun (params, plat, model) ->
+      QCheck2.Gen.(tup4 graph_gen platform_gen model_gen bool)
+      (fun (params, plat, model, dup) ->
         let g = build_graph params in
-        let sched = O.Heft.schedule ~params:(O.Params.of_model model) plat g in
+        let sched = heft_or_dup ~dup (O.Params.of_model model) plat g in
         let pert = O.Pert.build sched in
         let trace = O.Executor.run sched in
         Prelude.Stats.fequal trace.O.Executor.makespan
@@ -24,6 +24,46 @@ let executor_tests =
         let trace = O.Executor.run sched in
         trace.O.Executor.events_fired
         = O.Graph.n_tasks g + O.Schedule.n_comm_events sched);
+    (* The simulators keep only the decisions; on the port rungs, where
+       every event occupies its whole span, replaying them must land on
+       the builder's own makespan.  BSP and LogP compact below it by
+       design, so they sit this case out. *)
+    Alcotest.test_case "PERT and executor reproduce the builder's makespan"
+      `Quick (fun () ->
+        let plat = O.Platform.paper_platform () in
+        let instances =
+          ("fork-join", 40, 1.)
+          :: List.map
+               (fun (tb : O.Suite.t) ->
+                 (tb.O.Suite.name, max 20 tb.O.Suite.min_n, 10.))
+               O.Suite.all
+        in
+        List.iter
+          (fun model ->
+            let params = O.Params.with_dup_limit (O.Params.of_model model) 1 in
+            if model.O.Comm_model.regime = O.Comm_model.Port then
+              List.iter
+                (fun (tb, n, ccr) ->
+                  let g = (O.Suite.find tb).O.Suite.build ~n ~ccr in
+                  List.iter
+                    (fun h ->
+                      let sched =
+                        (O.Registry.find h).O.Registry.scheduler params plat g
+                      in
+                      let ms = O.Schedule.makespan sched in
+                      let ctx =
+                        Printf.sprintf "%s/%s n=%d ccr=%g/%s" h tb n ccr
+                          (O.Comm_model.name model)
+                      in
+                      check_bool (ctx ^ ": PERT") true
+                        (Prelude.Stats.fequal ms
+                           (O.Pert.compacted_makespan (O.Pert.build sched)));
+                      check_bool (ctx ^ ": executor") true
+                        (Prelude.Stats.fequal ms
+                           (O.Executor.run sched).O.Executor.makespan))
+                    [ "heft"; "ilha"; "heft-dup" ])
+                instances)
+          O.Comm_model.all);
     Alcotest.test_case "executor start times respect dependencies" `Quick
       (fun () ->
         let g =

@@ -8,26 +8,41 @@ let svg_tests =
     Alcotest.test_case "svg is well-formed and complete" `Quick (fun () ->
         let g = O.Kernels.fork_join ~n:4 ~ccr:2. in
         let plat = O.Platform.homogeneous ~p:3 ~link_cost:1. in
-        let sched = O.Heft.schedule plat g in
-        let svg = O.Svg.render sched in
-        check_bool "opens" true (contains svg "<svg");
-        check_bool "closes" true (contains svg "</svg>");
-        (* every task appears as a label or title *)
-        for v = 0 to O.Graph.n_tasks g - 1 do
-          check_bool
-            (Printf.sprintf "task v%d drawn" v)
-            true
-            (contains svg (Printf.sprintf "v%d" v))
-        done;
-        (* every comm appears with its endpoints *)
         List.iter
-          (fun (c : O.Schedule.comm) ->
-            check_bool "comm drawn" true
-              (contains svg (Printf.sprintf "e%d: P%d -&gt; P%d" c.O.Schedule.edge
-                               c.O.Schedule.src_proc c.O.Schedule.dst_proc)
-              || contains svg (Printf.sprintf "e%d" c.O.Schedule.edge)))
-          (O.Schedule.comms sched);
-        check_bool "processor lanes" true (contains svg ">P0<"));
+          (fun sched ->
+            let g = O.Schedule.graph sched in
+            let svg = O.Svg.render sched in
+            check_bool "opens" true (contains svg "<svg");
+            check_bool "closes" true (contains svg "</svg>");
+            (* every copy of every task has its own titled box *)
+            let copies = ref 0 in
+            for v = 0 to O.Graph.n_tasks g - 1 do
+              List.iteri
+                (fun i (c : O.Schedule.placement) ->
+                  incr copies;
+                  check_bool
+                    (Printf.sprintf "v%d on P%d drawn" v c.O.Schedule.proc)
+                    true
+                    (contains svg
+                       (Printf.sprintf "<title>v%d%s on P%d:" v
+                          (if i = 0 then "" else "'") c.O.Schedule.proc)))
+                (O.Schedule.copies sched v)
+            done;
+            let titles = ref 0 in
+            for i = 0 to String.length svg - 8 do
+              if String.sub svg i 8 = "<title>v" then incr titles
+            done;
+            check_int "one task title per copy" !copies !titles;
+            (* every comm appears with its endpoints *)
+            List.iter
+              (fun (c : O.Schedule.comm) ->
+                check_bool "comm drawn" true
+                  (contains svg (Printf.sprintf "e%d: P%d -&gt; P%d" c.O.Schedule.edge
+                                   c.O.Schedule.src_proc c.O.Schedule.dst_proc)
+                  || contains svg (Printf.sprintf "e%d" c.O.Schedule.edge)))
+              (O.Schedule.comms sched);
+            check_bool "processor lanes" true (contains svg ">P0<"))
+          [ O.Heft.schedule plat g; dup_fork_join () ]);
     Alcotest.test_case "macro-dataflow hides port lanes" `Quick (fun () ->
         let g = O.Kernels.fork_join ~n:3 ~ccr:2. in
         let plat = O.Platform.homogeneous ~p:2 ~link_cost:1. in

@@ -71,6 +71,19 @@ let model_gen =
     map (fun i -> List.nth O.Comm_model.all i)
       (int_bound (List.length O.Comm_model.all - 1)))
 
+(* HEFT, or heft-dup with a duplication limit of 1 when [dup] holds, so
+   simulator properties draw copy-set schedules as well as single-copy
+   ones. *)
+let heft_or_dup ~dup params plat g =
+  if dup then O.Heft_dup.schedule ~params:(O.Params.with_dup_limit params 1) plat g
+  else O.Heft.schedule ~params plat g
+
+(* heft-dup on FORK-JOIN, n = 40, ccr 1: 42 tasks and 4 duplicate copies,
+   for consumers that must see every copy, not just the primaries. *)
+let dup_fork_join () =
+  let g = (O.Suite.find "fork-join").O.Suite.build ~n:40 ~ccr:1. in
+  heft_or_dup ~dup:true O.Params.default (O.Platform.paper_platform ()) g
+
 let scheduler_checks_out ?(params = O.Params.default) plat g scheduler =
   let sched = scheduler params plat g in
   match O.Validate.check sched with
