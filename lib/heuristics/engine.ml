@@ -82,7 +82,9 @@ let priced_create () =
      probe ({!send_arrival}), valid while [sp_gen] equals [gen] and the
      first hop's duration equals [sp_dur];
    - [cur] receives the candidate being priced and [best] holds the
-     scan's incumbent; an improvement swaps the two. *)
+     scan's incumbent; an improvement swaps the two;
+   - [cutoff.(0)] is the finish time at or after which the candidate in
+     flight cannot win ({!set_cutoff}). *)
 type t = {
   sched : Schedule.t;
   policy : policy;
@@ -114,6 +116,7 @@ type t = {
   mutable cur : priced;
   mutable best : priced;
   mutable best_idx : int;
+  cutoff : float array;
   (* incoming-edge table of the task being priced *)
   mutable inc_task : int;
   mutable inc_len : int;
@@ -188,6 +191,7 @@ let create ?(policy = Insertion) sched =
     cur = priced_create ();
     best = priced_create ();
     best_idx = -1;
+    cutoff = [| infinity |];
     inc_task = -1;
     inc_len = 0;
     inc_fin = [||];
@@ -753,10 +757,10 @@ let push_hop c ~edge ~src ~dst start =
   c.p_n <- n + 1
 
 (* With [abort], pricing stops as soon as [ready +. exec] reaches the
-   incumbent's EFT: inputs come in §4.3 finish order, so [ready] only
-   grows, the compute probe never returns a slot before it, and ties keep
-   the incumbent — the candidate cannot win.  Returns [false] when it
-   stopped early, leaving [t.cur] unfinished. *)
+   scan's cutoff ({!set_cutoff}): inputs come in §4.3 finish order, so
+   [ready] only grows and the compute probe never returns a slot before
+   it — the candidate cannot win.  Returns [false] when it stopped
+   early, leaving [t.cur] unfinished. *)
 let price_port ~floor ~abort t ~task ~proc =
   let c = t.cur in
   let exec = Schedule.exec_duration t.sched ~task ~proc in
@@ -793,7 +797,7 @@ let price_port ~floor ~abort t ~task ~proc =
           if !data_ready > !ready then ready := !data_ready
     end;
     incr i;
-    if abort && !ready +. exec >= t.best.p_times.(1) then live := false
+    if abort && !ready +. exec >= t.cutoff.(0) then live := false
   done;
   if !live then begin
     let est =
@@ -1056,20 +1060,21 @@ let send_arrival ~floor t ~proc =
 
 (* A lower bound on the EFT of [task] on [proc], from committed state
    alone, in three stages, each run only when the previous one stays
-   below [cutoff].  Under the port regime stage 1 mirrors
-   [price_port]'s branches: a local or zero-data input is ready at its
-   finish, a local duplicate copy at that copy's finish, and a remote
-   input at [max fin floor] plus each route hop's [data *. h_cost],
-   added hop by hop in the evaluator's order — a probe never returns a
-   slot before its [after] and rounding is monotone, so each partial sum
-   stays at or below the evaluator's.  Stage 2 probes [proc]'s committed
-   compute timeline at [ready], arena empty: the slot search is exact,
-   hence monotone in [after], and the tentative intervals it leaves out
-   can only delay the real slot.  Stage 3 ({!send_arrival}) prices each
-   remote input's wait for its committed send port.  The BSP and
-   latency+overhead regimes keep the plain bound, latest predecessor
-   finish (or [floor]) plus execution. *)
-let bound ~floor ~gate t ~task ~proc ~cutoff =
+   below the scan's cutoff ({!set_cutoff}).  Under the port regime
+   stage 1 mirrors [price_port]'s branches: a local or zero-data input
+   is ready at its finish, a local duplicate copy at that copy's finish,
+   and a remote input at [max fin floor] plus each route hop's
+   [data *. h_cost], added hop by hop in the evaluator's order — a probe
+   never returns a slot before its [after] and rounding is monotone, so
+   each partial sum stays at or below the evaluator's.  Stage 2 probes
+   [proc]'s committed compute timeline at [ready], arena empty: the slot
+   search is exact, hence monotone in [after], and the tentative
+   intervals it leaves out can only delay the real slot.  Stage 3
+   ({!send_arrival}) prices each remote input's wait for its committed
+   send port.  The BSP and latency+overhead regimes keep the plain
+   bound, latest predecessor finish (or [floor]) plus execution. *)
+let bound ~floor ~gate t ~task ~proc =
+  let cutoff = t.cutoff.(0) in
   prepare_incoming t ~task;
   let exec = Schedule.exec_duration t.sched ~task ~proc in
   match t.regime with
@@ -1123,13 +1128,23 @@ let bound ~floor ~gate t ~task ~proc ~cutoff =
 (* The all-stage bound, ungated. *)
 let lower_bound ?(floor = 0.) t ~task ~proc =
   t.gen <- t.gen + 1;
-  bound ~floor ~gate:false t ~task ~proc ~cutoff:infinity
+  t.cutoff.(0) <- infinity;
+  bound ~floor ~gate:false t ~task ~proc
+
+(* The cutoff for the candidate at index [i] against the incumbent: its
+   EFT when the incumbent comes first and keeps a tie, the next float
+   above it when the candidate comes first and an equal EFT makes it the
+   winner — so that [x >= t.cutoff.(0)] reads "finishing at [x] loses"
+   either way, with no float crossing a call. *)
+let set_cutoff t i =
+  let eft = t.best.p_times.(1) in
+  t.cutoff.(0) <-
+    (if i < t.best_idx then Float.next_after eft infinity else eft)
 
 (* Make the candidate just priced into [t.cur], at index [i], the
-   incumbent unless the incumbent's EFT is at least as good: ties keep
-   the incumbent. *)
+   incumbent unless it reaches the cutoff. *)
 let offer t i =
-  if t.best_idx < 0 || not (t.best.p_times.(1) <= t.cur.p_times.(1)) then begin
+  if t.best_idx < 0 || not (t.cur.p_times.(1) >= t.cutoff.(0)) then begin
     let b = t.best in
     t.best <- t.cur;
     t.cur <- b;
@@ -1145,16 +1160,16 @@ let rec is_sorted_strict = function
 (* ------------------------------------------------------------------ *)
 
 (* Offer [task] on [proc], at index [i], to the scan in flight: once
-   there is an incumbent, a candidate whose {!bound} reaches its EFT is
-   pruned and one whose pricing reaches it is aborted — both exact, since
-   the true EFT is at least either figure and ties keep the incumbent,
-   the earlier index.  Every other candidate is priced into scratch. *)
+   there is an incumbent, a candidate whose {!bound} reaches the cutoff
+   is pruned and one whose pricing reaches it is aborted — both exact,
+   since the true EFT is at least either figure and ties go to the lower
+   index ({!set_cutoff}).  Every other candidate is priced into
+   scratch. *)
 let consider ~floor t ~task ~proc i =
+  if t.best_idx >= 0 then set_cutoff t i;
   if
     t.best_idx >= 0
-    &&
-    let cutoff = t.best.p_times.(1) in
-    bound ~floor ~gate:true t ~task ~proc ~cutoff >= cutoff
+    && bound ~floor ~gate:true t ~task ~proc >= t.cutoff.(0)
   then Obs.Counters.(bump pruned_evaluations)
   else if price ~floor ~abort:(t.best_idx >= 0) t ~task ~proc then offer t i
   else Obs.Counters.(bump aborted_evaluations)
@@ -1165,12 +1180,44 @@ let start_scan t =
   t.best_idx <- -1;
   t.gen <- t.gen + 1
 
-(* Earliest-best scan of a non-empty candidate array; only the winner is
+(* The processor holding the input of [task] estimated to arrive last —
+   its source's finish plus its data over the costliest route out of
+   that processor, ties to the first row in §4.3 order — or -1 when
+   [task] has no inputs.  Holding that input locally, it is often the
+   winner. *)
+let seed_proc t ~task =
+  prepare_incoming t ~task;
+  let seed = ref (-1) and latest = ref neg_infinity in
+  for i = 0 to t.inc_len - 1 do
+    let q = t.inc_proc.(i) in
+    let arrival = t.inc_fin.(i) +. (t.inc_data.(i) *. out_cost t q) in
+    if arrival > !latest then begin
+      latest := arrival;
+      seed := q
+    end
+  done;
+  !seed
+
+(* The index of [proc] in the strictly sorted [procs], or -1. *)
+let index_of (procs : int array) proc =
+  let lo = ref 0 and hi = ref (Array.length procs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if procs.(mid) < proc then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length procs && procs.(!lo) = proc then !lo else -1
+
+(* Earliest-best scan of a non-empty, strictly sorted candidate array:
+   the seed first ({!seed_proc}), when it is a candidate, so that the
+   pruning has a strong incumbent early, then the rest in index order.
+   Ties still go to the lowest index ({!offer}).  Only the winner is
    materialized. *)
 let scan_candidates ~floor t ~task procs =
   start_scan t;
+  let s = index_of procs (seed_proc t ~task) in
+  if s >= 0 then consider ~floor t ~task ~proc:procs.(s) s;
   for i = 0 to Array.length procs - 1 do
-    consider ~floor t ~task ~proc:procs.(i) i
+    if i <> s then consider ~floor t ~task ~proc:procs.(i) i
   done;
   materialize t.best
 

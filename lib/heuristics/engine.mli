@@ -20,10 +20,13 @@
     finish-time lower bound ({!lower_bound}) cannot beat the incumbent,
     and stops pricing a candidate as soon as its inputs alone put it out
     of the running ({!Obs.Counters} reports [pruned evaluations],
-    [aborted evaluations] and [route-cache hits]).  The original
-    list-based evaluator survives as {!Reference}, and
-    {!with_reference} re-routes the public API through it; both produce
-    bit-identical schedules. *)
+    [aborted evaluations] and [route-cache hits]).  So that the incumbent
+    is strong early, {!best_proc} and {!best_proc_among} price one
+    {e seed} first — the processor holding the input estimated to arrive
+    last — and then the rest in index order; ties still go to the lowest
+    index.  The original list-based evaluator survives as {!Reference},
+    and {!with_reference} re-routes the public API through it; both
+    produce bit-identical schedules. *)
 
 (** Slot-search policy: [Insertion] may fill idle gaps between committed
     work (classical insertion-based HEFT); [Append] only considers slots
@@ -63,21 +66,29 @@ val policy : t -> policy
 val evaluate : ?floor:float -> t -> task:int -> proc:int -> eval
 
 (** [best_proc t ~task] — minimum [eft] over all processors, ties to the
-    lowest processor index (the paper's tie-break in §4.4's toy example). *)
+    lowest processor index (the paper's tie-break in §4.4's toy example).
+    The scan is {!best_proc_among}'s over every processor, seed first. *)
 val best_proc : ?floor:float -> t -> task:int -> eval
 
 (** [best_proc_among t ~task procs] — same restricted to a candidate list.
     Candidates that are already strictly sorted (every current caller)
     are used as-is; otherwise the list is sorted and de-duplicated
-    first.  A candidate whose {!lower_bound} reaches the incumbent's
-    finish time is pruned without a full evaluation, and, under the port
-    regime, one whose inputs priced so far already do is abandoned
-    mid-pricing; neither ever changes the result because both figures
-    are at most the true finish time and ties keep the incumbent.  The
-    bound's last stage, the committed send-port wait, runs only when a
-    cheap ceiling on it reaches the incumbent.  Losing candidates are
-    priced into the engine's scratch space: only the winner is built as
-    an {!eval}.
+    first.  The {e seed} is priced first: of the task's inputs in §4.3
+    order, take the first with the latest estimated arrival, its
+    source's finish plus its data over the costliest route out of the
+    source's processor; the seed is that processor, if it is a
+    candidate.  The other candidates follow in index order (all of them
+    in index order when there is no seed).  A candidate whose
+    {!lower_bound} reaches the incumbent's finish time is pruned without
+    a full evaluation, and, under the port regime, one whose inputs
+    priced so far already do is abandoned mid-pricing.  A candidate of
+    lower index than the incumbent wins a tie, so for it both figures
+    must exceed the incumbent's finish time.  Neither ever changes the
+    result: both figures are at most the true finish time, and ties go
+    to the lowest index.  The bound's last stage, the committed
+    send-port wait, runs only when a cheap ceiling on it reaches the
+    incumbent.  Losing candidates are priced into the engine's scratch
+    space: only the winner is built as an {!eval}.
     @raise Invalid_argument on an empty list. *)
 val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
 

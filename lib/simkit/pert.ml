@@ -1,5 +1,3 @@
-type event = Task of int | Hop of Sched.Schedule.comm
-
 (* The shared decision graph; [succs] adds each resource stream, chained
    node to node, after the data edges. *)
 type t = { d : Decisions.t; succs : int list array }

@@ -22,9 +22,6 @@
 
 type t
 
-(** An event is a task execution or one communication hop. *)
-type event = Task of int | Hop of Sched.Schedule.comm
-
 val build : Sched.Schedule.t -> t
 
 val n_events : t -> int

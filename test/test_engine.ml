@@ -213,17 +213,45 @@ let equivalence_tests =
         O.Suite.all)
     models
 
+(* A random instance as a description, a graph builder and a platform:
+   either the shared pool, or a tie-prone draw — unit-speed processors,
+   an integer link cost, weights in {1, 2} and data in {0, 1, 2} — where
+   several processors often give a task the same EFT, so the scans'
+   ties-to-the-lowest-index rule is exercised. *)
+let instance_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2
+          (fun gspec plat ->
+            (print_graph gspec, (fun () -> build_graph gspec), plat))
+          graph_gen platform_gen;
+        (let+ seed = int_bound 1_000_000
+         and+ layers = int_range 1 5
+         and+ p = int_range 2 6
+         and+ link = int_range 1 2 in
+         ( Printf.sprintf "ties(seed=%d,layers=%d,p=%d,link=%d)" seed layers p
+             link,
+           (fun () ->
+             O.Generators.layered (O.Rng.create ~seed) ~layers ~width:4
+               ~edge_prob:0.5 ~max_weight:2 ~max_data:2),
+           O.Platform.homogeneous ~p ~link_cost:(float_of_int link) ));
+      ])
+
 let equivalence_property_tests =
   [
-    qtest ~count:120 "optimized = reference on random instances"
-      QCheck2.Gen.(tup4 graph_gen platform_gen model_gen (int_bound 7))
-      (fun (gspec, plat, model, hi) ->
+    qtest ~count:200 "optimized = reference on random instances"
+      ~print:(fun ((what, _, _), model, hi) ->
+        Printf.sprintf "%s model=%s heuristic=%d" what (O.Comm_model.name model)
+          hi)
+      QCheck2.Gen.(tup3 instance_gen model_gen (int_bound 7))
+      (fun ((_, graph, plat), model, hi) ->
         let e = List.nth O.Registry.all hi in
         let params = O.Params.of_model model in
-        let fast = e.O.Registry.scheduler params plat (build_graph gspec) in
+        let fast = e.O.Registry.scheduler params plat (graph ()) in
         let slow =
           O.Engine.with_reference (fun () ->
-              e.O.Registry.scheduler params plat (build_graph gspec))
+              e.O.Registry.scheduler params plat (graph ()))
         in
         fingerprint fast = fingerprint slow);
     qtest ~count:150 "single evaluations agree mid-schedule"
@@ -437,6 +465,25 @@ let best_both engine ~task =
   check_bool "eval = reference eval" true (fast = slow);
   (fast, c)
 
+(* [schedule] on HEFT's STENCIL at n = 10, ccr 10, where the send port
+   decides most EFTs, gives the reference schedule while pruning and
+   aborting; every candidate the reference prices is either evaluated
+   (aborted ones included) or pruned, none vanish. *)
+let scan_is_exact schedule =
+  let plat = O.Platform.paper_platform () in
+  let g = (O.Suite.find "stencil").O.Suite.build ~n:10 ~ccr:10. in
+  let run () = fingerprint (schedule plat g) in
+  let fp_fast, fast = counted run in
+  let fp_slow, slow = counted (fun () -> O.Engine.with_reference run) in
+  check_bool "same schedule" true (fp_fast = fp_slow);
+  check_bool "pruning fired" true
+    (O.Obs_counters.(get fast pruned_evaluations) > 0);
+  check_bool "early abort fired" true
+    (O.Obs_counters.(get fast aborted_evaluations) > 0);
+  check_int "evaluated + pruned = reference evaluations"
+    O.Obs_counters.(get slow evaluations)
+    O.Obs_counters.(get fast evaluations + get fast pruned_evaluations)
+
 let pruning_stage_tests =
   [
     Alcotest.test_case "a busy send port prunes at stage 3" `Quick (fun () ->
@@ -465,6 +512,27 @@ let pruning_stage_tests =
         (* probes: P0's compute slot, the stage-2 compute probe of P1 and
            P2, and one send-port probe shared by both through the cache *)
         check_counts "stage 3" ~evaluations:1 ~pruned:2 ~aborted:0 ~probes:4 c);
+    Alcotest.test_case "an exact tie goes to the lowest index" `Quick
+      (fun () ->
+        (* Task 0 runs on P2 over [0, 1) and feeds task 1 over a zero-data
+           edge, so task 1 finishes at 2 on every processor.  The scan
+           prices P2 first, the processor holding the last-arriving
+           input; P0 comes before it and wins the tie, so an EFT of 2
+           must neither prune nor abort it.  P1 comes after P0, the new
+           incumbent, and its stage-1 bound 1 + 1 = 2 prunes it. *)
+        let g =
+          O.Graph.create ~name:"tie" ~weights:[| 1.; 1. |]
+            ~edges:[ (0, 1, 0.) ]
+            ()
+        in
+        let engine = engine_for ~p:3 g in
+        O.Engine.schedule_on engine ~task:0 ~proc:2;
+        let ev, c = best_both engine ~task:1 in
+        check_int "tie to P0" 0 ev.O.Engine.proc;
+        check_float "eft" 2. ev.O.Engine.eft;
+        (* probes: P2's compute slot, P0's stage-2 compute probe (its
+           stage 1 only reaches the cutoff) and compute slot *)
+        check_counts "tie" ~evaluations:2 ~pruned:1 ~aborted:0 ~probes:3 c);
     Alcotest.test_case "early abort stops a losing candidate" `Quick (fun () ->
         (* Tasks 0 and 1 on P0 and P1 each send 5 units to task 2; tasks
            3 and 4 fill both compute timelines over [1, 9).  On P0 task 2
@@ -492,23 +560,13 @@ let pruning_stage_tests =
         (* probes: P0's hop and compute slot, P1's and P2's stage-2
            compute probes, P2's two hops — and no compute probe for P2 *)
         check_counts "abort" ~evaluations:2 ~pruned:1 ~aborted:1 ~probes:6 c);
+    Alcotest.test_case "best_proc prunes and aborts, exactly" `Quick (fun () ->
+        scan_is_exact (fun plat g ->
+            O.Heft.schedule ~params:O.Params.default plat g));
     Alcotest.test_case "the pending scan prunes and aborts, exactly" `Quick
       (fun () ->
-        let plat = O.Platform.paper_platform () in
-        let g = (O.Suite.find "stencil").O.Suite.build ~n:10 ~ccr:10. in
         let params = O.Params.with_reschedule O.Params.default true in
-        let run () = fingerprint (O.Ilha.schedule ~params plat g) in
-        let fp_fast, fast = counted run in
-        let fp_slow, slow = counted (fun () -> O.Engine.with_reference run) in
-        check_bool "same schedule" true (fp_fast = fp_slow);
-        check_bool "pruning fired" true
-          (O.Obs_counters.(get fast pruned_evaluations) > 0);
-        check_bool "early abort fired" true
-          (O.Obs_counters.(get fast aborted_evaluations) > 0);
-        (* an aborted candidate counts as evaluated, not pruned *)
-        check_int "evaluated + pruned = reference evaluations"
-          O.Obs_counters.(get slow evaluations)
-          O.Obs_counters.(get fast evaluations + get fast pruned_evaluations));
+        scan_is_exact (fun plat g -> O.Ilha.schedule ~params plat g));
     qtest ~count:100 "best_pending = reference under --reschedule"
       ~print:(fun (gspec, _, _, (b, one_comm)) ->
         Printf.sprintf "%s b=%d scan=%s" (print_graph gspec) b
