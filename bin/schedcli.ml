@@ -774,7 +774,6 @@ let online_cmd =
       let events = O.Online_event.sort (arrivals @ fault_events) in
       let config =
         {
-          O.Online_driver.default_config with
           O.Online_driver.params;
           heuristic;
           max_active;
@@ -1072,7 +1071,6 @@ let serve_cmd =
     try
       let config =
         {
-          O.Scheduld.default_config with
           O.Scheduld.params;
           heuristic;
           jobs;

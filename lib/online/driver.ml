@@ -18,8 +18,6 @@ type config = {
   max_retries : int;
   backoff : float;
   incremental : bool;
-  validate : bool;
-  check_frozen : bool;
 }
 
 let default_config =
@@ -32,8 +30,6 @@ let default_config =
     max_retries = 3;
     backoff = 20.;
     incremental = true;
-    validate = true;
-    check_frozen = true;
   }
 
 type job_state = Queued | Active | Completed | Shed | Rejected
@@ -544,14 +540,13 @@ let run ?(config = default_config) plat (events : Event.t list) =
         let wall_s = Unix.gettimeofday () -. wall0 in
         (* -- contracts: Validate-clean output, bit-identical executed
            prefix -- *)
-        if config.validate then (
-          match Validate.check pl.psched with
-          | Ok () -> ()
-          | Error msgs ->
-              failwith
-                (Printf.sprintf
-                   "Online.Driver: re-plan at t=%g (%s) is invalid: %s" now
-                   trigger (String.concat "; " msgs)));
+        (match Validate.check pl.psched with
+        | Ok () -> ()
+        | Error msgs ->
+            failwith
+              (Printf.sprintf
+                 "Online.Driver: re-plan at t=%g (%s) is invalid: %s" now
+                 trigger (String.concat "; " msgs)));
         List.iter
           (fun (j, off) ->
             for local = 0 to job_tasks j - 1 do
@@ -560,10 +555,9 @@ let run ?(config = default_config) plat (events : Event.t list) =
                 match Hashtbl.find_opt executed (j.jid, local) with
                 | Some (pr, st, fi) ->
                     if
-                      config.check_frozen
-                      && not
-                           (pr = q.Schedule.proc && st = q.Schedule.start
-                          && fi = q.Schedule.finish)
+                      not
+                        (pr = q.Schedule.proc && st = q.Schedule.start
+                       && fi = q.Schedule.finish)
                     then
                       failwith
                         (Printf.sprintf

@@ -43,8 +43,9 @@
       equals) and re-plans, repeating until the deadline is met or no
       candidate remains.
 
-    Every re-plan's output is {!Sched.Validate}-clean (checked when
-    [validate] is set, outside the timed window) and the whole run is
+    Every re-plan's output is checked {!Sched.Validate}-clean (outside
+    the timed window), every re-plan keeps the executed prefix
+    bit-identical (checked too), and the whole run is
     deterministic: no randomness, event ties broken by input order.
     Only port-regime communication models are supported. *)
 
@@ -68,9 +69,6 @@ type config = {
       (** rewind the commit log instead of rebuilding (default [true];
           [false] forces the from-scratch path — the baseline the
           claims executable times it against) *)
-  validate : bool;  (** check every re-plan with {!Sched.Validate} *)
-  check_frozen : bool;
-      (** enforce the bit-identical executed-prefix ledger *)
 }
 
 val default_config : config
@@ -125,7 +123,7 @@ type outcome = {
     event time, an out-of-range processor, or an unknown heuristic /
     testbed name.
     @raise Failure if a re-plan is not Validate-clean, the frozen prefix
-    changes ([check_frozen]), or every processor is dead at a re-plan. *)
+    changes, or every processor is dead at a re-plan. *)
 val run : ?config:config -> Platform.t -> Event.t list -> outcome
 
 val pp_state : Format.formatter -> job_state -> unit

@@ -164,9 +164,6 @@ val comm_head_at : t -> int -> bool
     order without materializing the list. *)
 val iter_comms : t -> f:(comm -> unit) -> unit
 
-(** Hops recorded for one edge, in route order. *)
-val comms_of_edge : t -> int -> comm list
-
 val n_comm_events : t -> int
 
 (** Alias of {!n_comm_events}. *)

@@ -36,6 +36,11 @@ let pp_route route =
 (* Sorted longest first among equal starts, any overlapping pair       *)
 (* implies an overlapping adjacent pair: if slots [i < j] overlap,     *)
 (* then slot [i + 1] starts no later than [j], so it overlaps [i].     *)
+(*                                                                     *)
+(* Each copy of a task ([Schedule.place_copy]) is a tag of its own.    *)
+(* An edge carries one provenance chain per remote consumer copy,      *)
+(* delimited by [Schedule.comm_head_at]; precedence holds per consumer *)
+(* copy.  A single-copy schedule builds no per-task list.              *)
 (* ------------------------------------------------------------------ *)
 
 (* [sweep ~n_res ~emit ~start ~finish ~on_overlap] — [emit yield]
@@ -83,349 +88,120 @@ let sweep_overlaps ~res ~start ~finish =
     ~on_overlap:(fun r a b -> found := (r, a, b) :: !found);
   List.rev !found
 
-(* Sorted-interval disjointness on labelled lists — shared by the
-   copy-aware checker and the list-based [Reference]. *)
-module Reference_disjoint = struct
-  (* Check that intervals are pairwise disjoint; report via
-     [on_overlap a b] with both full intervals.  Sorted by start, longest
-     first among equal starts, as the streaming sweep does. *)
-  let check_disjoint intervals ~on_overlap =
-    let sorted =
-      List.stable_sort
-        (fun (s1, f1, _) (s2, f2, _) ->
-          match Float.compare s1 s2 with 0 -> Float.compare f2 f1 | c -> c)
-        intervals
-    in
-    let rec walk = function
-      | (s1, f1, l1) :: ((s2, f2, l2) :: _ as rest) ->
-          if s2 < f1 -. eps then on_overlap (s1, f1, l1) (s2, f2, l2);
-          walk rest
-      | [ _ ] | [] -> ()
-    in
-    walk sorted
-end
-
-(* ------------------------------------------------------------------ *)
-(* The copy-aware checker.                                             *)
-(*                                                                     *)
-(* Once a task runs as several copies the per-edge story changes: an   *)
-(* edge may carry several provenance chains (one route-following       *)
-(* delivery per remote destination, split by the chain-head flags),    *)
-(* and the precedence rule becomes per consumer copy — every copy of   *)
-(* the destination must be fed by a local source copy, a completed     *)
-(* chain arriving at its processor, or (zero-data) any completed       *)
-(* source copy.  Duplication is port-regime only, so BSP phases never  *)
-(* mix with copies.  Both [check] and [Reference.check] dispatch here  *)
-(* when [Schedule.has_dups]; the list-based style is fine because      *)
-(* duplicated schedules are engine-built and moderate-sized.           *)
-(* ------------------------------------------------------------------ *)
-let check_copies s =
-  let g = Schedule.graph s in
-  let plat = Schedule.platform s in
-  let model = Schedule.model s in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let n = Graph.n_tasks g in
-  (* 1. every copy of every task: placed, non-negative, right duration,
-     distinct processors *)
-  for v = 0 to n - 1 do
-    match Schedule.copies s v with
-    | [] -> err "task %d is not placed" v
-    | cs ->
-        let seen = ref [] in
-        List.iter
-          (fun (c : Schedule.placement) ->
-            if List.mem c.proc !seen then
-              err "task %d has two copies on processor %d" v c.proc;
-            seen := c.proc :: !seen;
-            if c.start < -.eps then
-              err "task %d on processor %d starts at negative time %g" v
-                c.proc c.start;
-            let expect = Schedule.exec_duration s ~task:v ~proc:c.proc in
-            if not (feq (c.finish -. c.start) expect) then
-              err
-                "task %d on processor %d has duration %g over [%g,%g), \
-                 expected %g"
-                v c.proc (c.finish -. c.start) c.start c.finish expect)
-          cs
-  done;
-  if !errors <> [] then Error (List.rev !errors)
-  else begin
-    let p_count = Platform.p plat in
-    let all_comms = Schedule.comms s in
-    if Schedule.n_phases s > 0 then
-      err "schedule records %d comm phases outside the BSP regime"
-        (Schedule.n_phases s);
-    (* 2. processor exclusivity over copies (comms join under no-overlap) *)
-    let compute_intervals = Array.make p_count [] in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (c : Schedule.placement) ->
-          if c.finish > c.start then
-            compute_intervals.(c.proc) <-
-              (c.start, c.finish, Printf.sprintf "task %d" v)
-              :: compute_intervals.(c.proc))
-        (Schedule.copies s v)
-    done;
-    if not model.Comm_model.overlap then
-      List.iter
-        (fun (c : Schedule.comm) ->
-          if c.finish > c.start then begin
-            let label = Printf.sprintf "comm e%d" c.edge in
-            compute_intervals.(c.src_proc) <-
-              (c.start, c.finish, label) :: compute_intervals.(c.src_proc);
-            compute_intervals.(c.dst_proc) <-
-              (c.start, c.finish, label) :: compute_intervals.(c.dst_proc)
-          end)
-        all_comms;
-    Array.iteri
-      (fun q intervals ->
-        Reference_disjoint.check_disjoint intervals
-          ~on_overlap:(fun (s1, f1, l1) (s2, f2, l2) ->
-            err "processor %d: %s [%g,%g) overlaps %s [%g,%g)" q l1 s1 f1 l2
-              s2 f2))
-      compute_intervals;
-    (* 3. provenance chains and per-copy precedence *)
-    let n_edges = Graph.n_edges g in
-    let per_edge = Array.make (max n_edges 1) [] in
-    for i = Schedule.n_comms s - 1 downto 0 do
-      let c = Schedule.comm_at s i in
-      per_edge.(c.Schedule.edge) <-
-        (Schedule.comm_head_at s i, c) :: per_edge.(c.Schedule.edge)
-    done;
-    for e = 0 to n_edges - 1 do
-      let u = Graph.edge_src g e and v = Graph.edge_dst g e in
-      let data = Graph.edge_data g e in
-      (* split the edge's events into chains at the head flags *)
-      let chains =
-        List.fold_left
-          (fun chains (head, (c : Schedule.comm)) ->
-            match chains with
-            | cur :: rest when not head -> (c :: cur) :: rest
-            | _ -> [ c ] :: chains)
-          [] per_edge.(e)
-        |> List.rev_map List.rev
-      in
-      (* each chain: departs a completed copy of [u], follows the
-         platform route, prices every hop, sequences hop by hop *)
-      let arrivals =
-        List.filter_map
-          (fun chain ->
-            let first = List.hd chain in
-            let last = List.nth chain (List.length chain - 1) in
-            (match
-               Schedule.copy_on s ~task:u ~proc:first.Schedule.src_proc
-             with
-            | None ->
-                err
-                  "edge %d: chain departs processor %d where task %d has no \
-                   copy"
-                  e first.Schedule.src_proc u
-            | Some cu ->
-                if not (fle cu.finish first.Schedule.start) then
-                  err
-                    "edge %d: hop %d->%d starts at %g before its source copy \
-                     finishes at %g"
-                    e first.Schedule.src_proc first.Schedule.dst_proc
-                    first.Schedule.start cu.finish);
-            let route =
-              Platform.route plat ~src:first.Schedule.src_proc
-                ~dst:last.Schedule.dst_proc
-            in
-            let hop_pairs =
-              List.map
-                (fun (c : Schedule.comm) -> (c.src_proc, c.dst_proc))
-                chain
-            in
-            if hop_pairs <> route then
-              err
-                "edge %d: communication hops [%s] do not follow the platform \
-                 route %d->%d [%s]"
-                e (pp_route hop_pairs) first.Schedule.src_proc
-                last.Schedule.dst_proc (pp_route route);
-            let arrival =
-              List.fold_left
-                (fun prev (c : Schedule.comm) ->
-                  let expect =
-                    data *. Platform.hop_cost plat ~src:c.src_proc ~dst:c.dst_proc
-                  in
-                  if not (feq (c.finish -. c.start) expect) then
-                    err
-                      "edge %d: hop %d->%d has duration %g over [%g,%g), \
-                       expected %g"
-                      e c.src_proc c.dst_proc (c.finish -. c.start) c.start
-                      c.finish expect;
-                  if not (fle prev c.start) then
-                    err
-                      "edge %d: hop %d->%d starts at %g before data is ready \
-                       at %g"
-                      e c.src_proc c.dst_proc c.start prev;
-                  c.finish)
-                first.Schedule.start chain
-            in
-            Some (last.Schedule.dst_proc, arrival))
-          chains
-      in
-      (* every copy of the consumer must be fed by something completed *)
-      List.iter
-        (fun (cv : Schedule.placement) ->
-          let fed_locally =
-            match Schedule.copy_on s ~task:u ~proc:cv.proc with
-            | Some cu -> fle cu.finish cv.start
-            | None -> false
-          in
-          let fed_zero_data =
-            data = 0.
-            && List.exists
-                 (fun (cu : Schedule.placement) -> fle cu.finish cv.start)
-                 (Schedule.copies s u)
-          in
-          let fed_by_chain =
-            List.exists
-              (fun (dst, arrival) -> dst = cv.proc && fle arrival cv.start)
-              arrivals
-          in
-          if not (fed_locally || fed_zero_data || fed_by_chain) then
-            err
-              "edge %d: copy of task %d on processor %d starts at %g but no \
-               completed copy of task %d feeds it"
-              e v cv.proc cv.start u)
-        (Schedule.copies s v)
-    done;
-    (* 4b. link contention: one message per undirected direct link *)
-    if model.Comm_model.link_contention then begin
-      let by_link = Hashtbl.create 16 in
-      List.iter
-        (fun (c : Schedule.comm) ->
-          if c.finish > c.start then begin
-            let key = (min c.src_proc c.dst_proc, max c.src_proc c.dst_proc) in
-            let label =
-              Printf.sprintf "e%d %d->%d" c.edge c.src_proc c.dst_proc
-            in
-            let old =
-              Option.value ~default:[] (Hashtbl.find_opt by_link key)
-            in
-            Hashtbl.replace by_link key ((c.start, c.finish, label) :: old)
-          end)
-        all_comms;
-      Hashtbl.iter
-        (fun (a, b) intervals ->
-          Reference_disjoint.check_disjoint intervals
-            ~on_overlap:(fun (s1, f1, l1) (s2, f2, l2) ->
-              err "link %d-%d: %s [%g,%g) overlaps %s [%g,%g)" a b l1 s1 f1 l2
-                s2 f2))
-        by_link
-    end;
-    (* 4. port discipline *)
-    (match model.Comm_model.ports with
-    | Comm_model.Unlimited -> ()
-    | Comm_model.One_port_bidirectional | Comm_model.One_port_unidirectional
-      ->
-        let sends = Array.make p_count [] in
-        let recvs = Array.make p_count [] in
-        List.iter
-          (fun (c : Schedule.comm) ->
-            if c.finish > c.start then begin
-              let label =
-                Printf.sprintf "e%d %d->%d" c.edge c.src_proc c.dst_proc
-              in
-              sends.(c.src_proc) <-
-                (c.start, c.finish, label) :: sends.(c.src_proc);
-              recvs.(c.dst_proc) <-
-                (c.start, c.finish, label) :: recvs.(c.dst_proc)
-            end)
-          all_comms;
-        let report kind q (s1, f1, l1) (s2, f2, l2) =
-          err "processor %d: %s port conflict: %s [%g,%g) overlaps %s [%g,%g)"
-            q kind l1 s1 f1 l2 s2 f2
-        in
-        for q = 0 to p_count - 1 do
-          match model.Comm_model.ports with
-          | Comm_model.One_port_bidirectional ->
-              Reference_disjoint.check_disjoint sends.(q)
-                ~on_overlap:(report "send" q);
-              Reference_disjoint.check_disjoint recvs.(q)
-                ~on_overlap:(report "recv" q)
-          | Comm_model.One_port_unidirectional ->
-              Reference_disjoint.check_disjoint
-                (sends.(q) @ recvs.(q))
-                ~on_overlap:(report "uni" q)
-          | Comm_model.Unlimited -> ()
-        done);
-    match List.rev !errors with [] -> Ok () | es -> Error es
-  end
-
 let check s =
-  if Schedule.has_dups s then check_copies s
-  else begin
   let g = Schedule.graph s in
   let plat = Schedule.platform s in
   let model = Schedule.model s in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let n = Graph.n_tasks g in
-  (* 1. placements and durations *)
+  let nc = Schedule.n_comms s in
+  let nph = Schedule.n_phases s in
+  (* Tag encoding: [0, n) the primary copies, [n, nt) the extra copies
+     grouped by task (task [v]'s are [dup_off.(v) .. dup_off.(v+1) - 1]),
+     [nt, nt+nc) comm events, [nt+nc, nt+nc+nph) phases.  Without
+     extra copies [nt = n] and [dup_task] and [dup_off] are empty. *)
+  let nd = Schedule.n_dup_copies s in
+  let nt = n + nd in
+  let proc_of = Array.make nt 0 in
+  let start_of = Array.make (nt + nc + nph) 0. in
+  let finish_of = Array.make (nt + nc + nph) 0. in
+  let dup_task = Array.make nd 0 in
+  let dup_off = Array.make (if nd = 0 then 0 else n + 1) nt in
+  let check_span v t =
+    let proc = proc_of.(t) and start = start_of.(t) in
+    let finish = finish_of.(t) in
+    if start < -.eps then
+      err "task %d on processor %d starts at negative time %g" v proc start;
+    let expect = Schedule.exec_duration s ~task:v ~proc in
+    if not (feq (finish -. start) expect) then
+      err "task %d on processor %d has duration %g over [%g,%g), expected %g"
+        v proc (finish -. start) start finish expect
+  in
+  (* 1. placements and durations of every copy, the extra copies after
+     the primaries; a task's copies sit on distinct processors *)
   for v = 0 to n - 1 do
     if not (Schedule.is_placed s v) then err "task %d is not placed" v
     else begin
-      let proc = Schedule.proc_of_exn s v in
-      let start = Schedule.start_of_exn s v in
-      let finish = Schedule.finish_of_exn s v in
-      if start < -.eps then
-        err "task %d on processor %d starts at negative time %g" v proc start;
-      let expect = Schedule.exec_duration s ~task:v ~proc in
-      if not (feq (finish -. start) expect) then
-        err "task %d on processor %d has duration %g over [%g,%g), expected %g"
-          v proc (finish -. start) start finish expect
+      proc_of.(v) <- Schedule.proc_of_exn s v;
+      start_of.(v) <- Schedule.start_of_exn s v;
+      finish_of.(v) <- Schedule.finish_of_exn s v;
+      check_span v v
     end
+  done;
+  if nd > 0 then begin
+    let t = ref n in
+    for v = 0 to n - 1 do
+      dup_off.(v) <- !t;
+      List.iter
+        (fun (c : Schedule.placement) ->
+          proc_of.(!t) <- c.proc;
+          start_of.(!t) <- c.start;
+          finish_of.(!t) <- c.finish;
+          dup_task.(!t - n) <- v;
+          check_span v !t;
+          incr t)
+        (Schedule.dup_copies s v)
+    done
+  end;
+  (* Task [v]'s copies are the tags [copy_tag v 0 .. n_copies v - 1];
+     [copy_on v q] is the tag of its first copy on processor [q], or -1. *)
+  let n_copies v = if nd = 0 then 1 else 1 + dup_off.(v + 1) - dup_off.(v) in
+  let copy_tag v j = if j = 0 then v else dup_off.(v) + j - 1 in
+  let copy_on v q =
+    if proc_of.(v) = q then v
+    else begin
+      let found = ref (-1) in
+      for j = n_copies v - 1 downto 1 do
+        if proc_of.(copy_tag v j) = q then found := copy_tag v j
+      done;
+      !found
+    end
+  in
+  for t = n to nt - 1 do
+    let v = dup_task.(t - n) in
+    if copy_on v proc_of.(t) <> t then
+      err "task %d has two copies on processor %d" v proc_of.(t)
   done;
   if !errors <> [] then Error (List.rev !errors)
   else begin
     let p_count = Platform.p plat in
-    let nc = Schedule.n_comms s in
-    let nph = Schedule.n_phases s in
-    (* 2. processor exclusivity (tasks; comms join under no-overlap; BSP
-       phases exclude computation on every processor).  Tag encoding:
-       [0, n) tasks, [n, n+nc) comm events, [n+nc, n+nc+nph) phases. *)
-    let start_of = Array.make (n + nc + nph) 0. in
-    let finish_of = Array.make (n + nc + nph) 0. in
-    for v = 0 to n - 1 do
-      start_of.(v) <- Schedule.start_of_exn s v;
-      finish_of.(v) <- Schedule.finish_of_exn s v
-    done;
+    (* 2. processor exclusivity (every copy; comms join under no-overlap;
+       BSP phases exclude computation on every processor) *)
     for i = 0 to nc - 1 do
       let c = Schedule.comm_at s i in
-      start_of.(n + i) <- c.Schedule.start;
-      finish_of.(n + i) <- c.Schedule.finish
+      start_of.(nt + i) <- c.Schedule.start;
+      finish_of.(nt + i) <- c.Schedule.finish
     done;
     for i = 0 to nph - 1 do
       let ps, pf = Schedule.phase_at s i in
-      start_of.(n + nc + i) <- ps;
-      finish_of.(n + nc + i) <- pf
+      start_of.(nt + nc + i) <- ps;
+      finish_of.(nt + nc + i) <- pf
     done;
     let label_of tag =
-      if tag < n then Printf.sprintf "task %d" tag
-      else if tag < n + nc then
-        Printf.sprintf "comm e%d" (Schedule.comm_at s (tag - n)).Schedule.edge
-      else Printf.sprintf "comm phase %d" (tag - n - nc)
+      if tag < nt then
+        Printf.sprintf "task %d" (if tag < n then tag else dup_task.(tag - n))
+      else if tag < nt + nc then
+        Printf.sprintf "comm e%d" (Schedule.comm_at s (tag - nt)).Schedule.edge
+      else Printf.sprintf "comm phase %d" (tag - nt - nc)
     in
     let emit yield =
-      for v = 0 to n - 1 do
-        if finish_of.(v) > start_of.(v) then yield (Schedule.proc_of_exn s v) v
+      for t = 0 to nt - 1 do
+        if finish_of.(t) > start_of.(t) then yield proc_of.(t) t
       done;
       if not model.Comm_model.overlap then
         for i = 0 to nc - 1 do
           let c = Schedule.comm_at s i in
           if c.Schedule.finish > c.Schedule.start then begin
-            yield c.Schedule.src_proc (n + i);
-            yield c.Schedule.dst_proc (n + i)
+            yield c.Schedule.src_proc (nt + i);
+            yield c.Schedule.dst_proc (nt + i)
           end
         done;
       for i = 0 to nph - 1 do
         let ps, pf = Schedule.phase_at s i in
         if pf > ps then
           for q = 0 to p_count - 1 do
-            yield q (n + nc + i)
+            yield q (nt + nc + i)
           done
       done
     in
@@ -464,7 +240,7 @@ let check s =
       !found
     in
     (* 3. precedence and communication chains.  Each edge's hops, in
-       commit (= route) order, as CSR slices of comm indices, so the pass
+       commit order, as CSR slices of comm indices, so the pass
        below walks them without a list, a tuple or a closure per edge. *)
     let n_edges = Graph.n_edges g in
     let hop_off = Array.make (n_edges + 1) 0 in
@@ -483,38 +259,86 @@ let check s =
       cursor.(e) <- cursor.(e) + 1
     done;
     (* a hop's span is [data * cost], plus [2o + l] under latency+overhead *)
-    let lat_o, lat_l, lat =
+    let lat_o, lat_l, lat, is_bsp =
       match model.Comm_model.regime with
-      | Comm_model.Latency_overhead { o; l } -> (o, l, true)
-      | Comm_model.Port | Comm_model.Bsp _ -> (0., 0., false)
+      | Comm_model.Latency_overhead { o; l } -> (o, l, true, false)
+      | Comm_model.Bsp _ -> (0., 0., false, true)
+      | Comm_model.Port -> (0., 0., false, false)
     in
-    let is_bsp =
-      match model.Comm_model.regime with
-      | Comm_model.Bsp _ -> true
-      | Comm_model.Port | Comm_model.Latency_overhead _ -> false
+    (* One provenance chain of edge [e = (u, v)], the hops
+       [hops.(a .. b)]: it departs a copy of [u], follows the platform
+       route to its last hop's destination, which holds a copy of [v],
+       and every hop is priced and starts once the data is there — the
+       first one once the source copy finishes.  Hop lists are formatted
+       only on error. *)
+    let check_chain e u v a b =
+      let c0 = Schedule.comm_at s hops.(a) in
+      let src = c0.src_proc in
+      let dst = (Schedule.comm_at s hops.(b)).dst_proc in
+      let data = Graph.edge_data g e in
+      let tu = copy_on u src in
+      if tu < 0 then
+        err "edge %d: chain departs processor %d where task %d has no copy" e
+          src u;
+      if copy_on v dst < 0 then
+        err "edge %d: chain ends on processor %d where task %d has no copy" e
+          dst v;
+      let at = ref src and follows = ref true in
+      let ready = ref (if tu < 0 then c0.start else finish_of.(tu)) in
+      for k = a to b do
+        let c = Schedule.comm_at s hops.(k) in
+        if
+          c.src_proc <> !at
+          || c.dst_proc <> Platform.next_hop plat ~src:c.src_proc ~dst
+        then follows := false;
+        at := c.dst_proc;
+        let cost = Platform.hop_cost plat ~src:c.src_proc ~dst:c.dst_proc in
+        let expect =
+          if lat then (2. *. lat_o) +. (data *. cost) +. lat_l
+          else data *. cost
+        in
+        if not (feq (c.finish -. c.start) expect) then
+          err "edge %d: hop %d->%d has duration %g over [%g,%g), expected %g"
+            e c.src_proc c.dst_proc (c.finish -. c.start) c.start c.finish
+            expect;
+        if not (fle !ready c.start) then
+          err "edge %d: hop %d->%d starts at %g before data is ready at %g" e
+            c.src_proc c.dst_proc c.start !ready;
+        ready := c.finish
+      done;
+      if not !follows then begin
+        let hop_pairs =
+          List.init (b - a + 1) (fun i ->
+              let c = Schedule.comm_at s hops.(a + i) in
+              (c.src_proc, c.dst_proc))
+        in
+        err "edge %d: communication hops [%s] do not follow the platform \
+             route %d->%d [%s]"
+          e (pp_route hop_pairs) src dst
+          (pp_route (Platform.route plat ~src ~dst))
+      end
     in
     for e = 0 to n_edges - 1 do
       let u = Graph.edge_src g e and v = Graph.edge_dst g e in
       let data = Graph.edge_data g e in
-      let up = Schedule.proc_of_exn s u and vp = Schedule.proc_of_exn s v in
-      let ufin = finish_of.(u) in
-      let vstart = start_of.(v) in
       let first = hop_off.(e) and last = hop_off.(e + 1) - 1 in
       let hop_count = last - first + 1 in
-      if up = vp then begin
-        if hop_count > 0 then
-          err "edge %d: local edge on processor %d carries communication \
-               events" e up;
-        if not (fle ufin vstart) then
-          err "edge %d: task %d on processor %d starts at %g before its \
-               local predecessor %d finishes at %g"
-            e v vp vstart u ufin
-      end
-      else if is_bsp then begin
-        (* BSP: a remote data edge travels in exactly one comm phase
-           between the source's finish and the destination's start;
-           zero-data edges need no event. *)
-        if data = 0. then begin
+      if is_bsp then begin
+        (* BSP (single-copy): a remote data edge travels in exactly one
+           comm phase between the source's finish and the destination's
+           start; zero-data edges need no event. *)
+        let up = proc_of.(u) and vp = proc_of.(v) in
+        let ufin = finish_of.(u) and vstart = start_of.(v) in
+        if up = vp then begin
+          if hop_count > 0 then
+            err "edge %d: local edge on processor %d carries communication \
+                 events" e up;
+          if not (fle ufin vstart) then
+            err "edge %d: task %d on processor %d starts at %g before its \
+                 local predecessor %d finishes at %g"
+              e v vp vstart u ufin
+        end
+        else if data = 0. then begin
           if hop_count > 0 then
             err "edge %d: zero-data edge carries communication events" e;
           if not (fle ufin vstart) then
@@ -540,60 +364,57 @@ let check s =
               v vstart c.finish
         end
       end
-      else if data = 0. && hop_count = 0 then begin
-        (* zero-volume edges may omit events but still wait for source *)
-        if not (fle ufin vstart) then
-          err "edge %d: zero-data edge violates precedence (task %d on \
-               processor %d starts at %g, predecessor %d on processor %d \
-               finishes at %g)"
-            e v vp vstart u up ufin
-      end
       else begin
-        (* Route conformance: every hop leaves the processor the previous
-           one reached, towards the platform's next hop to [vp], and the
-           last one reaches [vp].  Hop lists are formatted only on error. *)
-        let at = ref up and follows = ref true in
-        for k = first to last do
-          let c = Schedule.comm_at s hops.(k) in
-          if
-            c.src_proc <> !at
-            || c.dst_proc <> Platform.next_hop plat ~src:c.src_proc ~dst:vp
-          then follows := false;
-          at := c.dst_proc
+        (* the slice splits into chains at the head flags; its first hop
+           always starts one *)
+        let a = ref first in
+        while !a <= last do
+          let b = ref !a in
+          while !b < last && not (Schedule.comm_head_at s hops.(!b + 1)) do
+            incr b
+          done;
+          check_chain e u v !a !b;
+          a := !b + 1
         done;
-        if not (!follows && !at = vp) then begin
-          let hop_pairs =
-            List.map
-              (fun (c : Schedule.comm) -> (c.src_proc, c.dst_proc))
-              (Schedule.comms_of_edge s e)
-          in
-          err "edge %d: communication hops [%s] do not follow the platform \
-               route %d->%d [%s]"
-            e (pp_route hop_pairs) up vp
-            (pp_route (Platform.route plat ~src:up ~dst:vp))
-        end;
-        let arrival = ref ufin in
-        for k = first to last do
-          let c = Schedule.comm_at s hops.(k) in
-          let cost = Platform.hop_cost plat ~src:c.src_proc ~dst:c.dst_proc in
-          let expect =
-            if lat then (2. *. lat_o) +. (data *. cost) +. lat_l
-            else data *. cost
-          in
-          if not (feq (c.finish -. c.start) expect) then
-            err "edge %d: hop %d->%d has duration %g over [%g,%g), \
-                 expected %g"
-              e c.src_proc c.dst_proc (c.finish -. c.start) c.start c.finish
-              expect;
-          if not (fle !arrival c.start) then
-            err "edge %d: hop %d->%d starts at %g before data is ready at %g"
-              e c.src_proc c.dst_proc c.start !arrival;
-          arrival := c.finish
-        done;
-        if not (fle !arrival vstart) then
-          err "edge %d: task %d on processor %d starts at %g before data \
-               arrives at %g"
-            e v vp vstart !arrival
+        (* Every copy of [v] is fed in time: by the copy of [u] on its
+           processor, by the one chain delivering there, or, on a
+           zero-data edge without events, by any copy of [u]. *)
+        for j = 0 to n_copies v - 1 do
+          let tv = copy_tag v j in
+          let vp = proc_of.(tv) and vstart = start_of.(tv) in
+          let n_in = ref 0 and arrival = ref 0. in
+          for k = first to last do
+            if k = last || Schedule.comm_head_at s hops.(k + 1) then begin
+              let c = Schedule.comm_at s hops.(k) in
+              if c.dst_proc = vp then begin
+                incr n_in;
+                arrival := c.finish
+              end
+            end
+          done;
+          let tu = copy_on u vp in
+          let fed_zero_data = ref false in
+          if data = 0. && hop_count = 0 then
+            for j' = 0 to n_copies u - 1 do
+              if fle finish_of.(copy_tag u j') vstart then fed_zero_data := true
+            done;
+          if !n_in > 1 then
+            err "edge %d: %d chains deliver to processor %d" e !n_in vp
+          else if
+            not
+              ((tu >= 0 && fle finish_of.(tu) vstart)
+              || (!n_in = 1 && fle !arrival vstart)
+              || !fed_zero_data)
+          then
+            if !n_in = 1 then
+              err "edge %d: task %d on processor %d starts at %g before data \
+                   arrives at %g"
+                e v vp vstart !arrival
+            else
+              err "edge %d: copy of task %d on processor %d starts at %g but \
+                   no completed copy of task %d feeds it in time"
+                e v vp vstart u
+        done
       end
     done;
     (* 3b. BSP phase pricing: a phase moving an h-relation of volume [h]
@@ -721,53 +542,77 @@ let check s =
               wstart.(t2) wfinish.(t2)));
     match List.rev !errors with [] -> Ok () | es -> Error es
   end
-  end
 
 (* ------------------------------------------------------------------ *)
-(* The original list-based checker — the executable specification the  *)
-(* streaming sweep is tested against.  Same verdicts; it materializes  *)
-(* labelled interval lists per resource and is O(phases·comms) under   *)
-(* BSP, so it stays off the million-task path.                         *)
+(* The list-based checker — the executable specification the streaming *)
+(* sweep is tested against, copies included.  Same verdicts; it        *)
+(* materializes labelled interval lists per resource and per-edge      *)
+(* chain lists, and is O(phases·comms) under BSP, so it stays off the  *)
+(* million-task path.                                                  *)
 (* ------------------------------------------------------------------ *)
 module Reference = struct
-  let check_disjoint = Reference_disjoint.check_disjoint
+  (* Check that intervals are pairwise disjoint; report via
+     [on_overlap a b] with both full intervals.  Sorted by start, longest
+     first among equal starts, as the streaming sweep does. *)
+  let check_disjoint intervals ~on_overlap =
+    let sorted =
+      List.stable_sort
+        (fun (s1, f1, _) (s2, f2, _) ->
+          match Float.compare s1 s2 with 0 -> Float.compare f2 f1 | c -> c)
+        intervals
+    in
+    let rec walk = function
+      | (s1, f1, l1) :: ((s2, f2, l2) :: _ as rest) ->
+          if s2 < f1 -. eps then on_overlap (s1, f1, l1) (s2, f2, l2);
+          walk rest
+      | [ _ ] | [] -> ()
+    in
+    walk sorted
 
   let check s =
-    if Schedule.has_dups s then check_copies s
-    else
     let g = Schedule.graph s in
     let plat = Schedule.platform s in
     let model = Schedule.model s in
     let errors = ref [] in
     let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
     let n = Graph.n_tasks g in
-    (* 1. placements and durations *)
+    (* 1. every copy of every task: placed, on distinct processors,
+       non-negative, with the right duration *)
     for v = 0 to n - 1 do
-      match Schedule.placement s v with
-      | None -> err "task %d is not placed" v
-      | Some p ->
-          if p.start < -.eps then
-            err "task %d on processor %d starts at negative time %g" v p.proc
-              p.start;
-          let expect = Schedule.exec_duration s ~task:v ~proc:p.proc in
-          if not (feq (p.finish -. p.start) expect) then
-            err
-              "task %d on processor %d has duration %g over [%g,%g), \
-               expected %g"
-              v p.proc (p.finish -. p.start) p.start p.finish expect
+      match Schedule.copies s v with
+      | [] -> err "task %d is not placed" v
+      | cs ->
+          let seen = ref [] in
+          List.iter
+            (fun (c : Schedule.placement) ->
+              if List.mem c.proc !seen then
+                err "task %d has two copies on processor %d" v c.proc;
+              seen := c.proc :: !seen;
+              if c.start < -.eps then
+                err "task %d on processor %d starts at negative time %g" v
+                  c.proc c.start;
+              let expect = Schedule.exec_duration s ~task:v ~proc:c.proc in
+              if not (feq (c.finish -. c.start) expect) then
+                err
+                  "task %d on processor %d has duration %g over [%g,%g), \
+                   expected %g"
+                  v c.proc (c.finish -. c.start) c.start c.finish expect)
+            cs
     done;
     if !errors <> [] then Error (List.rev !errors)
     else begin
-      (* 2. processor exclusivity (tasks; comms join under no-overlap; BSP
-         phases exclude computation on every processor) *)
+      (* 2. processor exclusivity (every copy; comms join under
+         no-overlap; BSP phases exclude computation on every processor) *)
       let p_count = Platform.p plat in
       let compute_intervals = Array.make p_count [] in
       for v = 0 to n - 1 do
-        let pl = Schedule.placement_exn s v in
-        if pl.finish > pl.start then
-          compute_intervals.(pl.proc) <-
-            (pl.start, pl.finish, Printf.sprintf "task %d" v)
-            :: compute_intervals.(pl.proc)
+        List.iter
+          (fun (c : Schedule.placement) ->
+            if c.finish > c.start then
+              compute_intervals.(c.proc) <-
+                (c.start, c.finish, Printf.sprintf "task %d" v)
+                :: compute_intervals.(c.proc))
+          (Schedule.copies s v)
       done;
       let all_comms = Schedule.comms s in
       let phases = Schedule.phases s in
@@ -812,28 +657,35 @@ module Reference = struct
         | Comm_model.Bsp _ -> true
         | Comm_model.Port | Comm_model.Latency_overhead _ -> false
       in
+      (* each edge's events in commit order, with their chain-head flags *)
+      let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
+      for i = Schedule.n_comms s - 1 downto 0 do
+        let c = Schedule.comm_at s i in
+        per_edge.(c.Schedule.edge) <-
+          (Schedule.comm_head_at s i, c) :: per_edge.(c.Schedule.edge)
+      done;
       List.iter
         (fun (e : Graph.edge) ->
-          let src = Schedule.placement_exn s e.src in
-          let dst = Schedule.placement_exn s e.dst in
-          let hops = Schedule.comms_of_edge s e.id in
-          if src.proc = dst.proc then begin
-            if hops <> [] then
-              err
-                "edge %d: local edge on processor %d carries communication \
-                 events"
-                e.id src.proc;
-            if not (fle src.finish dst.start) then
-              err
-                "edge %d: task %d on processor %d starts at %g before its \
-                 local predecessor %d finishes at %g"
-                e.id e.dst dst.proc dst.start e.src src.finish
-          end
-          else if is_bsp then begin
-            (* BSP: a remote data edge travels in exactly one comm phase
-               between the source's finish and the destination's start;
-               zero-data edges need no event. *)
-            if e.data = 0. then begin
+          let hops = List.map snd per_edge.(e.id) in
+          if is_bsp then begin
+            (* BSP (single-copy): a remote data edge travels in exactly
+               one comm phase between the source's finish and the
+               destination's start; zero-data edges need no event. *)
+            let src = Schedule.placement_exn s e.src in
+            let dst = Schedule.placement_exn s e.dst in
+            if src.proc = dst.proc then begin
+              if hops <> [] then
+                err
+                  "edge %d: local edge on processor %d carries communication \
+                   events"
+                  e.id src.proc;
+              if not (fle src.finish dst.start) then
+                err
+                  "edge %d: task %d on processor %d starts at %g before its \
+                   local predecessor %d finishes at %g"
+                  e.id e.dst dst.proc dst.start e.src src.finish
+            end
+            else if e.data = 0. then begin
               if hops <> [] then
                 err "edge %d: zero-data edge carries communication events" e.id;
               if not (fle src.finish dst.start) then
@@ -869,56 +721,104 @@ module Reference = struct
             end
           end
           else begin
-            let route = Platform.route plat ~src:src.proc ~dst:dst.proc in
-            if e.data = 0. && hops = [] then begin
-              (* zero-volume edges may omit events but still wait for source *)
-              if not (fle src.finish dst.start) then
-                err
-                  "edge %d: zero-data edge violates precedence (task %d on \
-                   processor %d starts at %g, predecessor %d on processor %d \
-                   finishes at %g)"
-                  e.id e.dst dst.proc dst.start e.src src.proc src.finish
-            end
-            else begin
-              let hop_pairs =
-                List.map
-                  (fun (c : Schedule.comm) -> (c.src_proc, c.dst_proc))
-                  hops
-              in
-              if hop_pairs <> route then
-                err
-                  "edge %d: communication hops [%s] do not follow the \
-                   platform route %d->%d [%s]"
-                  e.id (pp_route hop_pairs) src.proc dst.proc (pp_route route);
-              let arrival =
-                List.fold_left
-                  (fun prev (c : Schedule.comm) ->
-                    let expect =
-                      expected_hop_span ~data:e.data
-                        ~cost:
-                          (Platform.hop_cost plat ~src:c.src_proc
-                             ~dst:c.dst_proc)
-                    in
-                    if not (feq (c.finish -. c.start) expect) then
-                      err
-                        "edge %d: hop %d->%d has duration %g over [%g,%g), \
-                         expected %g"
-                        e.id c.src_proc c.dst_proc (c.finish -. c.start)
-                        c.start c.finish expect;
-                    if not (fle prev c.start) then
-                      err
-                        "edge %d: hop %d->%d starts at %g before data is \
-                         ready at %g"
-                        e.id c.src_proc c.dst_proc c.start prev;
-                    c.finish)
-                  src.finish hops
-              in
-              if not (fle arrival dst.start) then
-                err
-                  "edge %d: task %d on processor %d starts at %g before data \
-                   arrives at %g"
-                  e.id e.dst dst.proc dst.start arrival
-            end
+            (* split the edge's events into chains at the head flags *)
+            let chains =
+              List.fold_left
+                (fun chains (head, (c : Schedule.comm)) ->
+                  match chains with
+                  | cur :: rest when not head -> (c :: cur) :: rest
+                  | _ -> [ c ] :: chains)
+                [] per_edge.(e.id)
+              |> List.rev_map List.rev
+            in
+            (* each chain departs a copy of the source, follows the
+               platform route to a processor holding a copy of the
+               consumer, and prices and sequences every hop; it yields
+               its destination and arrival *)
+            let arrivals =
+              List.map
+                (fun chain ->
+                  let first = List.hd chain in
+                  let last = List.nth chain (List.length chain - 1) in
+                  let src = first.Schedule.src_proc in
+                  let dst = last.Schedule.dst_proc in
+                  let ready =
+                    match Schedule.copy_on s ~task:e.src ~proc:src with
+                    | Some cu -> cu.finish
+                    | None ->
+                        err
+                          "edge %d: chain departs processor %d where task %d \
+                           has no copy"
+                          e.id src e.src;
+                        first.Schedule.start
+                  in
+                  if Schedule.copy_on s ~task:e.dst ~proc:dst = None then
+                    err
+                      "edge %d: chain ends on processor %d where task %d has \
+                       no copy"
+                      e.id dst e.dst;
+                  let route = Platform.route plat ~src ~dst in
+                  let hop_pairs =
+                    List.map
+                      (fun (c : Schedule.comm) -> (c.src_proc, c.dst_proc))
+                      chain
+                  in
+                  if hop_pairs <> route then
+                    err
+                      "edge %d: communication hops [%s] do not follow the \
+                       platform route %d->%d [%s]"
+                      e.id (pp_route hop_pairs) src dst (pp_route route);
+                  let arrival =
+                    List.fold_left
+                      (fun prev (c : Schedule.comm) ->
+                        let expect =
+                          expected_hop_span ~data:e.data
+                            ~cost:
+                              (Platform.hop_cost plat ~src:c.src_proc
+                                 ~dst:c.dst_proc)
+                        in
+                        if not (feq (c.finish -. c.start) expect) then
+                          err
+                            "edge %d: hop %d->%d has duration %g over \
+                             [%g,%g), expected %g"
+                            e.id c.src_proc c.dst_proc (c.finish -. c.start)
+                            c.start c.finish expect;
+                        if not (fle prev c.start) then
+                          err
+                            "edge %d: hop %d->%d starts at %g before data is \
+                             ready at %g"
+                            e.id c.src_proc c.dst_proc c.start prev;
+                        c.finish)
+                      ready chain
+                  in
+                  (dst, arrival))
+                chains
+            in
+            (* every copy of the consumer is fed in time: by a source copy
+               on its processor, by the one chain delivering there, or, on
+               a zero-data edge without events, by any source copy *)
+            List.iter
+              (fun (cv : Schedule.placement) ->
+                let ins = List.filter (fun (dst, _) -> dst = cv.proc) arrivals in
+                if List.length ins > 1 then
+                  err "edge %d: %d chains deliver to processor %d" e.id
+                    (List.length ins) cv.proc;
+                let in_time (cu : Schedule.placement) = fle cu.finish cv.start in
+                let fed =
+                  Option.fold ~none:false ~some:in_time
+                    (Schedule.copy_on s ~task:e.src ~proc:cv.proc)
+                  || (match ins with
+                     | [ (_, arrival) ] -> fle arrival cv.start
+                     | _ -> false)
+                  || e.data = 0. && hops = []
+                     && List.exists in_time (Schedule.copies s e.src)
+                in
+                if not fed then
+                  err
+                    "edge %d: copy of task %d on processor %d starts at %g but \
+                     no completed copy of task %d feeds it in time"
+                    e.id e.dst cv.proc cv.start e.src)
+              (Schedule.copies s e.dst)
           end)
         (Graph.edges g);
       (* 3b. BSP phase pricing: a phase moving an h-relation of volume [h]

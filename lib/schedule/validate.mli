@@ -4,15 +4,16 @@
     events — never from the builder's internal timelines — so that a bug in
     the gap-search machinery cannot hide a bug in a heuristic:
 
-    - every task placed exactly once, with the correct duration
-      [w(v) * t_alloc(v)];
-    - processor exclusivity: one task at a time per processor;
-    - precedence: local edges wait for the source's finish; remote edges
-      carry a complete chain of hop events following the platform route,
-      each hop starting no earlier than the previous one ends, with the
-      correct duration [data * hop_cost], and the destination task starts
-      no earlier than the final arrival (zero-volume edges may omit
-      events);
+    - every task placed, each copy ({!Schedule.copies}) on its own
+      processor with the correct duration [w(v) * t_alloc(v)];
+    - processor exclusivity: one task copy at a time per processor;
+    - precedence: an edge's hops split into provenance chains at
+      {!Schedule.comm_head_at}.  A chain departs a finished copy of the
+      source and follows the platform route to a copy of the destination,
+      each hop [data * hop_cost] long and starting once the previous one
+      ends.  Each copy of the destination starts once a source copy on its
+      processor finishes or the one chain delivering there arrives
+      (zero-volume edges may omit events and wait for any source copy);
     - port discipline: under one-port models, the send (resp. receive)
       events of a processor are pairwise disjoint — bi-directional keeps
       the two directions independent, uni-directional pools them;
@@ -34,18 +35,17 @@ val check_exn : Schedule.t -> unit
 
 val is_valid : Schedule.t -> bool
 
-(** The original list-based checker — the executable specification the
-    streaming sweep is property-tested against.  Same verdicts on every
+(** The list-based checker — the executable specification {!check} is
+    property-tested against, copy-sets included.  Same verdicts on every
     schedule; materializes per-resource labelled interval lists, so it
     stays off the large-instance paths. *)
 module Reference : sig
   val check : Schedule.t -> (unit, string list) result
 
-  (** [check_disjoint intervals ~on_overlap] is the list-based overlap
-      check on one resource, which the copy-aware path of {!check} uses
-      too: [intervals] are [(start, finish, label)], and [on_overlap a b]
-      receives adjacent overlapping intervals, [a] first in the order of
-      {!sweep_overlaps}. *)
+  (** [check_disjoint intervals ~on_overlap] is its overlap check on one
+      resource: [intervals] are [(start, finish, label)], and
+      [on_overlap a b] receives adjacent overlapping intervals, [a] first
+      in the order of {!sweep_overlaps}. *)
   val check_disjoint :
     (float * float * string) list ->
     on_overlap:(float * float * string -> float * float * string -> unit) ->

@@ -18,7 +18,6 @@ type config = {
   queue_cap : int;
   replan_budget : int;
   batch_window : float;
-  validate : bool;
 }
 
 let default_config =
@@ -30,7 +29,6 @@ let default_config =
     queue_cap = 64;
     replan_budget = max_int;
     batch_window = 0.02;
-    validate = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -419,9 +417,7 @@ let flush t =
             broadcast t ~owner:j.owner (Proto.Failed { id = j.jid; msg })
         | Ok sched ->
             let makespan = Schedule.makespan sched in
-            let valid =
-              if t.cfg.validate then Validate.is_valid sched else true
-            in
+            let valid = Validate.is_valid sched in
             let missed =
               match j.jdeadline with
               | Some d when makespan > d ->

@@ -55,11 +55,11 @@ type config = {
   batch_window : float;
       (** upper bound, in seconds, on how long the shell lets a pending
           job wait for more input before flushing *)
-  validate : bool;  (** run {!Sched.Validate} on every schedule *)
 }
 
 (** heft, one-port, serial, [max_batch = 16], [queue_cap = 64],
-    unlimited budget, 20 ms window bound, validation on. *)
+    unlimited budget, 20 ms window bound.  Every schedule is checked
+    with {!Sched.Validate}. *)
 val default_config : config
 
 (** {1 The pure core} *)

@@ -97,93 +97,191 @@ let verdicts_agree sched =
   let reference = Result.is_ok (O.Validate.Reference.check sched) in
   streaming = reference
 
+(* The comm events delivering to a processor that holds an extra
+   (non-primary) copy of their edge's consumer: the hops of chains that
+   feed duplicates. *)
+let hops_feeding_duplicates sched =
+  let g = O.Schedule.graph sched in
+  List.filter
+    (fun i ->
+      let c = O.Schedule.comm_at sched i in
+      List.exists
+        (fun (d : O.Schedule.placement) -> d.proc = c.O.Schedule.dst_proc)
+        (O.Schedule.dup_copies sched (O.Graph.edge_dst g c.O.Schedule.edge)))
+    (List.init (O.Schedule.n_comms sched) Fun.id)
+
+let port_models =
+  List.filter
+    (fun m -> m.O.Comm_model.regime = O.Comm_model.Port)
+    O.Comm_model.all
+
+(* HEFT and ILHA on a random layered graph under any rung, or heft-dup
+   (dup_limit 1-2, port rungs) on FORK-JOIN or a random layered graph,
+   both at ccr 1 (layered volumes up to max_weight + 1, the rule of the
+   "layered:L:W" testbeds). *)
+let validate_gen =
+  QCheck2.Gen.(
+    let* seed = int_bound 10_000 in
+    let* layers = int_range 2 6 in
+    let* width = int_range 2 8 in
+    let* model_i = int_bound (List.length O.Comm_model.all - 1) in
+    let* kind = oneofl [ `Heft; `Ilha; `Heft_dup; `Heft_dup ] in
+    let* fork_join = bool in
+    let* limit = int_range 1 2 in
+    let* mutation = int_bound 2 in
+    return (seed, layers, width, model_i, kind, fork_join, limit, mutation))
+
+let print_validate_case
+    (seed, layers, width, model_i, kind, fork_join, limit, mutation) =
+  Printf.sprintf "seed %d, %dx%d, model %d, %s, mutation %d" seed layers width
+    model_i
+    (match kind with
+    | `Heft -> "heft"
+    | `Ilha -> "ilha"
+    | `Heft_dup ->
+        Printf.sprintf "heft-dup on %s, dup_limit %d"
+          (if fork_join then "fork-join" else "layered")
+          limit)
+    mutation
+
+let validate_case (seed, layers, width, model_i, kind, fork_join, limit, mutation)
+    =
+  let layered max_data =
+    O.Generators.layered (O.Rng.create ~seed) ~layers ~width ~edge_prob:0.4
+      ~max_weight:9 ~max_data
+  in
+  let plat = O.Platform.paper_platform () in
+  let sched =
+    match kind with
+    | `Heft_dup ->
+        let g =
+          if fork_join then
+            (O.Suite.find "fork-join").O.Suite.build ~n:(4 * layers) ~ccr:1.
+          else layered 10
+        in
+        let model =
+          List.nth port_models (model_i mod List.length port_models)
+        in
+        let params = O.Params.with_dup_limit (O.Params.of_model model) limit in
+        O.Heft_dup.schedule ~params plat g
+    | (`Heft | `Ilha) as h ->
+        let params = O.Params.of_model (List.nth O.Comm_model.all model_i) in
+        if h = `Heft then O.Heft.schedule ~params plat (layered 20)
+        else O.Ilha.schedule ~params plat (layered 20)
+  in
+  let pick l = List.nth l (seed mod List.length l) in
+  match mutation with
+  | 0 ->
+      (* pristine: both checkers must accept *)
+      Result.is_ok (O.Validate.check sched) && verdicts_agree sched
+  | 1 ->
+      (* drop one communication event (when any): a hop of a chain that
+         feeds a duplicate if there is one, else any hop, or a BSP
+         phase's event *)
+      let nc = O.Schedule.n_comms sched in
+      if nc = 0 then true
+      else begin
+        let victim =
+          match hops_feeding_duplicates sched with
+          | [] -> seed mod nc
+          | l -> pick l
+        in
+        O.Schedule.filter_commsi sched ~keep:(fun i _ -> i <> victim);
+        verdicts_agree sched
+      end
+  | _ ->
+      (* unplace a duplicate copy if there is one, else a task *)
+      let n = O.Graph.n_tasks (O.Schedule.graph sched) in
+      (match
+         List.filter
+           (fun v -> O.Schedule.dup_copies sched v <> [])
+           (List.init n Fun.id)
+       with
+      | [] -> O.Schedule.unplace_task sched (seed mod n)
+      | dups ->
+          let v = pick dups in
+          let c = List.hd (O.Schedule.dup_copies sched v) in
+          O.Schedule.unplace_copy sched ~task:v ~proc:c.O.Schedule.proc);
+      verdicts_agree sched
+
 let validate_tests =
   [
-    qtest ~count:40 "streaming validator agrees with Reference"
-      QCheck2.Gen.(
-        let* seed = int_bound 10_000 in
-        let* layers = int_range 2 6 in
-        let* width = int_range 2 8 in
-        let* model_i = int_bound (List.length O.Comm_model.all - 1) in
-        let* heft = bool in
-        let* mutation = int_bound 2 in
-        return (seed, layers, width, model_i, heft, mutation))
-      (fun (seed, layers, width, model_i, heft, mutation) ->
-        let rng = O.Rng.create ~seed in
-        let g =
-          O.Generators.layered rng ~layers ~width ~edge_prob:0.4 ~max_weight:9
-            ~max_data:20
-        in
-        let plat = O.Platform.paper_platform () in
-        let model = List.nth O.Comm_model.all model_i in
-        let params = O.Params.of_model model in
-        let sched =
-          if heft then O.Heft.schedule ~params plat g
-          else O.Ilha.schedule ~params plat g
-        in
-        match mutation with
-        | 0 ->
-            (* pristine: both checkers must accept *)
-            Result.is_ok (O.Validate.check sched) && verdicts_agree sched
-        | 1 ->
-            (* drop one communication event (when any): a remote edge
-               loses a hop, or a BSP phase loses its event *)
-            let nc = O.Schedule.n_comms sched in
-            if nc = 0 then true
-            else begin
-              let victim = seed mod nc in
-              let i = ref (-1) in
-              O.Schedule.filter_comms sched ~keep:(fun _ ->
-                  incr i;
-                  !i <> victim);
-              verdicts_agree sched
-            end
-        | _ ->
-            (* unplace one task: both must flag it *)
-            O.Schedule.unplace_task sched (seed mod O.Graph.n_tasks g);
-            verdicts_agree sched);
+    qtest ~count:120 "streaming validator agrees with Reference"
+      ~print:print_validate_case validate_gen validate_case;
     Alcotest.test_case "streaming validator catches handmade violations"
       `Quick
       (fun () ->
-        (* the broken-schedule constructions of test_schedule, re-checked
-           against both implementations *)
-        let g =
+        (* the broken-schedule constructions of test_schedule and
+           test_duplication, plus chain rules, each checked as built and
+           as a copy-set (with a late spare copy of task 0 on processor
+           2), against both implementations *)
+        let graph data =
           O.Graph.create ~name:"chain"
             ~weights:[| 1.; 1. |]
-            ~edges:[ (0, 1, 2.) ]
+            ~edges:[ (0, 1, data) ]
             ()
         in
-        let make () =
-          O.Schedule.create ~graph:g
-            ~platform:(O.Platform.homogeneous ~p:2 ~link_cost:1.)
-            ~model:O.Comm_model.one_port ()
+        let check_both name ~data ~expect_ok build =
+          List.iter
+            (fun spare ->
+              let s =
+                O.Schedule.create ~graph:(graph data)
+                  ~platform:(O.Platform.homogeneous ~p:3 ~link_cost:1.)
+                  ~model:O.Comm_model.one_port ()
+              in
+              build s;
+              if spare then O.Schedule.place_copy s ~task:0 ~proc:2 ~start:100.;
+              let name = if spare then name ^ ", copy-set" else name in
+              Alcotest.(check bool)
+                (name ^ " (streaming)") expect_ok
+                (Result.is_ok (O.Validate.check s));
+              Alcotest.(check bool)
+                (name ^ " (reference)") expect_ok
+                (Result.is_ok (O.Validate.Reference.check s)))
+            [ false; true ]
         in
-        let check_both name s expect_ok =
-          Alcotest.(check bool)
-            (name ^ " (streaming)") expect_ok
-            (Result.is_ok (O.Validate.check s));
-          Alcotest.(check bool)
-            (name ^ " (reference)") expect_ok
-            (Result.is_ok (O.Validate.Reference.check s))
-        in
-        let s = make () in
-        O.Schedule.place_task s ~task:0 ~proc:0 ~start:0.;
-        let a = O.Schedule.add_comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
-        O.Schedule.place_task s ~task:1 ~proc:1 ~start:a;
-        check_both "valid chain" s true;
-        let s = make () in
-        O.Schedule.place_task s ~task:1 ~proc:0 ~start:0.;
-        O.Schedule.place_task s ~task:0 ~proc:0 ~start:3.;
-        check_both "local precedence violation" s false;
-        let s = make () in
-        O.Schedule.place_task s ~task:0 ~proc:0 ~start:0.;
-        O.Schedule.place_task s ~task:1 ~proc:1 ~start:1.;
-        check_both "missing communication" s false;
-        let s = make () in
-        O.Schedule.place_task s ~task:0 ~proc:0 ~start:0.;
-        let _ = O.Schedule.add_comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
-        O.Schedule.place_task s ~task:1 ~proc:1 ~start:2.;
-        check_both "start before arrival" s false);
+        let place = O.Schedule.place_task and comm = O.Schedule.add_comm in
+        check_both "valid chain" ~data:2. ~expect_ok:true (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            let a = comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
+            place s ~task:1 ~proc:1 ~start:a);
+        check_both "local precedence violation" ~data:2. ~expect_ok:false
+          (fun s ->
+            place s ~task:1 ~proc:0 ~start:0.;
+            place s ~task:0 ~proc:0 ~start:3.);
+        check_both "missing communication" ~data:2. ~expect_ok:false (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            place s ~task:1 ~proc:1 ~start:1.);
+        check_both "start before arrival" ~data:2. ~expect_ok:false (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            let _ = comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
+            place s ~task:1 ~proc:1 ~start:2.);
+        check_both "orphan chain" ~data:1. ~expect_ok:false (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            let _ = comm s ~edge:0 ~src_proc:2 ~dst_proc:1 ~start:1. in
+            place s ~task:1 ~proc:1 ~start:2.);
+        check_both "unfed copy" ~data:2. ~expect_ok:false (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            let a = comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
+            place s ~task:1 ~proc:1 ~start:a;
+            O.Schedule.place_copy s ~task:1 ~proc:2 ~start:50.);
+        check_both "chain ends where the consumer has no copy" ~data:2.
+          ~expect_ok:false (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            let a = comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
+            place s ~task:1 ~proc:1 ~start:a;
+            let _ = comm ~head:true s ~edge:0 ~src_proc:0 ~dst_proc:2 ~start:a in
+            ());
+        check_both "zero-data chain arrives late" ~data:0. ~expect_ok:false
+          (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            let _ = comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:5. in
+            place s ~task:1 ~proc:1 ~start:2.);
+        check_both "local edge carries an event" ~data:2. ~expect_ok:false
+          (fun s ->
+            place s ~task:0 ~proc:0 ~start:0.;
+            let _ = comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
+            place s ~task:1 ~proc:0 ~start:1.));
   ]
 
 (* ---------------- the occupancy sweep vs brute force ---------------- *)
