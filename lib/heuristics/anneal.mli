@@ -40,12 +40,7 @@ type result = {
 
     Proposals are priced incrementally on a {!Prefix_replay} driver (one
     rollback + suffix replay per step instead of a full rebuild);
-    results are bit-identical to {!Reference.improve}. *)
+    results are bit-identical to the from-scratch annealer (one full
+    rebuild per proposal) that the test-only [onesched_oracle] library
+    keeps as [Anneal_ref]. *)
 val improve : ?policy:Engine.policy -> ?params:params -> Sched.Schedule.t -> result
-
-(** The original from-scratch annealer (one full rebuild per proposal),
-    kept as the executable specification for [improve]. *)
-module Reference : sig
-  val improve :
-    ?policy:Engine.policy -> ?params:params -> Sched.Schedule.t -> result
-end

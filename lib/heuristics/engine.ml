@@ -479,258 +479,23 @@ let prepare_incoming t ~task =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Reference evaluator                                                 *)
+(* Test seam                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The straightforward list-based evaluator the arena engine replaced,
-   kept as the executable specification: [with_reference] re-routes the
-   whole public API through it, and the test suite proves both engines
-   produce bit-identical schedules. *)
-module Reference = struct
-  (* Tentative busy intervals per physical timeline (physical equality:
-     distinct resources are distinct Timeline.t values). *)
-  type scratch = (Timeline.t * (float * float) list) list
+type oracle = {
+  evaluate : floor:float -> t -> task:int -> proc:int -> eval;
+  best_proc : floor:float -> t -> task:int -> eval;
+  best_proc_among : floor:float -> t -> task:int -> int list -> eval;
+  best_pending :
+    floor:float ->
+    t ->
+    tasks:int array ->
+    procs:int array ->
+    alive:bool array ->
+    (int * eval) option;
+}
 
-  let scratch_for (scratch : scratch) tls =
-    List.concat_map
-      (fun tl ->
-        match List.find_opt (fun (tl', _) -> tl' == tl) scratch with
-        | Some (_, ivs) -> ivs
-        | None -> [])
-      tls
-
-  let scratch_add (scratch : scratch) tls iv : scratch =
-    List.fold_left
-      (fun acc tl ->
-        let rec update = function
-          | [] -> [ (tl, [ iv ]) ]
-          | (tl', ivs) :: rest when tl' == tl -> (tl', iv :: ivs) :: rest
-          | entry :: rest -> entry :: update rest
-        in
-        update acc)
-      scratch tls
-
-  (* Earliest slot of [duration] on the joint busy set of [tls] plus the
-     tentative intervals, at or after [after], honouring the policy. *)
-  let slot t ~tls ~scratch ~after ~duration =
-    let extra = scratch_for scratch tls in
-    let after =
-      match t.policy with
-      | Insertion -> after
-      | Append ->
-          let last =
-            List.fold_left
-              (fun acc tl -> max acc (Timeline.last_finish tl))
-              after tls
-          in
-          List.fold_left (fun acc (_, f) -> max acc f) last extra
-    in
-    Timeline.earliest_gap_joint ~extra tls ~after ~duration
-
-  (* Incoming edges of [task], ordered by (source finish, source id): the
-     greedy order in which §4.3 serialises incoming communications. *)
-  let incoming t task =
-    let g = Schedule.graph t.sched in
-    let edges =
-      Graph.fold_pred_edges g task ~init:[] ~f:(fun acc e ->
-          let src = Graph.edge_src g e in
-          let fin, _ = rep_fin_proc t.sched src in
-          (fin, src, e) :: acc)
-    in
-    List.sort compare edges
-
-  let evaluate_port ~floor t ~task ~proc =
-    let g = Schedule.graph t.sched in
-    let plat = Schedule.platform t.sched in
-    let res = Schedule.resource t.sched in
-    let hops = ref [] in
-    let scratch = ref ([] : scratch) in
-    let ready =
-      List.fold_left
-        (fun ready (fin, src, e) ->
-          let _, q = rep_fin_proc t.sched src in
-          let data = Graph.edge_data g e in
-          if q = proc || data = 0. then max ready fin
-          else
-            match dup_local_finish t.sched ~src ~proc with
-            | Some f -> max ready f
-            | None ->
-                let arrival =
-                  List.fold_left
-                    (fun data_ready (a, b) ->
-                      let duration =
-                        data *. Platform.hop_cost plat ~src:a ~dst:b
-                      in
-                      let tls = Resource.comm_busy res ~src:a ~dst:b in
-                      let start =
-                        slot t ~tls ~scratch:!scratch ~after:data_ready
-                          ~duration
-                      in
-                      Obs.Counters.(bump tentative_hops);
-                      hops :=
-                        { edge = e; src_proc = a; dst_proc = b; start }
-                        :: !hops;
-                      scratch :=
-                        scratch_add !scratch tls (start, start +. duration);
-                      start +. duration)
-                    (max fin floor)
-                    (Platform.route plat ~src:q ~dst:proc)
-                in
-                max ready arrival)
-        floor (incoming t task)
-    in
-    let duration = Schedule.exec_duration t.sched ~task ~proc in
-    let compute = Resource.compute res proc in
-    let est = slot t ~tls:[ compute ] ~scratch:!scratch ~after:ready ~duration in
-    { proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
-
-  (* BSP: the task's remote inputs travel in one fresh comm phase priced
-     [g·h + L] from the h-relation [h] (total remote data), placed on the
-     platform-wide phase busy set; local and zero-data inputs only
-     constrain readiness. *)
-  let evaluate_bsp ~floor t ~task ~proc ~g:gp ~l:lp =
-    let g = Schedule.graph t.sched in
-    let res = Schedule.resource t.sched in
-    let local_ready = ref floor in
-    let remote_ready = ref floor in
-    let h = ref 0. in
-    let remote = ref [] in
-    List.iter
-      (fun (fin, _src, e) ->
-        let q = Schedule.proc_of_exn t.sched (Graph.edge_src g e) in
-        let data = Graph.edge_data g e in
-        if q = proc || data = 0. then begin
-          if fin > !local_ready then local_ready := fin
-        end
-        else begin
-          h := !h +. data;
-          if fin > !remote_ready then remote_ready := fin;
-          remote := (e, q) :: !remote
-        end)
-      (incoming t task);
-    let duration = Schedule.exec_duration t.sched ~task ~proc in
-    let compute = Resource.compute res proc in
-    match List.rev !remote with
-    | [] ->
-        let est =
-          slot t ~tls:[ compute ] ~scratch:[] ~after:!local_ready ~duration
-        in
-        { proc; est; eft = est +. duration; hops = []; phase = None }
-    | remote ->
-        let d = (gp *. !h) +. lp in
-        let phase_tls = Resource.phase_busy res in
-        let c =
-          slot t ~tls:phase_tls ~scratch:[] ~after:!remote_ready ~duration:d
-        in
-        let f = c +. d in
-        let scratch = scratch_add [] phase_tls (c, f) in
-        let hops =
-          List.map
-            (fun (e, q) ->
-              Obs.Counters.(bump tentative_hops);
-              { edge = e; src_proc = q; dst_proc = proc; start = c })
-            remote
-        in
-        let ready = if !local_ready > f then !local_ready else f in
-        let est = slot t ~tls:[ compute ] ~scratch ~after:ready ~duration in
-        { proc; est; eft = est +. duration; hops; phase = Some (c, f) }
-
-  (* Latency+overhead: a hop's event spans [2o + data·hop_cost + l]; only
-     the endpoint overheads occupy ports, exactly the sub-intervals
-     [Resource.commit_comm] will commit.  The send and receive windows
-     are coupled, so the placement alternates between the two sides until
-     both are free (strictly increasing candidate starts, hence
-     terminating). *)
-  let evaluate_latency ~floor t ~task ~proc ~o ~l =
-    let g = Schedule.graph t.sched in
-    let plat = Schedule.platform t.sched in
-    let res = Schedule.resource t.sched in
-    let hops = ref [] in
-    let scratch = ref ([] : scratch) in
-    let ready =
-      List.fold_left
-        (fun ready (fin, _src, e) ->
-          let q = Schedule.proc_of_exn t.sched (Graph.edge_src g e) in
-          let data = Graph.edge_data g e in
-          if q = proc || data = 0. then max ready fin
-          else begin
-            let arrival =
-              List.fold_left
-                (fun data_ready (a, b) ->
-                  let span =
-                    (2. *. o) +. (data *. Platform.hop_cost plat ~src:a ~dst:b)
-                    +. l
-                  in
-                  let send_tls = Resource.send_busy res a in
-                  let recv_tls = Resource.recv_busy res b in
-                  let rec place after =
-                    let s =
-                      slot t ~tls:send_tls ~scratch:!scratch ~after ~duration:o
-                    in
-                    let f = s +. span in
-                    let r0 = max (f -. o) s in
-                    let r =
-                      slot t ~tls:recv_tls ~scratch:!scratch ~after:r0
-                        ~duration:o
-                    in
-                    if r <= r0 then (s, f, r0)
-                    else
-                      let a' = (r -. span) +. o in
-                      place (if a' > s then a' else f)
-                  in
-                  let s, f, r0 = place data_ready in
-                  Obs.Counters.(bump tentative_hops);
-                  hops :=
-                    { edge = e; src_proc = a; dst_proc = b; start = s } :: !hops;
-                  let s1 = min (s +. o) f in
-                  if s1 > s then
-                    scratch := scratch_add !scratch send_tls (s, s1);
-                  if f > r0 then scratch := scratch_add !scratch recv_tls (r0, f);
-                  f)
-                (max fin floor)
-                (Platform.route plat ~src:q ~dst:proc)
-            in
-            max ready arrival
-          end)
-        floor (incoming t task)
-    in
-    let duration = Schedule.exec_duration t.sched ~task ~proc in
-    let compute = Resource.compute res proc in
-    let est = slot t ~tls:[ compute ] ~scratch:!scratch ~after:ready ~duration in
-    { proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
-
-  let evaluate ?(floor = 0.) t ~task ~proc =
-    Obs.Counters.(bump evaluations);
-    match t.regime with
-    | Comm_model.Port -> evaluate_port ~floor t ~task ~proc
-    | Comm_model.Bsp { g; l } -> evaluate_bsp ~floor t ~task ~proc ~g ~l
-    | Comm_model.Latency_overhead { o; l } ->
-        evaluate_latency ~floor t ~task ~proc ~o ~l
-
-  let best_proc_among ?floor t ~task procs =
-    match procs with
-    | [] -> invalid_arg "Engine.best_proc_among: no candidates"
-    | procs ->
-        let best = ref None in
-        List.iter
-          (fun proc ->
-            let ev = evaluate ?floor t ~task ~proc in
-            match !best with
-            | Some b when b.eft <= ev.eft -> ()
-            | _ -> best := Some ev)
-          (List.sort_uniq compare procs);
-        Option.get !best
-
-  let best_proc ?floor t ~task =
-    best_proc_among ?floor t ~task (Array.to_list t.all_procs)
-end
-
-let use_reference = ref false
-
-let with_reference f =
-  let prev = !use_reference in
-  use_reference := true;
-  Fun.protect ~finally:(fun () -> use_reference := prev) f
+let oracle = ref None
 
 (* ------------------------------------------------------------------ *)
 (* Optimized evaluation                                                *)
@@ -809,8 +574,12 @@ let price_port ~floor ~abort t ~task ~proc =
   end;
   !live
 
-(* Arena mirror of [Reference.evaluate_bsp]: same arithmetic in the same
-   order, so both engines stay bit-identical. *)
+(* BSP: the task's remote inputs travel in one fresh comm phase priced
+   [g·h + L] from the h-relation [h] (total remote data), placed on the
+   platform-wide phase busy set; local and zero-data inputs only
+   constrain readiness.  The same arithmetic in the same order as
+   [Engine_ref.evaluate_bsp] in the test oracle, so both stay
+   bit-identical. *)
 let price_bsp ~floor t ~task ~proc ~g:gp ~l:lp =
   let c = t.cur in
   let local_ready = ref floor in
@@ -863,7 +632,13 @@ let price_bsp ~floor t ~task ~proc ~g:gp ~l:lp =
   c.p_times.(0) <- est;
   c.p_times.(1) <- est +. duration
 
-(* Arena mirror of [Reference.evaluate_latency]. *)
+(* Latency+overhead: a hop's event spans [2o + data·hop_cost + l]; only
+   the endpoint overheads occupy ports, exactly the sub-intervals
+   [Resource.commit_comm] will commit.  The send and receive windows
+   are coupled, so the placement alternates between the two sides until
+   both are free (strictly increasing candidate starts, hence
+   terminating).  Mirrors [Engine_ref.evaluate_latency] in the test
+   oracle. *)
 let price_latency ~floor t ~task ~proc ~o ~l =
   let c = t.cur in
   let ready = ref floor in
@@ -959,11 +734,11 @@ let materialize c =
   }
 
 let evaluate ?(floor = 0.) t ~task ~proc =
-  if !use_reference then Reference.evaluate ~floor t ~task ~proc
-  else begin
-    let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
-    materialize t.cur
-  end
+  match !oracle with
+  | Some o -> o.evaluate ~floor t ~task ~proc
+  | None ->
+      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
+      materialize t.cur
 
 (* The latest finish over [q]'s send-only busy set; inlined, like
    [Timeline.last_finish], so that the float stays unboxed. *)
@@ -1222,22 +997,21 @@ let scan_candidates ~floor t ~task procs =
   materialize t.best
 
 let best_proc_among ?(floor = 0.) t ~task procs =
-  if !use_reference then Reference.best_proc_among ~floor t ~task procs
-  else
-    match procs with
-    | [] -> invalid_arg "Engine.best_proc_among: no candidates"
-    | procs ->
-        (* Candidates are almost always handed over sorted (processor
-           ranges, filtered survivor lists); only re-sort when not. *)
-        let procs =
-          if is_sorted_strict procs then procs
-          else List.sort_uniq compare procs
-        in
-        scan_candidates ~floor t ~task (Array.of_list procs)
+  match (!oracle, procs) with
+  | Some o, _ -> o.best_proc_among ~floor t ~task procs
+  | None, [] -> invalid_arg "Engine.best_proc_among: no candidates"
+  | None, procs ->
+      (* Candidates are almost always handed over sorted (processor
+         ranges, filtered survivor lists); only re-sort when not. *)
+      let procs =
+        if is_sorted_strict procs then procs else List.sort_uniq compare procs
+      in
+      scan_candidates ~floor t ~task (Array.of_list procs)
 
 let best_proc ?(floor = 0.) t ~task =
-  if !use_reference then Reference.best_proc ~floor t ~task
-  else scan_candidates ~floor t ~task t.all_procs
+  match !oracle with
+  | Some o -> o.best_proc ~floor t ~task
+  | None -> scan_candidates ~floor t ~task t.all_procs
 
 (* Earliest-best scan over the alive rows of a pending (task, proc)
    table — ILHA's reschedule step — with the same pruning and early
@@ -1255,19 +1029,9 @@ let best_pending ?(floor = 0.) t ~tasks ~procs ~alive =
   let n = Array.length tasks in
   if Array.length procs <> n || Array.length alive <> n then
     invalid_arg "Engine.best_pending: array length mismatch";
-  if !use_reference then begin
-    let best = ref None in
-    for i = 0 to n - 1 do
-      if alive.(i) then begin
-        let ev = Reference.evaluate ~floor t ~task:tasks.(i) ~proc:procs.(i) in
-        match !best with
-        | Some (_, b) when b.eft <= ev.eft -> ()
-        | _ -> best := Some (i, ev)
-      end
-    done;
-    !best
-  end
-  else scan_pending ~floor t ~tasks ~procs ~alive
+  match !oracle with
+  | Some o -> o.best_pending ~floor t ~tasks ~procs ~alive
+  | None -> scan_pending ~floor t ~tasks ~procs ~alive
 
 let log_push t ~task ~proc ~comms_before ~phases_before =
   if t.log_len = Array.length t.log_task then begin

@@ -24,9 +24,9 @@
     is strong early, {!best_proc} and {!best_proc_among} price one
     {e seed} first — the processor holding the input estimated to arrive
     last — and then the rest in index order; ties still go to the lowest
-    index.  The original list-based evaluator survives as {!Reference},
-    and {!with_reference} re-routes the public API through it; both
-    produce bit-identical schedules. *)
+    index.  The original list-based evaluator lives in the test-only
+    [onesched_oracle] library ([Engine_ref]), which installs it through
+    the {!oracle} seam to prove both produce bit-identical schedules. *)
 
 (** Slot-search policy: [Insertion] may fill idle gaps between committed
     work (classical insertion-based HEFT); [Append] only considers slots
@@ -165,18 +165,26 @@ val schedule_on : ?floor:float -> t -> task:int -> proc:int -> unit
     evaluation. *)
 val schedule_best : ?floor:float -> t -> task:int -> eval
 
-(** [with_reference f] runs [f] with {!evaluate}, {!best_proc},
-    {!best_proc_among} and {!best_pending} re-routed through the
-    {!Reference} evaluator (restoring the previous mode on exit,
-    including on exceptions).  Used by equivalence tests to run whole
-    heuristics on the pre-arena implementation. *)
-val with_reference : (unit -> 'a) -> 'a
+(** {2 Test seam} *)
 
-(** The straightforward list-based evaluator the arena engine replaced —
-    the executable specification.  Same semantics, no caches, no
-    pruning; produces bit-identical schedules. *)
-module Reference : sig
-  val evaluate : ?floor:float -> t -> task:int -> proc:int -> eval
-  val best_proc : ?floor:float -> t -> task:int -> eval
-  val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
-end
+(** A substitute pricing and argmin: while {!oracle} holds one,
+    {!evaluate}, {!best_proc}, {!best_proc_among} and {!best_pending}
+    call the matching field (with [floor] defaulted to 0) instead of the
+    arena engine; {!lower_bound}, the commits and {!rewind} are
+    unaffected.  The test suite installs an executable specification
+    here to prove the engine bit-identical to it.  The library never
+    sets it: it is [None] unless a test installs one. *)
+type oracle = {
+  evaluate : floor:float -> t -> task:int -> proc:int -> eval;
+  best_proc : floor:float -> t -> task:int -> eval;
+  best_proc_among : floor:float -> t -> task:int -> int list -> eval;
+  best_pending :
+    floor:float ->
+    t ->
+    tasks:int array ->
+    procs:int array ->
+    alive:bool array ->
+    (int * eval) option;
+}
+
+val oracle : oracle option ref

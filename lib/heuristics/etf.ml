@@ -24,8 +24,11 @@ let schedule ?(params = Params.default) plat g =
             match !best with
             | None -> true
             | Some (est', sl', _, _) ->
-                ev.Engine.est < est' -. 1e-12
-                || (Prelude.Stats.fequal ev.Engine.est est' && sl.(v) > sl' +. 1e-12)
+                (* one relative tolerance for both keys, so that the
+                   outcome does not depend on the platform's time unit *)
+                if Prelude.Stats.fequal ev.Engine.est est' then
+                  sl.(v) > sl' && not (Prelude.Stats.fequal sl.(v) sl')
+                else ev.Engine.est < est'
           in
           if better then best := Some (ev.Engine.est, sl.(v), v, ev)
         done)

@@ -8,7 +8,8 @@
     replays only the suffix.  Because the decision order is
     allocation-independent, the result is {e bit-identical} to a
     from-scratch rebuild of the same allocation — the property the
-    [Refine]/[Anneal] Reference equivalence suite pins down.
+    improver equivalence suite pins down against the test-only
+    [onesched_oracle] library's [Refine_ref] and [Anneal_ref].
 
     A move at decision position [k] therefore costs O(n - k) decisions
     instead of O(n), plus the rollback's O(work undone); on average half

@@ -33,6 +33,12 @@ val rebuild :
   Taskgraph.Graph.t ->
   Sched.Schedule.t
 
+(** [candidate_tasks sched] — the tasks {!improve} tries to move, in
+    increasing order: those finishing at the makespan, plus every task on
+    a backward critical chain from them (a predecessor whose data becomes
+    available exactly when its successor starts). *)
+val candidate_tasks : Sched.Schedule.t -> int list
+
 (** [improve ?policy ?max_rounds ?max_moves sched] — refine the schedule's
     allocation.  The result's schedule is never worse than the better of
     the input and its rebuild.
@@ -40,18 +46,8 @@ val rebuild :
     Candidate moves are priced incrementally on a {!Prefix_replay}
     driver: moving a task rewinds to its decision position and replays
     only the suffix, instead of paying a full rebuild per step.  The
-    result — schedule, move trace, every count — is bit-identical to
-    {!Reference.improve}. *)
+    result — schedule, move trace, every count — is bit-identical to the
+    from-scratch climber (one full rebuild per priced move) that the
+    test-only [onesched_oracle] library keeps as [Refine_ref]. *)
 val improve :
   ?policy:Engine.policy -> ?max_rounds:int -> ?max_moves:int -> Sched.Schedule.t -> result
-
-(** The original from-scratch hill climber (one full rebuild per priced
-    move), kept as the executable specification for [improve]. *)
-module Reference : sig
-  val improve :
-    ?policy:Engine.policy ->
-    ?max_rounds:int ->
-    ?max_moves:int ->
-    Sched.Schedule.t ->
-    result
-end

@@ -17,7 +17,6 @@ type counter = int
 let evaluations = register "evaluations" "evaluations" Base
 let pruned_evaluations = register "pruned_evaluations" "pruned evaluations" Base
 let route_cache_hits = register "route_cache_hits" "route-cache hits" Base
-let gap_probes = register "gap_probes" "gap probes" Base
 let joint_gap_probes = register "joint_gap_probes" "joint gap probes" Base
 let tentative_hops = register "tentative_hops" "tentative hops" Base
 let commits = register "commits" "commits" Base

@@ -41,11 +41,8 @@ val pruned_evaluations : counter
     busy sets. *)
 val route_cache_hits : counter
 
-(** Single-timeline earliest-gap searches ([Timeline.earliest_gap]). *)
-val gap_probes : counter
-
-(** Joint (one-port) earliest-gap searches ([Timeline.earliest_gap_joint]
-    and its array fast path). *)
+(** Earliest-gap searches ([Timeline.earliest_gap_joint_arr]), over one
+    timeline or jointly over several (one-port). *)
 val joint_gap_probes : counter
 
 (** Communication hops planned during evaluation (most are discarded —

@@ -124,53 +124,6 @@ let remove t ~start ~finish =
     t.j_len <- t.j_len - 1
   end
 
-(* Zero-length tentative intervals block nothing (mirroring [add], which
-   ignores them); dropping them here keeps the gap walks below from
-   mistaking an empty interval for a blocker. *)
-let sort_extra extra =
-  match List.filter (fun (s, f) -> f > s) extra with
-  | ([] | [ _ ]) as l -> l
-  | l -> List.sort (fun (s1, _) (s2, _) -> compare s1 s2) l
-
-let earliest_gap ?(extra = []) t ~after ~duration =
-  Obs.Counters.(bump gap_probes);
-  if duration <= 0. then after
-  else begin
-    let extra = sort_extra extra in
-    let candidate = ref after in
-    let i = ref (first_relevant t after) in
-    let ex = ref extra in
-    let progress = ref true in
-    (* Advance over blocking intervals from both sources in start order. *)
-    while !progress do
-      progress := false;
-      (* Committed intervals blocking [candidate, candidate+duration). *)
-      while
-        !i < t.len
-        && t.starts.(!i) < !candidate +. duration
-        && t.finishes.(!i) > !candidate
-      do
-        if t.finishes.(!i) > !candidate then candidate := t.finishes.(!i);
-        incr i;
-        progress := true
-      done;
-      (* Skip committed intervals now entirely before the candidate. *)
-      while !i < t.len && t.finishes.(!i) <= !candidate do
-        incr i
-      done;
-      (match !ex with
-      | (s, f) :: rest when s < !candidate +. duration ->
-          if f > !candidate then begin
-            candidate := f;
-            progress := true
-          end;
-          ex := rest;
-          progress := true
-      | _ -> ())
-    done;
-    !candidate
-  end
-
 (* The non-allocating core of the joint search: timelines come as a
    caller-owned array prefix [ts.(0 .. k-1)], tentative blockers as flat
    parallel arrays [extra_s]/[extra_f] (prefix [extra_len], sorted by
@@ -223,23 +176,6 @@ let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
     done;
     !candidate
   end
-
-(* List front end: a thin (allocating) wrapper over the array core, kept
-   for callers outside the hot path. *)
-let earliest_gap_joint ?(extra = []) ts ~after ~duration =
-  let ts = Array.of_list ts in
-  let k = Array.length ts in
-  let extra = sort_extra extra in
-  let extra_len = List.length extra in
-  let extra_s = Array.make (max extra_len 1) 0. in
-  let extra_f = Array.make (max extra_len 1) 0. in
-  List.iteri
-    (fun i (s, f) ->
-      extra_s.(i) <- s;
-      extra_f.(i) <- f)
-    extra;
-  earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len
-    ~idx:(Array.make (max k 1) 0) ~after ~duration
 
 let free_at t ~start ~finish =
   if finish <= start then true

@@ -2,18 +2,17 @@
 
     A timeline records the busy intervals of one resource (a processor's
     compute unit, its send port, or its receive port) as a sorted sequence
-    of disjoint half-open intervals [[start, finish)].  Two queries drive
-    all scheduling decisions in this library:
+    of disjoint half-open intervals [[start, finish)].  One query drives
+    all scheduling decisions in this library, {!earliest_gap_joint_arr}:
+    the earliest start time [>= after] at which the {e union} of several
+    timelines is continuously free for [duration] time units.  Over one
+    timeline it is the insertion-based slot search of HEFT-style list
+    scheduling; over a send port and a receive port it is exactly the
+    one-port constraint of the paper (§4.3): a message from [Pq] to [Pr]
+    needs a common free interval of [Pq]'s send port and [Pr]'s receive
+    port.
 
-    - {!earliest_gap}: the earliest start time [>= after] at which the
-      resource is continuously free for [duration] time units — the
-      insertion-based slot search used by HEFT-style list scheduling;
-    - {!earliest_gap_joint}: the same over the {e union} of several
-      timelines, which is exactly the one-port constraint of the paper
-      (§4.3): a message from [Pq] to [Pr] needs a common free interval of
-      [Pq]'s send port and [Pr]'s receive port.
-
-    Both queries accept [extra] busy intervals so that a heuristic can
+    The query accepts [extra] busy intervals so that a heuristic can
     evaluate a candidate placement (including the communications it would
     trigger) without mutating any committed state. *)
 
@@ -65,32 +64,15 @@ val last_finish : t -> float
 (** Total busy time. *)
 val total_busy : t -> float
 
-(** [earliest_gap t ~after ~duration] is the earliest [s >= after] such
-    that [[s, s + duration)] intersects no busy interval.  [extra] adds
-    tentative busy intervals (in any order; zero-length ones are ignored,
-    as in {!add}) to the busy set.  A non-positive [duration] yields
-    [after]. *)
-val earliest_gap :
-  ?extra:(float * float) list -> t -> after:float -> duration:float -> float
-
-(** [earliest_gap_joint ts ~after ~duration] is the earliest gap in the
-    union of the busy sets of all timelines in [ts] plus [extra].  Used for
-    one-port communication slots (sender send-port + receiver recv-port,
-    plus compute timelines under no-overlap variants). *)
-val earliest_gap_joint :
-  ?extra:(float * float) list ->
-  t list ->
-  after:float ->
-  duration:float ->
-  float
-
 (** [earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
-    ~duration] is the array core behind {!earliest_gap_joint}: the
-    joint busy set is the first [k] timelines of [ts] plus the
-    tentative intervals [[extra_s.(i), extra_f.(i))] for
-    [i < extra_len].  The caller owns every array; [idx] is cursor
-    scratch of length at least [k] whose contents are overwritten.  The
-    walk allocates nothing but its boxed result.  The result is the
+    ~duration] is the earliest [s >= after] such that [[s, s + duration)]
+    meets no busy interval of the joint busy set (a non-positive
+    [duration] yields [after]).  The joint busy set is the first [k]
+    timelines of [ts] plus the tentative intervals
+    [[extra_s.(i), extra_f.(i))] for [i < extra_len].  The caller owns
+    every array; [idx] is cursor scratch of length at least [k] whose
+    contents are overwritten.  The walk allocates nothing but its boxed
+    result.  The result is the
     {e earliest} feasible start at or after [after], so it is monotone
     in [after] and can only grow when blockers are added.
 

@@ -35,23 +35,6 @@ val check_exn : Schedule.t -> unit
 
 val is_valid : Schedule.t -> bool
 
-(** The list-based checker — the executable specification {!check} is
-    property-tested against, copy-sets included.  Same verdicts on every
-    schedule; materializes per-resource labelled interval lists, so it
-    stays off the large-instance paths. *)
-module Reference : sig
-  val check : Schedule.t -> (unit, string list) result
-
-  (** [check_disjoint intervals ~on_overlap] is its overlap check on one
-      resource: [intervals] are [(start, finish, label)], and
-      [on_overlap a b] receives adjacent overlapping intervals, [a] first
-      in the order of {!sweep_overlaps}. *)
-  val check_disjoint :
-    (float * float * string) list ->
-    on_overlap:(float * float * string -> float * float * string -> unit) ->
-    unit
-end
-
 (** The occupancy sweep behind {!check}'s processor, link and port
     checks, on bare intervals, for tests.  Interval [i] is
     [[start.(i), finish.(i))] on resource [res.(i)] (resources are

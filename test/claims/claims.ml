@@ -3,8 +3,8 @@
    deterministic unit and cram suites.
 
    - anneal: the incremental annealer (commit-log rewind) ends on the
-     same makespan as [Anneal.Reference], which rebuilds the schedule
-     per step, and beats its wall time on the largest instance;
+     same makespan as the oracle's [Anneal_ref], which rebuilds the
+     schedule per step, and beats its wall time on the largest instance;
    - online: under a crash / outage / rejoin trace, incremental
      re-planning reproduces every from-scratch makespan and beats its
      total re-plan time on the largest instance (best of 3);
@@ -49,7 +49,7 @@ let anneal () =
       let sched = O.Heft.schedule plat (O.Kernels.lu ~n ~ccr:10.) in
       let inc, fast = time (fun () -> O.Anneal.improve ~params sched) in
       let scr, slow =
-        time (fun () -> O.Anneal.Reference.improve ~params sched)
+        time (fun () -> Onesched_oracle.Anneal_ref.improve ~params sched)
       in
       let a = inc.O.Anneal.final_makespan and b = scr.O.Anneal.final_makespan in
       let fast_ok, timing = speedup_detail ~n ~slow ~fast in

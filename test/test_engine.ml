@@ -2,6 +2,7 @@
    purity, policies, and routed communications. *)
 
 module O = Onesched
+open Onesched_oracle
 open Util
 
 let chain_graph () =
@@ -203,7 +204,7 @@ let equivalence_tests =
                   let g = tb.O.Suite.build ~n ~ccr:0.5 in
                   let fast = scheduler params plat g in
                   let slow =
-                    O.Engine.with_reference (fun () -> scheduler params plat g)
+                    Engine_ref.with_reference (fun () -> scheduler params plat g)
                   in
                   check_bool
                     (Printf.sprintf "%s schedules agree" name)
@@ -250,7 +251,7 @@ let equivalence_property_tests =
         let params = O.Params.of_model model in
         let fast = e.O.Registry.scheduler params plat (graph ()) in
         let slow =
-          O.Engine.with_reference (fun () ->
+          Engine_ref.with_reference (fun () ->
               e.O.Registry.scheduler params plat (graph ()))
         in
         fingerprint fast = fingerprint slow);
@@ -292,7 +293,7 @@ let equivalence_property_tests =
             List.for_all
               (fun proc ->
                 let fast = O.Engine.evaluate engine ~task ~proc in
-                let slow = O.Engine.Reference.evaluate engine ~task ~proc in
+                let slow = Engine_ref.evaluate engine ~task ~proc in
                 fast = slow)
               (List.init (O.Platform.p plat) Fun.id))
           next);
@@ -303,7 +304,7 @@ let reference_mode_tests =
     Alcotest.test_case "with_reference restores the mode on exceptions" `Quick
       (fun () ->
         (try
-           O.Engine.with_reference (fun () -> failwith "boom")
+           Engine_ref.with_reference (fun () -> failwith "boom")
          with Failure _ -> ());
         (* Back in optimized mode: pruning fires on a real grid. *)
         let g = chain_graph () in
@@ -326,7 +327,7 @@ let reference_mode_tests =
           (fun (name, g, params) ->
             let fp_slow, slow =
               count (fun () ->
-                  O.Engine.with_reference (fun () ->
+                  Engine_ref.with_reference (fun () ->
                       O.Heft.schedule ~params plat g))
             in
             check_int (name ^ ": reference never prunes") 0
@@ -461,7 +462,7 @@ let check_counts what ~evaluations ~pruned ~aborted ~probes
 (* Best processor for [task] from both engines, the fast one counted. *)
 let best_both engine ~task =
   let fast, c = counted (fun () -> O.Engine.best_proc engine ~task) in
-  let slow = O.Engine.with_reference (fun () -> O.Engine.best_proc engine ~task) in
+  let slow = Engine_ref.with_reference (fun () -> O.Engine.best_proc engine ~task) in
   check_bool "eval = reference eval" true (fast = slow);
   (fast, c)
 
@@ -474,7 +475,7 @@ let scan_is_exact schedule =
   let g = (O.Suite.find "stencil").O.Suite.build ~n:10 ~ccr:10. in
   let run () = fingerprint (schedule plat g) in
   let fp_fast, fast = counted run in
-  let fp_slow, slow = counted (fun () -> O.Engine.with_reference run) in
+  let fp_slow, slow = counted (fun () -> Engine_ref.with_reference run) in
   check_bool "same schedule" true (fp_fast = fp_slow);
   check_bool "pruning fired" true
     (O.Obs_counters.(get fast pruned_evaluations) > 0);
@@ -583,7 +584,7 @@ let pruning_stage_tests =
         in
         let run () = O.Ilha.schedule ~params plat (build_graph gspec) in
         let fast = run () in
-        let slow = O.Engine.with_reference run in
+        let slow = Engine_ref.with_reference run in
         fingerprint fast = fingerprint slow);
   ]
 

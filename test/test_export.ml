@@ -9,6 +9,7 @@
    rows), BSP (phase entries) and partial (unplaced tasks). *)
 
 module O = Onesched
+open Onesched_oracle
 module Numfmt = Prelude.Numfmt
 open Util
 

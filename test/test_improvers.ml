@@ -1,6 +1,7 @@
 (* Anneal, Compare, Batch. *)
 
 module O = Onesched
+open Onesched_oracle
 open Util
 
 let one_port = O.Comm_model.one_port
@@ -131,7 +132,7 @@ let fingerprint sched =
    (moves), every count, and the final schedule. *)
 let refine_agrees sched =
   let inc = O.Refine.improve ~max_rounds:2 ~max_moves:4 sched in
-  let ref_ = O.Refine.Reference.improve ~max_rounds:2 ~max_moves:4 sched in
+  let ref_ = Refine_ref.improve ~max_rounds:2 ~max_moves:4 sched in
   inc.O.Refine.initial_makespan = ref_.O.Refine.initial_makespan
   && inc.O.Refine.final_makespan = ref_.O.Refine.final_makespan
   && inc.O.Refine.accepted_moves = ref_.O.Refine.accepted_moves
@@ -142,7 +143,7 @@ let refine_agrees sched =
 let anneal_agrees ~steps sched =
   let params = { O.Anneal.default_params with O.Anneal.steps } in
   let inc = O.Anneal.improve ~params sched in
-  let ref_ = O.Anneal.Reference.improve ~params sched in
+  let ref_ = Anneal_ref.improve ~params sched in
   inc.O.Anneal.initial_makespan = ref_.O.Anneal.initial_makespan
   && inc.O.Anneal.final_makespan = ref_.O.Anneal.final_makespan
   && inc.O.Anneal.accepted = ref_.O.Anneal.accepted

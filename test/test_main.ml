@@ -27,6 +27,7 @@ let () =
       ("pool", Test_pool.suite);
       ("oracle", Test_oracle.suite);
       ("models", Test_models.suite);
+      ("metamorphic", Test_metamorphic.suite);
       ("scale", Test_scale.suite);
       ("scheduld", Test_scheduld.suite);
     ]

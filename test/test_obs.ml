@@ -38,7 +38,7 @@ let counter_tests =
         with_obs_off @@ fun () ->
         O.Obs_counters.reset ();
         O.Obs_counters.(bump evaluations);
-        O.Obs_counters.(bump gap_probes);
+        O.Obs_counters.(bump joint_gap_probes);
         O.Obs_counters.(bump commits);
         check_bool "still zero" true
           (O.Obs_counters.snapshot () = O.Obs_counters.zero));
@@ -50,7 +50,7 @@ let counter_tests =
         O.Obs_counters.(bump pruned_evaluations);
         O.Obs_counters.(bump aborted_evaluations);
         O.Obs_counters.(bump route_cache_hits);
-        O.Obs_counters.(bump gap_probes);
+        O.Obs_counters.(bump rollbacks);
         O.Obs_counters.(bump joint_gap_probes);
         O.Obs_counters.(bump tentative_hops);
         O.Obs_counters.(bump commits);
@@ -63,7 +63,7 @@ let counter_tests =
           O.Obs_counters.(get c aborted_evaluations);
         check_int "route cache hits" 1
           O.Obs_counters.(get c route_cache_hits);
-        check_int "gap probes" 1 O.Obs_counters.(get c gap_probes);
+        check_int "rollbacks" 1 O.Obs_counters.(get c rollbacks);
         check_int "joint gap probes" 1
           O.Obs_counters.(get c joint_gap_probes);
         check_int "tentative hops" 1 O.Obs_counters.(get c tentative_hops);
@@ -96,7 +96,7 @@ let counter_tests =
         in
         let loud = show c in
         check_bool "after copies when nonzero" true
-          (List.nth (String.split_on_char '\n' loud) 8
+          (List.nth (String.split_on_char '\n' loud) 7
           = "aborted evaluations: 3");
         (* the lines perfbench parses keep their names *)
         check_bool "evaluations line kept" true
@@ -120,8 +120,7 @@ let counter_tests =
           (O.Obs_counters.(get c evaluations) >= tasks);
         check_int "one commit per task" tasks O.Obs_counters.(get c commits);
         check_bool "gap probes outnumber commits" true
-          O.Obs_counters.(
-            get c gap_probes + get c joint_gap_probes > get c commits);
+          O.Obs_counters.(get c joint_gap_probes > get c commits);
         check_bool "candidate pruning fires" true
           (O.Obs_counters.(get c pruned_evaluations) > 0);
         check_bool "route cache is reused" true
@@ -159,8 +158,8 @@ let counter_tests =
                   bump requests
                 done))
         in
-        (* 8 base lines, then the fault, incremental and daemon blocks *)
-        let expect = 8 + 3 + 3 + 3 in
+        (* 7 base lines, then the fault, incremental and daemon blocks *)
+        let expect = 7 + 3 + 3 + 3 in
         List.iter
           (fun (box, show) ->
             let lines = String.split_on_char '\n' (show c) in
@@ -375,13 +374,13 @@ let export_tests =
         in
         let keys =
           [ "evaluations"; "pruned_evaluations"; "route_cache_hits";
-            "gap_probes"; "joint_gap_probes"; "tentative_hops"; "commits";
+            "joint_gap_probes"; "tentative_hops"; "commits";
             "copies"; "aborted_evaluations"; "retries"; "repairs";
             "backoff_s"; "rollbacks"; "replayed_tasks";
             "search_pruned_nodes"; "replans"; "shed_jobs"; "frozen_tasks";
             "deadline_misses"; "requests"; "batched_replans"; "queued_jobs" ]
         in
-        check_int "22 keys" 22 (List.length keys);
+        check_int "21 keys" 21 (List.length keys);
         check_float "backoff reader" 0.5 (O.Obs_counters.backoff_s c);
         List.iter
           (fun k ->

@@ -4,6 +4,7 @@
    reference. *)
 
 module O = Onesched
+open Onesched_oracle
 open Util
 
 (* ---------------- int-keyed ready heap ---------------- *)
@@ -94,7 +95,7 @@ let graph_arrays_tests =
    verdict agreement. *)
 let verdicts_agree sched =
   let streaming = Result.is_ok (O.Validate.check sched) in
-  let reference = Result.is_ok (O.Validate.Reference.check sched) in
+  let reference = Result.is_ok (Validate_ref.check sched) in
   streaming = reference
 
 (* The comm events delivering to a processor that holds an extra
@@ -237,7 +238,7 @@ let validate_tests =
                 (Result.is_ok (O.Validate.check s));
               Alcotest.(check bool)
                 (name ^ " (reference)") expect_ok
-                (Result.is_ok (O.Validate.Reference.check s)))
+                (Result.is_ok (Validate_ref.check s)))
             [ false; true ]
         in
         let place = O.Schedule.place_task and comm = O.Schedule.add_comm in
@@ -363,7 +364,7 @@ let sweep_tests =
                        else None)
                      (List.init (Array.length res) Fun.id)
                  in
-                 O.Validate.Reference.check_disjoint
+                 Validate_ref.check_disjoint
                    (if rev then List.rev on_r else on_r)
                    ~on_overlap:(fun (s1, f1, _) (s2, f2, _) ->
                      if not (pair_overlaps (s1, f1) (s2, f2)) then
@@ -382,7 +383,7 @@ let sweep_tests =
           (O.Validate.sweep_overlaps ~res:[| 0; 0 |] ~start:[| 0.; 0. |]
              ~finish:[| 10.; 5e-10 |]);
         let seen = ref [] in
-        O.Validate.Reference.check_disjoint
+        Validate_ref.check_disjoint
           [ (0., 5e-10, "short"); (0., 10., "long") ]
           ~on_overlap:(fun (_, _, a) (_, _, b) -> seen := (a, b) :: !seen);
         Alcotest.(check (list (pair string string)))

@@ -3,6 +3,7 @@
    invert. *)
 
 module O = Onesched
+open Onesched_oracle
 open Util
 
 let executor_tests =

@@ -2,7 +2,13 @@
    reference implementation of earliest-gap search. *)
 
 module O = Onesched
+open Onesched_oracle
 open Util
+
+(* The single-timeline search: the joint core over one timeline, through
+   the oracle's list front end. *)
+let earliest_gap ?extra t ~after ~duration =
+  Timeline_ref.earliest_gap_joint ?extra [ t ] ~after ~duration
 
 (* Naive reference: scan candidate starts; candidates are [after] and every
    busy-interval finish. *)
@@ -43,19 +49,19 @@ let unit_tests =
     Alcotest.test_case "empty timeline" `Quick (fun () ->
         let t = O.Timeline.create () in
         check_float "gap at after" 3.
-          (O.Timeline.earliest_gap t ~after:3. ~duration:5.);
+          (earliest_gap t ~after:3. ~duration:5.);
         check_float "last finish" 0. (O.Timeline.last_finish t);
         check_int "intervals" 0 (O.Timeline.n_intervals t));
     Alcotest.test_case "fills gaps in order" `Quick (fun () ->
         let t = timeline_of [ (0., 2.); (4., 6.); (10., 12.) ] in
         check_float "fits in first hole" 2.
-          (O.Timeline.earliest_gap t ~after:0. ~duration:2.);
+          (earliest_gap t ~after:0. ~duration:2.);
         check_float "skips small hole" 6.
-          (O.Timeline.earliest_gap t ~after:0. ~duration:3.);
+          (earliest_gap t ~after:0. ~duration:3.);
         check_float "after everything" 12.
-          (O.Timeline.earliest_gap t ~after:0. ~duration:10.);
+          (earliest_gap t ~after:0. ~duration:10.);
         check_float "respects after inside busy" 6.
-          (O.Timeline.earliest_gap t ~after:5. ~duration:2.));
+          (earliest_gap t ~after:5. ~duration:2.));
     Alcotest.test_case "touching intervals allowed" `Quick (fun () ->
         let t = timeline_of [ (0., 2.) ] in
         O.Timeline.add t ~start:2. ~finish:4.;
@@ -73,15 +79,15 @@ let unit_tests =
     Alcotest.test_case "extra intervals constrain" `Quick (fun () ->
         let t = timeline_of [ (0., 2.) ] in
         check_float "without extra" 2.
-          (O.Timeline.earliest_gap t ~after:0. ~duration:2.);
+          (earliest_gap t ~after:0. ~duration:2.);
         check_float "with extra" 6.
-          (O.Timeline.earliest_gap ~extra:[ (2., 6.) ] t ~after:0. ~duration:2.));
+          (earliest_gap ~extra:[ (2., 6.) ] t ~after:0. ~duration:2.));
     Alcotest.test_case "joint gap over two timelines" `Quick (fun () ->
         let a = timeline_of [ (0., 3.) ] and b = timeline_of [ (4., 6.) ] in
         check_float "must avoid both" 6.
-          (O.Timeline.earliest_gap_joint [ a; b ] ~after:0. ~duration:2.);
+          (Timeline_ref.earliest_gap_joint [ a; b ] ~after:0. ~duration:2.);
         check_float "fits between" 3.
-          (O.Timeline.earliest_gap_joint [ a; b ] ~after:0. ~duration:1.));
+          (Timeline_ref.earliest_gap_joint [ a; b ] ~after:0. ~duration:1.));
     Alcotest.test_case "free_at" `Quick (fun () ->
         let t = timeline_of [ (2., 4.) ] in
         check_bool "before" true (O.Timeline.free_at t ~start:0. ~finish:2.);
@@ -103,32 +109,31 @@ let edge_case_tests =
         let t = timeline_of [ (0., 2.) ] in
         (* The gap closes at 2; extras starting at 10 never matter. *)
         check_float "far extra ignored" 2.
-          (O.Timeline.earliest_gap ~extra:[ (10., 12.) ] t ~after:0.
-             ~duration:3.);
+          (earliest_gap ~extra:[ (10., 12.) ] t ~after:0. ~duration:3.);
         check_float "joint far extra ignored" 2.
-          (O.Timeline.earliest_gap_joint ~extra:[ (10., 12.) ] [ t ] ~after:0.
-             ~duration:3.));
+          (Timeline_ref.earliest_gap_joint ~extra:[ (10., 12.) ] [ t ]
+             ~after:0. ~duration:3.));
     Alcotest.test_case "touching endpoints leave the gap open" `Quick
       (fun () ->
         (* busy [0,2) and extra [4,6): [2,4) is exactly big enough. *)
         let t = timeline_of [ (0., 2.) ] in
         check_float "slides in between" 2.
-          (O.Timeline.earliest_gap ~extra:[ (4., 6.) ] t ~after:0. ~duration:2.);
+          (earliest_gap ~extra:[ (4., 6.) ] t ~after:0. ~duration:2.);
         (* an extra touching the committed finish does not re-block it *)
         check_float "contiguous extra pushes past" 4.
-          (O.Timeline.earliest_gap ~extra:[ (2., 4.) ] t ~after:0. ~duration:2.));
+          (earliest_gap ~extra:[ (2., 4.) ] t ~after:0. ~duration:2.));
     Alcotest.test_case "zero-length extras block nothing" `Quick (fun () ->
         let t = O.Timeline.create () in
         check_float "ahead of after" 0.
-          (O.Timeline.earliest_gap ~extra:[ (3., 3.) ] t ~after:0. ~duration:5.);
+          (earliest_gap ~extra:[ (3., 3.) ] t ~after:0. ~duration:5.);
         check_float "joint, several" 1.
-          (O.Timeline.earliest_gap_joint
+          (Timeline_ref.earliest_gap_joint
              ~extra:[ (2., 2.); (3., 3.); (4., 4.) ]
              [ timeline_of [ (0., 1.) ] ]
              ~after:0. ~duration:5.);
         (* mixed with a real blocker: only the real one counts *)
         check_float "mixed" 4.
-          (O.Timeline.earliest_gap ~extra:[ (1., 1.); (2., 4.) ] t ~after:0.
+          (earliest_gap ~extra:[ (1., 1.); (2., 4.) ] t ~after:0.
              ~duration:3.));
     Alcotest.test_case "interleaved committed and extra intervals" `Quick
       (fun () ->
@@ -136,10 +141,10 @@ let edge_case_tests =
            before 6 is [2,4). *)
         let t = timeline_of [ (0., 1.); (4., 5.) ] in
         check_float "weaves through" 2.
-          (O.Timeline.earliest_gap ~extra:[ (1., 2.); (5., 6.) ] t ~after:0.
+          (earliest_gap ~extra:[ (1., 2.); (5., 6.) ] t ~after:0.
              ~duration:2.);
         check_float "forced past both" 6.
-          (O.Timeline.earliest_gap ~extra:[ (1., 2.); (5., 6.) ] t ~after:0.
+          (earliest_gap ~extra:[ (1., 2.); (5., 6.) ] t ~after:0.
              ~duration:3.));
     Alcotest.test_case "array core agrees on hand cases" `Quick (fun () ->
         let a = timeline_of [ (0., 3.) ] and b = timeline_of [ (4., 6.) ] in
@@ -174,7 +179,7 @@ let property_tests =
       (fun (busy, after, duration) ->
         let t = timeline_of busy in
         let after = float_of_int after and duration = float_of_int duration in
-        let got = O.Timeline.earliest_gap t ~after ~duration in
+        let got = earliest_gap t ~after ~duration in
         let expect = ref_earliest_gap busy ~after ~duration in
         got = expect);
     qtest ~count:500 "earliest_gap with extra = gap of union"
@@ -186,7 +191,7 @@ let property_tests =
         in
         let t = timeline_of committed in
         let after = float_of_int after and duration = float_of_int duration in
-        O.Timeline.earliest_gap ~extra t ~after ~duration
+        earliest_gap ~extra t ~after ~duration
         = ref_earliest_gap busy ~after ~duration);
     qtest ~count:500 "joint gap = gap of merged busy sets"
       QCheck2.Gen.(tup3 intervals_gen (int_bound 20) (int_range 1 8))
@@ -195,7 +200,7 @@ let property_tests =
           List.partition (fun (s, _) -> int_of_float s mod 2 = 0) busy
         in
         let after = float_of_int after and duration = float_of_int duration in
-        O.Timeline.earliest_gap_joint
+        Timeline_ref.earliest_gap_joint
           [ timeline_of evens; timeline_of odds ]
           ~after ~duration
         = ref_earliest_gap busy ~after ~duration);
@@ -206,7 +211,7 @@ let property_tests =
         let parts = [| []; []; [] |] in
         List.iteri (fun i iv -> parts.(i mod 3) <- iv :: parts.(i mod 3)) busy;
         let after = float_of_int after and duration = float_of_int duration in
-        O.Timeline.earliest_gap_joint
+        Timeline_ref.earliest_gap_joint
           (List.map timeline_of (Array.to_list parts))
           ~after ~duration
         = ref_earliest_gap busy ~after ~duration);
@@ -242,16 +247,16 @@ let property_tests =
           List.concat_map (fun (s, f) -> [ (s, s); (f, f) ]) busy
           @ [ (after +. 1., after +. 1.) ]
         in
-        O.Timeline.earliest_gap ~extra:zeros t ~after ~duration
-        = O.Timeline.earliest_gap t ~after ~duration
-        && O.Timeline.earliest_gap_joint ~extra:zeros [ t ] ~after ~duration
-           = O.Timeline.earliest_gap_joint [ t ] ~after ~duration);
+        earliest_gap ~extra:zeros t ~after ~duration
+        = earliest_gap t ~after ~duration
+        && Timeline_ref.earliest_gap_joint ~extra:zeros [ t ] ~after ~duration
+           = Timeline_ref.earliest_gap_joint [ t ] ~after ~duration);
     qtest ~count:300 "returned gap is actually free and minimal"
       QCheck2.Gen.(tup3 intervals_gen (int_bound 20) (int_range 1 8))
       (fun (busy, after, duration) ->
         let t = timeline_of busy in
         let after = float_of_int after and duration = float_of_int duration in
-        let s = O.Timeline.earliest_gap t ~after ~duration in
+        let s = earliest_gap t ~after ~duration in
         s >= after
         && O.Timeline.free_at t ~start:s ~finish:(s +. duration)
         && (s = after
@@ -365,8 +370,8 @@ let checkpoint_property_tests =
         && O.Timeline.last_finish t = O.Timeline.last_finish twin
         && List.for_all
              (fun (after, duration) ->
-               O.Timeline.earliest_gap t ~after ~duration
-               = O.Timeline.earliest_gap twin ~after ~duration)
+               earliest_gap t ~after ~duration
+               = earliest_gap twin ~after ~duration)
              [ (0., 1.); (0., 4.); (7., 2.); (20., 3.) ]);
   ]
 
