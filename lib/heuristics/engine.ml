@@ -70,8 +70,9 @@ let priced_create () =
      each hop's busy set and per-item cost ([route_cache_hits] counts
      reuse);
    - the {e arena} ([buf_s]/[buf_f]/[buf_len]) holds tentative busy
-     intervals per stable resource id, reset in O(dirty ids) between
-     candidates;
+     intervals per stable resource id, each id's buffer sorted by start
+     with abutting intervals coalesced into one run ({!arena_add}),
+     reset in O(dirty ids) between candidates;
    - [ext_s]/[ext_f] stage the merged, start-sorted extras of one probe
      and [idx] is the joint-gap cursor scratch;
    - the [inc_*] arrays cache the incoming-communication table of the
@@ -247,10 +248,18 @@ let arena_reset t =
   done;
   t.n_dirty <- 0
 
-(* Record [[s, f)] as tentatively busy on resource [id], keeping the
-   per-id buffer sorted by start (probes of later messages may slot in
-   front of earlier tentative intervals).  Zero-length intervals block
-   nothing and are dropped, mirroring [Timeline.add]. *)
+(* Record [[s, f)] as tentatively busy on resource [id].  Each id's
+   buffer is a sorted run of disjoint intervals in which no two abut:
+   an interval that touches a neighbour ([[a, s)] or [[f, c)]) is merged
+   into it, since the busy set is a union of half-open intervals and
+   [[a, b)] ∪ [[b, c)] = [[a, c)] blocks exactly what the two pieces
+   did.  The earliest gap is therefore unchanged, and so is the last
+   finish that [Append] reads; but the back-to-back messages that queue
+   on a high-in-degree task's receive port collapse into one run, so a
+   probe merges and walks O(runs) extras rather than O(messages).  Most
+   intervals land at the tail, where nothing shifts; probes of later
+   messages may still slot in front of earlier ones.  Zero-length
+   intervals block nothing and are dropped, mirroring [Timeline.add]. *)
 let arena_add t id s f =
   if f > s then begin
     ensure_id t id;
@@ -259,25 +268,43 @@ let arena_add t id s f =
       t.dirty.(t.n_dirty) <- id;
       t.n_dirty <- t.n_dirty + 1
     end;
-    if n = Array.length t.buf_s.(id) then begin
-      let cap' = max 4 (2 * n) in
-      let bs = Array.make cap' 0. in
-      let bf = Array.make cap' 0. in
-      Array.blit t.buf_s.(id) 0 bs 0 n;
-      Array.blit t.buf_f.(id) 0 bf 0 n;
-      t.buf_s.(id) <- bs;
-      t.buf_f.(id) <- bf
-    end;
     let bs = t.buf_s.(id) and bf = t.buf_f.(id) in
+    (* [pos]: the first interval starting after [s] *)
     let pos = ref n in
     while !pos > 0 && bs.(!pos - 1) > s do
-      bs.(!pos) <- bs.(!pos - 1);
-      bf.(!pos) <- bf.(!pos - 1);
       decr pos
     done;
-    bs.(!pos) <- s;
-    bf.(!pos) <- f;
-    t.buf_len.(id) <- n + 1
+    let pos = !pos in
+    let left = pos > 0 && bf.(pos - 1) = s in
+    let right = pos < n && bs.(pos) = f in
+    if left && right then begin
+      (* [s, f) fills the hole between two runs: join them *)
+      bf.(pos - 1) <- bf.(pos);
+      for i = pos to n - 2 do
+        bs.(i) <- bs.(i + 1);
+        bf.(i) <- bf.(i + 1)
+      done;
+      t.buf_len.(id) <- n - 1
+    end
+    else if left then bf.(pos - 1) <- f
+    else if right then bs.(pos) <- s
+    else begin
+      if n = Array.length bs then begin
+        let cap' = max 4 (2 * n) in
+        t.buf_s.(id) <- Array.make cap' 0.;
+        t.buf_f.(id) <- Array.make cap' 0.;
+        Array.blit bs 0 t.buf_s.(id) 0 n;
+        Array.blit bf 0 t.buf_f.(id) 0 n
+      end;
+      let bs = t.buf_s.(id) and bf = t.buf_f.(id) in
+      for i = n downto pos + 1 do
+        bs.(i) <- bs.(i - 1);
+        bf.(i) <- bf.(i - 1)
+      done;
+      bs.(pos) <- s;
+      bf.(pos) <- f;
+      t.buf_len.(id) <- n + 1
+    end
   end
 
 (* Earliest slot of [duration] on the joint busy set of [tls] plus the

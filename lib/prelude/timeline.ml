@@ -47,14 +47,38 @@ let grow t =
   t.finishes <- finishes
 
 (* Smallest index whose finish is strictly greater than [x]: the first
-   interval that can constrain a gap starting at [x]. *)
+   interval that can constrain a gap starting at [x].  Callers ask near
+   the tail (a list scheduler's slots land a few intervals back from the
+   end), so the search gallops back from the last interval, doubling its
+   step, and bisects only the bracket it lands in: O(log d) for an
+   answer [d] intervals from the tail.  Finishes are sorted, so the
+   answer is the same index a bisection of the whole timeline finds. *)
 let first_relevant t x =
-  let lo = ref 0 and hi = ref t.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.finishes.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  let fin = t.finishes in
+  let hi = ref (t.len - 1) in
+  if !hi < 0 || fin.(!hi) <= x then t.len
+  else begin
+    (* invariant: fin.(!hi) > x, and every index below !lo has finish
+       <= x *)
+    let lo = ref 0 and step = ref 1 and galloping = ref true in
+    while !galloping do
+      let j = !hi - !step in
+      if j < 0 then galloping := false
+      else if fin.(j) <= x then begin
+        lo := j + 1;
+        galloping := false
+      end
+      else begin
+        hi := j;
+        step := 2 * !step
+      end
+    done;
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if fin.(mid) <= x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
 
 let journal_push t start =
   if t.j_len = Array.length t.j_starts then begin
@@ -74,8 +98,13 @@ let add t ~start ~finish =
     let i = first_relevant t start in
     if i < t.len && t.starts.(i) < finish then
       invalid_arg "Timeline.add: overlapping busy interval";
-    Array.blit t.starts i t.starts (i + 1) (t.len - i);
-    Array.blit t.finishes i t.finishes (i + 1) (t.len - i);
+    (* Adds land a few intervals from the tail: shift them in place
+       rather than through a C blit. *)
+    let ss = t.starts and fs = t.finishes in
+    for j = t.len downto i + 1 do
+      ss.(j) <- ss.(j - 1);
+      fs.(j) <- fs.(j - 1)
+    done;
     t.starts.(i) <- start;
     t.finishes.(i) <- finish;
     t.len <- t.len + 1;

@@ -14,7 +14,14 @@
 
     The query accepts [extra] busy intervals so that a heuristic can
     evaluate a candidate placement (including the communications it would
-    trigger) without mutating any committed state. *)
+    trigger) without mutating any committed state.
+
+    Cursor search: every query, and {!add}, {!remove}, {!rollback} and
+    {!free_at}, locates the first interval finishing after a time by
+    galloping back from the last interval and bisecting the bracket it
+    lands in.  The cost is O(log d) for an answer [d] intervals from the
+    tail, and list schedulers ask a few intervals from the tail; the
+    index found is the one a bisection of the whole timeline finds. *)
 
 type t
 
@@ -78,7 +85,10 @@ val total_busy : t -> float
 
     Preconditions (unchecked — this is the hot path): extras are sorted
     by start and contain no zero-length intervals, [Array.length ts >= k].
-    The scheduling engine's arena satisfies both by construction. *)
+    The scheduling engine's arena satisfies both by construction.  Extras
+    are a union of half-open intervals: cutting one into abutting pieces
+    or joining abutting ones into a run does not change the result, so
+    the arena keeps each resource's tentative intervals coalesced. *)
 val earliest_gap_joint_arr :
   t array ->
   k:int ->

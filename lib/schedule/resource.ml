@@ -167,31 +167,43 @@ let comm_busy_ids t ~src ~dst =
      commit and retract freely as the phase's contents change;
    - Latency_overhead: only the endpoint overheads — [o] on the sender's
      ports at the front of the event, [o] on the receiver's at the back;
-     the flight in between occupies no resource. *)
-let comm_occupancy t ~src ~dst ~start ~finish =
+     the flight in between occupies no resource.
+   [occupy] applies [op] to each occupied (timeline, sub-interval) in
+   [comm_busy] order, building no list: the Port case runs once per
+   committed hop.  Empty sub-intervals are skipped. *)
+let occupy_on op tl s f = if f > s then op tl ~start:s ~finish:f
+
+(* One endpoint: processor [i]'s compute timeline when communication
+   does not overlap computation, then its [port] unless ports are
+   unlimited. *)
+let occupy_side op t i port s f =
+  let m = t.model in
+  if not m.Comm_model.overlap then occupy_on op t.procs.(i).compute s f;
+  match m.Comm_model.ports with
+  | Comm_model.Unlimited -> ()
+  | Comm_model.One_port_bidirectional | Comm_model.One_port_unidirectional ->
+      occupy_on op port s f
+
+let occupy op t ~src ~dst ~start ~finish =
   match t.model.Comm_model.regime with
   | Comm_model.Port ->
-      List.map (fun tl -> (tl, start, finish)) (comm_busy t ~src ~dst)
-  | Comm_model.Bsp _ -> []
+      if t.model.Comm_model.link_contention then
+        occupy_on op (link t ~src ~dst) start finish;
+      occupy_side op t src t.procs.(src).send start finish;
+      occupy_side op t dst t.procs.(dst).recv start finish
+  | Comm_model.Bsp _ -> ()
   | Comm_model.Latency_overhead { o; _ } ->
-      let s1 = min (start +. o) finish and r0 = max (finish -. o) start in
-      List.map (fun tl -> (tl, start, s1)) (send_busy t src)
-      @ List.map (fun tl -> (tl, r0, finish)) (recv_busy t dst)
+      occupy_side op t src t.procs.(src).send start (min (start +. o) finish);
+      occupy_side op t dst t.procs.(dst).recv (max (finish -. o) start) finish
 
 let commit_comm t ~src ~dst ~start ~finish =
-  List.iter
-    (fun (tl, start, finish) ->
-      if finish > start then Timeline.add tl ~start ~finish)
-    (comm_occupancy t ~src ~dst ~start ~finish)
+  occupy Timeline.add t ~src ~dst ~start ~finish
 
 let commit_task t ~proc ~start ~finish =
   Timeline.add t.procs.(proc).compute ~start ~finish
 
 let retract_comm t ~src ~dst ~start ~finish =
-  List.iter
-    (fun (tl, start, finish) ->
-      if finish > start then Timeline.remove tl ~start ~finish)
-    (comm_occupancy t ~src ~dst ~start ~finish)
+  occupy Timeline.remove t ~src ~dst ~start ~finish
 
 let retract_task t ~proc ~start ~finish =
   Timeline.remove t.procs.(proc).compute ~start ~finish

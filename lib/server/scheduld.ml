@@ -35,18 +35,27 @@ let default_config =
 (* the pure core                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type job = {
+(* What [status] reports of a job.  The daemon keeps one per admitted
+   job for its whole life, so it holds nothing else: the graph and the
+   scheduler closure live in the [job] and go with it when the job
+   leaves the backlog. *)
+type entry = {
   jid : int;
-  owner : int;
   jspec : string;  (** canonical display spec *)
+  jpriority : int;
+  mutable jstate : Proto.job_state;
+  mutable jmakespan : float option;
+}
+
+(* A job in the backlog or in the batch being flushed. *)
+type job = {
+  entry : entry;
+  owner : int;
   run : unit -> Schedule.t;  (** captures graph, params and scheduler *)
   jgraph : Graph.t;
-  jpriority : int;
   jdeadline : float option;
   want_placements : bool;
   submitted_at : float;
-  mutable jstate : Proto.job_state;
-  mutable jmakespan : float option;
 }
 
 type client = { mutable watcher : bool; mutable gone : bool }
@@ -60,7 +69,7 @@ type t = {
   clients : (int, client) Hashtbl.t;
   mutable next_client : int;
   mutable next_job : int;
-  jobs_tbl : (int, job) Hashtbl.t;
+  jobs_tbl : (int, entry) Hashtbl.t;
   mutable order : int list;  (** submission order, newest first *)
   queue : job Queue.t;  (** backlog, arrival order *)
   outbox : (int * string) Queue.t;
@@ -186,7 +195,7 @@ let stats t : Proto.stats_view =
     p99_ms = pct 99.;
   }
 
-let job_view (j : job) : Proto.job_view =
+let job_view (j : entry) : Proto.job_view =
   {
     id = j.jid;
     state = j.jstate;
@@ -224,7 +233,7 @@ let resolve_graph t (spec : Proto.spec) =
    backlog; both are bounded by [queue_cap], so a rebuild is cheap. *)
 let remove_queued t id =
   let kept = Queue.create () in
-  Queue.iter (fun j -> if j.jid <> id then Queue.add j kept) t.queue;
+  Queue.iter (fun j -> if j.entry.jid <> id then Queue.add j kept) t.queue;
   Queue.clear t.queue;
   Queue.transfer kept t.queue
 
@@ -235,23 +244,27 @@ let try_shed t ~for_id ~priority =
   let victim =
     Queue.fold
       (fun best j ->
-        if j.jpriority >= priority then best
+        let e = j.entry in
+        if e.jpriority >= priority then best
         else
           match best with
-          | Some b when b.jpriority < j.jpriority -> best
-          | Some b when b.jpriority = j.jpriority && b.jid > j.jid -> best
+          | Some b when b.entry.jpriority < e.jpriority -> best
+          | Some b when b.entry.jpriority = e.jpriority && b.entry.jid > e.jid
+            ->
+              best
           | _ -> Some j)
       None t.queue
   in
   match victim with
   | None -> false
   | Some v ->
-      remove_queued t v.jid;
-      v.jstate <- Proto.Shed_state;
+      remove_queued t v.entry.jid;
+      v.entry.jstate <- Proto.Shed_state;
       t.n_shed <- t.n_shed + 1;
       Counters.(bump shed_jobs);
       if v.jdeadline <> None then Counters.(bump deadline_misses);
-      broadcast t ~owner:v.owner (Proto.Shed { id = v.jid; by = for_id });
+      broadcast t ~owner:v.owner
+        (Proto.Shed { id = v.entry.jid; by = for_id });
       true
 
 let handle_submit t ~client (s : Proto.submit) =
@@ -286,22 +299,27 @@ let handle_submit t ~client (s : Proto.submit) =
                t.cfg.queue_cap)
         else begin
           t.next_job <- id + 1;
-          let job =
+          let e =
             {
               jid = id;
-              owner = client;
               jspec = spec;
-              run = (fun () -> entry.Registry.scheduler params t.platform graph);
-              jgraph = graph;
               jpriority = s.Proto.priority;
-              jdeadline = s.Proto.deadline;
-              want_placements = s.Proto.placements;
-              submitted_at = t.clock ();
               jstate = Proto.Queued;
               jmakespan = None;
             }
           in
-          Hashtbl.replace t.jobs_tbl id job;
+          let job =
+            {
+              entry = e;
+              owner = client;
+              run = (fun () -> entry.Registry.scheduler params t.platform graph);
+              jgraph = graph;
+              jdeadline = s.Proto.deadline;
+              want_placements = s.Proto.placements;
+              submitted_at = t.clock ();
+            }
+          in
+          Hashtbl.replace t.jobs_tbl id e;
           t.order <- id :: t.order;
           Queue.add job t.queue;
           t.n_submitted <- t.n_submitted + 1;
@@ -412,9 +430,9 @@ let flush t =
       (fun i j ->
         match results.(i) with
         | Error msg ->
-            j.jstate <- Proto.Failed_state;
+            j.entry.jstate <- Proto.Failed_state;
             t.n_failed <- t.n_failed + 1;
-            broadcast t ~owner:j.owner (Proto.Failed { id = j.jid; msg })
+            broadcast t ~owner:j.owner (Proto.Failed { id = j.entry.jid; msg })
         | Ok sched ->
             let makespan = Schedule.makespan sched in
             let valid = Validate.is_valid sched in
@@ -425,15 +443,15 @@ let flush t =
                   true
               | _ -> false
             in
-            j.jstate <- Proto.Done_state;
-            j.jmakespan <- Some makespan;
+            j.entry.jstate <- Proto.Done_state;
+            j.entry.jmakespan <- Some makespan;
             t.n_completed <- t.n_completed + 1;
             t.latencies_ms <-
               ((t.clock () -. j.submitted_at) *. 1000.) :: t.latencies_ms;
             broadcast t ~owner:j.owner
               (Proto.Placed
                  {
-                   id = j.jid;
+                   id = j.entry.jid;
                    makespan;
                    tasks = Graph.n_tasks j.jgraph;
                    valid;
@@ -445,7 +463,7 @@ let flush t =
                       else None);
                  });
             broadcast t ~owner:j.owner
-              (Proto.Done { id = j.jid; makespan; missed }))
+              (Proto.Done { id = j.entry.jid; makespan; missed }))
       batch
   end;
   maybe_finish t;

@@ -9,7 +9,12 @@
      re-planning reproduces every from-scratch makespan and beats its
      total re-plan time on the largest instance (best of 3);
    - scale: HEFT and ILHA schedule a >= 10^5-task LU in under 60 s
-     each, within a 2 GB peak resident set.
+     each, within a 2 GB peak resident set;
+   - join: heft-dup on FORK-JOIN n = 120 (ccr 10, one copy per task)
+     maps in at most 6x plain HEFT's time on the same graph, best of 20
+     alternated runs each.  It prices the 120-input join once per
+     processor and trial copy, so a pricing that is quadratic in the
+     in-degree shows as a ratio near 10x.
 
    Usage: dune exec test/claims/claims.exe
    Prints one line per claim and exits 1 if any bound fails.  It takes
@@ -167,10 +172,31 @@ let scale () =
         fun () -> O.Ilha.schedule ~params:ilha plat g );
     ]
 
+let join () =
+  let n = 120 and bound = 6. and runs = 20 in
+  let g = (O.Suite.find "fork-join").O.Suite.build ~n ~ccr:10. in
+  let params = O.Params.make () in
+  let heft = O.Registry.find "heft" and dup = O.Registry.find "heft-dup" in
+  let dup_params = O.Params.with_dup_limit params 1 in
+  let best_heft = ref infinity and best_dup = ref infinity in
+  for _ = 1 to runs do
+    let _, s = time (fun () -> heft.O.Registry.scheduler params plat g) in
+    best_heft := Float.min !best_heft s;
+    let _, s = time (fun () -> dup.O.Registry.scheduler dup_params plat g) in
+    best_dup := Float.min !best_dup s
+  done;
+  let ratio = !best_dup /. !best_heft in
+  claim
+    (Printf.sprintf "join heft-dup fork-join n=%d" n)
+    (ratio <= bound)
+    (Printf.sprintf "%.3f ms vs %.3f ms for heft, ratio %.2fx (bound <= %g)"
+       (1000. *. !best_dup) (1000. *. !best_heft) ratio bound)
+
 let () =
   anneal ();
   online ();
   scale ();
+  join ();
   if !failures > 0 then begin
     Printf.printf "%d claim(s) failed\n" !failures;
     exit 1

@@ -568,6 +568,39 @@ let inline_graph () =
   | _ -> Alcotest.fail "expected a placed event with placements");
   O.Scheduld.shutdown core
 
+(* A finished job keeps only what [status] reports: 1 000 inline
+   submissions, each flushed and its replies taken, grow the core by a
+   bounded number of words per job, not by each job's graph. *)
+let finished_jobs_release_graphs () =
+  let core = mk () in
+  let client = O.Scheduld.connect core in
+  let text = O.Graph_io.to_string (build_graph (11, 1, 40)) in
+  let one () =
+    req core ~client
+      (P.Submit
+         { spec = P.Inline text; heuristic = None; model = None;
+           priority = 0; deadline = None; placements = false });
+    flush_all core;
+    ignore (O.Scheduld.take_outputs core)
+  in
+  one ();
+  let w0 = Obj.reachable_words (Obj.repr core) in
+  let jobs = 999 in
+  for _ = 1 to jobs do
+    one ()
+  done;
+  let w1 = Obj.reachable_words (Obj.repr core) in
+  let per_job = float_of_int (w1 - w0) /. float_of_int jobs in
+  if per_job >= 100. then
+    Alcotest.failf "the core grew by %.1f words per finished job" per_job;
+  req core ~client (P.Status (Some 0));
+  (match replies core with
+  | [ (_, P.Status_reply [ { id = 0; state = P.Done_state; makespan = Some m; _ } ]) ]
+    when m > 0. ->
+      ()
+  | _ -> Alcotest.fail "status of the first job lost its state or makespan");
+  O.Scheduld.shutdown core
+
 let server_counters () =
   let core = mk () in
   O.Obs_counters.enable ();
@@ -780,6 +813,8 @@ let suite =
     Alcotest.test_case "deadline misses are reported" `Quick deadline_missed;
     Alcotest.test_case "inline DAG submission" `Quick inline_graph;
     Alcotest.test_case "scheduld obs counters" `Quick server_counters;
+    Alcotest.test_case "finished jobs keep only their status" `Quick
+      finished_jobs_release_graphs;
     Alcotest.test_case "shell: a lone submission is not held for the window"
       `Quick lone_submission_not_held;
     Alcotest.test_case "shell: eight concurrent clients get offline plans"

@@ -31,10 +31,11 @@ let timeline_of intervals =
   List.iter (fun (s, f) -> O.Timeline.add t ~start:s ~finish:f) intervals;
   t
 
-(* Generate disjoint intervals by splitting a walk. *)
-let intervals_gen =
+(* Generate up to [max_n] disjoint intervals by splitting a walk; a zero
+   gap makes two neighbours abut. *)
+let walk_gen max_n =
   QCheck2.Gen.(
-    let* n = int_bound 12 in
+    let* n = int_bound max_n in
     let* gaps = list_size (return (2 * n)) (int_bound 5) in
     let rec build at acc = function
       | len :: gap :: rest ->
@@ -43,6 +44,73 @@ let intervals_gen =
       | _ -> List.rev acc
     in
     return (build 0. [] gaps))
+
+let intervals_gen = walk_gen 12
+
+(* Timelines of up to a few hundred intervals: long enough that the
+   cursor search's gallop from the tail takes every doubling step before
+   it bisects its bracket. *)
+let long_intervals_gen = walk_gen 300
+
+(* An [after] before the first interval, inside the timeline or past
+   its last finish, each a third of the time. *)
+let after_gen busy =
+  let first = match busy with [] -> 0 | (s, _) :: _ -> int_of_float s in
+  let last = List.fold_left (fun _ (_, f) -> int_of_float f) first busy in
+  QCheck2.Gen.(
+    map float_of_int
+      (oneof
+         [
+           int_range (first - 10) first;
+           int_range first last;
+           int_range last (last + 20);
+         ]))
+
+(* A long busy set, an [after] drawn against it, and a duration. *)
+let long_query_gen =
+  QCheck2.Gen.(
+    let* busy = long_intervals_gen in
+    let* after = after_gen busy in
+    let* duration = int_range 1 12 in
+    return (busy, after, float_of_int duration))
+
+(* The array core over [ts] with [extra] (sorted, no zero-length
+   interval) as its flat tentative run. *)
+let joint_arr ts ~extra ~after ~duration =
+  let n = List.length extra in
+  let extra_s = Array.make (max n 1) 0. in
+  let extra_f = Array.make (max n 1) 0. in
+  List.iteri
+    (fun i (s, f) ->
+      extra_s.(i) <- s;
+      extra_f.(i) <- f)
+    extra;
+  let k = Array.length ts in
+  O.Timeline.earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len:n
+    ~idx:(Array.make (max k 1) 0) ~after ~duration
+
+(* The short busy sets of the original properties, with [after] in
+   [0, 20] and an integer duration. *)
+let short_query_gen =
+  QCheck2.Gen.(
+    map
+      (fun (busy, after, duration) ->
+        (busy, float_of_int after, float_of_int duration))
+      (tup3 intervals_gen (int_bound 20) (int_range 1 8)))
+
+let gap_matches_reference (busy, after, duration) =
+  earliest_gap (timeline_of busy) ~after ~duration
+  = ref_earliest_gap busy ~after ~duration
+
+(* Deal round-robin: two committed timelines plus flat extras — exactly
+   the shape the engine's arena feeds the core. *)
+let arena_shape_matches_reference (busy, after, duration) =
+  let parts = [| []; []; [] |] in
+  List.iteri (fun i iv -> parts.(i mod 3) <- iv :: parts.(i mod 3)) busy;
+  let extra = List.sort (fun (s1, _) (s2, _) -> compare s1 s2) parts.(2) in
+  let ts = [| timeline_of parts.(0); timeline_of parts.(1) |] in
+  joint_arr ts ~extra ~after ~duration
+  = ref_earliest_gap busy ~after ~duration
 
 let unit_tests =
   [
@@ -153,16 +221,7 @@ let edge_case_tests =
           let extra =
             List.sort (fun (s1, _) (s2, _) -> compare s1 s2) extra
           in
-          let n = List.length extra in
-          let extra_s = Array.make (max n 1) 0. in
-          let extra_f = Array.make (max n 1) 0. in
-          List.iteri
-            (fun i (s, f) ->
-              extra_s.(i) <- s;
-              extra_f.(i) <- f)
-            extra;
-          O.Timeline.earliest_gap_joint_arr [| a; b |] ~k:2 ~extra_s ~extra_f
-            ~extra_len:n ~idx:(Array.make 2 0) ~after ~duration
+          joint_arr [| a; b |] ~extra ~after ~duration
         in
         check_float "no extras" 6. (probe ~extra:[] ~after:0. ~duration:2.);
         check_float "fits between" 3. (probe ~extra:[] ~after:0. ~duration:1.);
@@ -174,14 +233,8 @@ let edge_case_tests =
 
 let property_tests =
   [
-    qtest ~count:500 "earliest_gap matches naive reference"
-      QCheck2.Gen.(tup3 intervals_gen (int_bound 20) (int_range 1 8))
-      (fun (busy, after, duration) ->
-        let t = timeline_of busy in
-        let after = float_of_int after and duration = float_of_int duration in
-        let got = earliest_gap t ~after ~duration in
-        let expect = ref_earliest_gap busy ~after ~duration in
-        got = expect);
+    qtest ~count:500 "earliest_gap matches naive reference" short_query_gen
+      gap_matches_reference;
     qtest ~count:500 "earliest_gap with extra = gap of union"
       QCheck2.Gen.(tup3 intervals_gen (int_bound 20) (int_range 1 8))
       (fun (busy, after, duration) ->
@@ -216,28 +269,7 @@ let property_tests =
           ~after ~duration
         = ref_earliest_gap busy ~after ~duration);
     qtest ~count:400 "array core matches naive reference with extras"
-      QCheck2.Gen.(tup3 intervals_gen (int_bound 20) (int_range 1 8))
-      (fun (busy, after, duration) ->
-        (* Deal round-robin: two committed timelines plus flat extras —
-           exactly the shape the engine's arena feeds the core. *)
-        let parts = [| []; []; [] |] in
-        List.iteri (fun i iv -> parts.(i mod 3) <- iv :: parts.(i mod 3)) busy;
-        let extra =
-          List.sort (fun (s1, _) (s2, _) -> compare s1 s2) parts.(2)
-        in
-        let n = List.length extra in
-        let extra_s = Array.make (max n 1) 0. in
-        let extra_f = Array.make (max n 1) 0. in
-        List.iteri
-          (fun i (s, f) ->
-            extra_s.(i) <- s;
-            extra_f.(i) <- f)
-          extra;
-        let ts = [| timeline_of parts.(0); timeline_of parts.(1) |] in
-        let after = float_of_int after and duration = float_of_int duration in
-        O.Timeline.earliest_gap_joint_arr ts ~k:2 ~extra_s ~extra_f
-          ~extra_len:n ~idx:(Array.make 2 0) ~after ~duration
-        = ref_earliest_gap busy ~after ~duration);
+      short_query_gen arena_shape_matches_reference;
     qtest ~count:300 "zero-length extras never change the answer"
       QCheck2.Gen.(tup3 intervals_gen (int_bound 20) (int_range 1 8))
       (fun (busy, after, duration) ->
@@ -262,6 +294,74 @@ let property_tests =
         && (s = after
            || not (O.Timeline.free_at t ~start:(s -. 0.5) ~finish:(s -. 0.5 +. duration))
            ));
+  ]
+
+(* The same comparisons on long timelines, where the cursor search's
+   start ranges from the head to past the tail. *)
+let long_property_tests =
+  [
+    qtest ~count:300 "long timelines: earliest_gap matches naive reference"
+      long_query_gen gap_matches_reference;
+    qtest ~count:300
+      "long timelines: array core matches naive reference with extras"
+      long_query_gen arena_shape_matches_reference;
+    qtest ~count:300 "long timelines: free_at agrees with the interval list"
+      long_query_gen (fun (busy, after, duration) ->
+        let t = timeline_of busy in
+        O.Timeline.free_at t ~start:after ~finish:(after +. duration)
+        = not
+            (List.exists
+               (fun (b0, b1) -> b0 < after +. duration && b1 > after)
+               busy));
+  ]
+
+(* Tentative extras are a union of half-open intervals: cutting one into
+   abutting pieces, or gluing abutting neighbours into one run (what the
+   engine's arena does on every add), leaves the earliest gap as it
+   was. *)
+let split_extras cuts extra =
+  List.concat
+    (List.map2
+       (fun c (s, f) ->
+         let len = int_of_float (f -. s) in
+         if c = 0 || len < 2 then [ (s, f) ]
+         else
+           let m = s +. float_of_int (1 + (c mod (len - 1))) in
+           [ (s, m); (m, f) ])
+       cuts extra)
+
+let merge_extras extra =
+  List.rev
+    (List.fold_left
+       (fun acc (s, f) ->
+         match acc with
+         | (s0, f0) :: rest when f0 = s -> (s0, f) :: rest
+         | _ -> (s, f) :: acc)
+       [] extra)
+
+let coalescing_tests =
+  [
+    qtest ~count:400 "splitting or merging abutting extras keeps the gap"
+      QCheck2.Gen.(
+        let* busy, after, duration = long_query_gen in
+        let* extra = long_intervals_gen in
+        let* cuts =
+          list_size (return (List.length extra)) (int_bound 4)
+        in
+        return (busy, extra, cuts, after, duration))
+      (fun (busy, extra, cuts, after, duration) ->
+        (* committed intervals shifted by half a unit so that they
+           straddle the extras' integer endpoints *)
+        let busy = List.map (fun (s, f) -> (s +. 0.5, f +. 0.5)) busy in
+        let evens, odds =
+          List.partition (fun (s, _) -> int_of_float s mod 2 = 0) busy
+        in
+        let ts = [| timeline_of evens; timeline_of odds |] in
+        let gap extra = joint_arr ts ~extra ~after ~duration in
+        let base = gap extra in
+        base = gap (split_extras cuts extra)
+        && base = gap (merge_extras extra)
+        && base = ref_earliest_gap (busy @ extra) ~after ~duration);
   ]
 
 (* Checkpoint / rollback: unit cases plus a random-interleaving harness
@@ -375,6 +475,60 @@ let checkpoint_property_tests =
              [ (0., 1.); (0., 4.); (7., 2.); (20., 3.) ]);
   ]
 
+(* Adds in a random order, a checkpoint part-way, removals, then a
+   rollback, on timelines of up to a few hundred intervals: [add],
+   [remove] and [rollback] each locate their index through the same
+   cursor search as the gap walk. *)
+let long_checkpoint_tests =
+  [
+    qtest ~count:200 "long timelines: add/remove/rollback match a twin"
+      QCheck2.Gen.(
+        let* busy = long_intervals_gen in
+        let n = List.length busy in
+        let* keys = list_size (return n) (int_bound 1_000_000) in
+        let* m = int_bound n in
+        let* drops = list_size (return n) (int_bound 3) in
+        return (busy, keys, m, drops))
+      (fun (busy, keys, m, drops) ->
+        let order =
+          List.map snd
+            (List.sort compare (List.combine keys busy))
+        in
+        let before = List.filteri (fun i _ -> i < m) order in
+        let after_mark = List.filteri (fun i _ -> i >= m) order in
+        (* only intervals added since the mark are removed: removing an
+           older one drops its journal entry from under the mark *)
+        let dropped =
+          List.filteri (fun i _ -> List.nth drops i = 0) after_mark
+        in
+        let t = O.Timeline.create () in
+        let add (s, f) = O.Timeline.add t ~start:s ~finish:f in
+        List.iter add before;
+        let mark = O.Timeline.checkpoint t in
+        List.iter add after_mark;
+        List.iter (fun (s, f) -> O.Timeline.remove t ~start:s ~finish:f) dropped;
+        let agrees expect =
+          let twin = timeline_of expect in
+          O.Timeline.intervals t = expect
+          && O.Timeline.last_finish t = O.Timeline.last_finish twin
+          && List.for_all
+               (fun (s, f) ->
+                 not (O.Timeline.free_at t ~start:s ~finish:f))
+               expect
+          && List.for_all
+               (fun (after, duration) ->
+                 earliest_gap t ~after ~duration
+                 = ref_earliest_gap expect ~after ~duration)
+               [ (-3., 1.); (0., 4.); (17., 2.); (250., 3.); (900., 5.) ]
+        in
+        let removed_ok =
+          agrees (List.filter (fun iv -> not (List.mem iv dropped)) busy)
+        in
+        O.Timeline.rollback t mark;
+        removed_ok && agrees (List.sort compare before));
+  ]
+
 let suite =
-  unit_tests @ edge_case_tests @ property_tests @ checkpoint_tests
-  @ checkpoint_property_tests
+  unit_tests @ edge_case_tests @ property_tests @ long_property_tests
+  @ coalescing_tests @ checkpoint_tests @ checkpoint_property_tests
+  @ long_checkpoint_tests
