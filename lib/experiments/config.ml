@@ -17,7 +17,6 @@ let paper ?(scale = 1.) () =
   }
 
 let model t = t.params.Heuristics.Params.model
-let with_params t params = { t with params }
 
 let with_model t model =
   { t with params = Heuristics.Params.with_model t.params model }

@@ -22,7 +22,5 @@ val paper : ?scale:float -> unit -> t
 val model : t -> Commmodel.Comm_model.t
 
 (** Field updates; [with_model] rewrites [params.model]. *)
-val with_params : t -> Heuristics.Params.t -> t
-
 val with_model : t -> Commmodel.Comm_model.t -> t
 val with_sizes : t -> int list -> t

@@ -14,9 +14,6 @@ type t = {
 
 let heft = Registry.find "heft"
 
-let section title body =
-  Printf.sprintf "%s\n%s\n%s" title (String.make (String.length title) '=') body
-
 (* ------------------------------------------------------------------ *)
 (* E1: the serialization example of §2.3 (Figure 1)                     *)
 (* ------------------------------------------------------------------ *)
@@ -655,12 +652,3 @@ let find id =
       invalid_arg
         (Printf.sprintf "Figures.find: unknown experiment %S (known: %s)" id
            (String.concat ", " ids))
-
-let render_all cfg =
-  String.concat "\n"
-    (List.map
-       (fun f ->
-         section
-           (Printf.sprintf "[%s] %s" f.id f.title)
-           (Printf.sprintf "paper: %s\n\n%s" f.paper_claim (f.render cfg)))
-       all)

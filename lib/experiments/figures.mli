@@ -20,6 +20,3 @@ val ids : string list
 
 (** @raise Invalid_argument on an unknown id. *)
 val find : string -> t
-
-(** Render every experiment under one configuration. *)
-val render_all : Config.t -> string

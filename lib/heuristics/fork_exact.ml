@@ -156,8 +156,3 @@ let optimal_makespan ?max_procs inst =
     !best
   end
   end
-
-let trivial_lower_bound inst =
-  let n = Array.length inst.child_weights in
-  if n = 0 then inst.parent_weight
-  else inst.parent_weight +. Array.fold_left min infinity inst.child_weights

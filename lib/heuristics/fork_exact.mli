@@ -46,10 +46,3 @@ val makespan : instance -> assignment:int array -> send_order:int list -> float
     partition × permutation enumeration caps at 8 children.
     @raise Invalid_argument beyond those sizes. *)
 val optimal_makespan : ?max_procs:int -> instance -> float
-
-(** Lower bound used for quick sanity checks:
-    [max(w0 + min_i(w_i), w0 + (sum of remote-necessary comms...))] is
-    model-dependent; this returns the trivial bound
-    [w0 + max(0, min over nonempty subsets ...)] simplified to
-    [w0 + min_i w_i] when [N > 0], and [w0] otherwise. *)
-val trivial_lower_bound : instance -> float

@@ -12,10 +12,6 @@ type t = {
 
 val empty : t
 
-(** [phase_totals events] — fold balanced begin/end pairs into per-name
-    wall-time totals (unmatched events are ignored). *)
-val phase_totals : Span.event list -> (string * float) list
-
 (** [capture f] — run [f] with counters and spans scoped: remembers the
     counter snapshot and span cursor, runs [f], and returns the report
     covering exactly that window.  Does {e not} toggle the global

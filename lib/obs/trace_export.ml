@@ -1,16 +1,18 @@
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
+let add_json_string buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.contents buf
+  Buffer.add_char buf '"'
 
 (* Balance the event stream: drop End events with no open Begin and
    close Begins left open at the end of the buffer (both can happen when
@@ -68,9 +70,11 @@ let to_chrome ?(pid = 0) ?counters events =
   List.iter
     (fun (e : Span.event) ->
       let ph = match e.Span.kind with Span.Begin -> "B" | Span.End -> "E" in
+      let name = Buffer.create 32 in
+      add_json_string name e.Span.name;
       emit
-        (Printf.sprintf {|{"name":"%s","ph":"%s","ts":%.3f,"pid":%d,"tid":0}|}
-           (json_escape e.Span.name) ph (us e.Span.ts) pid))
+        (Printf.sprintf {|{"name":%s,"ph":"%s","ts":%.3f,"pid":%d,"tid":0}|}
+           (Buffer.contents name) ph (us e.Span.ts) pid))
     events;
   (match counters with
   | None -> ()

@@ -13,6 +13,13 @@
       by {!Span}) and expressed in microseconds relative to the first
       event. *)
 
+(** [add_json_string buf s] appends [s] as a quoted JSON string: quote,
+    backslash, newline, carriage return and tab get their short escapes,
+    other control bytes [\u00XX]; every other byte passes through, so
+    UTF-8 stays as is.  The daemon's wire printer writes its strings
+    with it too. *)
+val add_json_string : Buffer.t -> string -> unit
+
 (** [to_chrome ?pid ?counters events] — the JSON text.  [pid] defaults
     to 0; [counters], when given, is attached as a counter track. *)
 val to_chrome :

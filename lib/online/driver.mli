@@ -18,12 +18,15 @@
       — upward-rank order, earliest finish over the {e alive} processors,
       floored at the current instant.
 
-    When the job mix is unchanged, the re-plan is {e incremental}: the
-    engine's commit log is rewound to the longest all-frozen prefix
-    ({!Heuristics.Engine.rewind}) and only the straggling frozen
+    Every re-plan gets an engine, replays the frozen copies that engine
+    has not placed, then re-plans the rest.  When the job mix is
+    unchanged the engine is the current one, {e incremental}ly rewound
+    to the longest all-frozen prefix of its commit log
+    ({!Heuristics.Engine.rewind}), so only the straggling frozen
     decisions are replayed — the path [test/claims/claims.exe] times
-    against the from-scratch rebuild.  Admission and shedding recompose the
-    composite graph and rebuild.
+    against the from-scratch rebuild.  Admission and shedding recompose
+    the composite graph, so they take a fresh engine and replay every
+    frozen copy.
 
     Robustness policies:
 
@@ -38,10 +41,11 @@
       admitted as capacity frees; beyond that — or once the replan budget
       is exhausted — arrivals are rejected;
     - {e graceful degradation}: when a deadlined job's predicted finish
-      slips past its deadline, the driver sheds the lowest-priority
-      not-yet-started strictly-lower-priority job (newest first among
-      equals) and re-plans, repeating until the deadline is met or no
-      candidate remains.
+      slips past its deadline, the driver sheds an active job with no
+      started task, chosen by {!Admission.shed_victim} (the lowest
+      priority strictly below the late job's, the newest among equals),
+      and re-plans, repeating until the deadline is met or no candidate
+      remains.
 
     Every re-plan's output is checked {!Sched.Validate}-clean (outside
     the timed window), every re-plan keeps the executed prefix
@@ -119,14 +123,13 @@ type outcome = {
     unordered; same-time events keep their input order.  After the last
     event the driver drains: queued jobs are admitted as running ones
     finish, then every active job completes.
-    @raise Invalid_argument on a non-port communication model, a negative
-    event time, an out-of-range processor, or an unknown heuristic /
-    testbed name.
+    @raise Invalid_argument on a non-port communication model, a
+    [max_active] below 1, a negative [queue_cap] or [max_retries], a
+    negative or non-finite [backoff], a negative event time, an
+    out-of-range processor, or an unknown heuristic / testbed name.
     @raise Failure if a re-plan is not Validate-clean, the frozen prefix
     changes, or every processor is dead at a re-plan. *)
 val run : ?config:config -> Platform.t -> Event.t list -> outcome
-
-val pp_state : Format.formatter -> job_state -> unit
 
 (** Deterministic summary block (no wall-clock numbers). *)
 val pp_outcome : Format.formatter -> outcome -> unit

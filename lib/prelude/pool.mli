@@ -42,9 +42,6 @@ val iter : ?jobs:int -> int -> (int -> unit) -> unit
     worker exceptions propagate. *)
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [map_array ?jobs f a] — parallel [Array.map f a]. *)
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-
 (** Persistent helper team for short, frequent parallel regions.
 
     {!iter} spawns domains per call — fine for sweeps, too slow for the

@@ -43,7 +43,6 @@ val for_all : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
 val of_list : 'a list -> 'a t
-val of_array : 'a array -> 'a t
 
 (** [sort cmp v] sorts in place. *)
 val sort : ('a -> 'a -> int) -> 'a t -> unit

@@ -91,7 +91,3 @@ let pp fmt m =
       m.total_dup_time;
   Format.fprintf fmt "@ mean utilization: %.1f%%@]"
     (100. *. m.mean_utilization)
-
-let to_compact_string m =
-  Printf.sprintf "makespan=%g speedup=%.3f comms=%d util=%.1f%%" m.makespan
-    m.speedup m.n_comm_events (100. *. m.mean_utilization)

@@ -31,6 +31,3 @@ type t = {
 
 val compute : Schedule.t -> t
 val pp : Format.formatter -> t -> unit
-
-(** One-line summary used by the CLI. *)
-val to_compact_string : t -> string

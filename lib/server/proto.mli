@@ -94,9 +94,7 @@ type response =
   | Error of { code : error_code; msg : string }
 
 val error_code_to_string : error_code -> string
-val error_code_of_string : string -> error_code option
 val job_state_to_string : job_state -> string
-val job_state_of_string : string -> job_state option
 
 (** Single line, no trailing newline. *)
 val print_request : request -> string

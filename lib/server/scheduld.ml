@@ -237,23 +237,14 @@ let remove_queued t id =
   Queue.clear t.queue;
   Queue.transfer kept t.queue
 
-(* Admission control mirrors the online driver: a full backlog sheds the
-   lowest-priority queued job strictly below the newcomer — the newest
-   among equals — before refusing outright. *)
+(* A full backlog sheds a queued job by the shared victim rule
+   ({!Online.Admission.shed_victim}) before refusing outright. *)
 let try_shed t ~for_id ~priority =
   let victim =
-    Queue.fold
-      (fun best j ->
-        let e = j.entry in
-        if e.jpriority >= priority then best
-        else
-          match best with
-          | Some b when b.entry.jpriority < e.jpriority -> best
-          | Some b when b.entry.jpriority = e.jpriority && b.entry.jid > e.jid
-            ->
-              best
-          | _ -> Some j)
-      None t.queue
+    Online.Admission.shed_victim
+      ~priority:(fun j -> j.entry.jpriority)
+      ~id:(fun j -> j.entry.jid)
+      ~below:priority (Queue.to_seq t.queue)
   in
   match victim with
   | None -> false

@@ -36,11 +36,12 @@
     [batch_window] seconds after its first job arrived: input that
     never pauses cannot hold it forever.
 
-    Admission control mirrors the online driver: a full queue sheds
-    the lowest-priority queued job strictly below the newcomer (newest
-    among equals) rather than refusing, a [replan_budget] caps the
-    number of batches, and drain mode refuses new work while finishing
-    the backlog.
+    Admission control: a full queue sheds a queued job rather than
+    refusing, chosen by the victim rule it shares with the online
+    driver ({!Online.Admission.shed_victim}: the lowest priority
+    strictly below the newcomer, the newest among equals); a
+    [replan_budget] caps the number of batches, and drain mode refuses
+    new work while finishing the backlog.
 
     Protocol grammar, failure replies and the determinism contract are
     documented in [doc/scheduld.md]. *)
@@ -71,18 +72,14 @@ type t
     the service-latency percentiles; inject a fake for deterministic
     stats.
     @raise Invalid_argument on a nonsensical config (non-positive
-    [jobs], [max_batch], [queue_cap] or [batch_window], or an unknown
-    [heuristic]). *)
+    [jobs], [max_batch] or [queue_cap], a negative [batch_window], or
+    an unknown [heuristic]). *)
 val create : ?config:config -> ?clock:(unit -> float) -> Platform.t -> t
 
 val config : t -> config
 
 (** [connect t] registers a client and returns its id. *)
 val connect : t -> int
-
-(** [disconnect t client] — the client's queued jobs keep running;
-    their events are dropped. *)
-val disconnect : t -> int -> unit
 
 (** [input t ~client line] feeds one protocol line.  Total: malformed
     input produces an [Error] reply in the outbox, never an

@@ -26,29 +26,13 @@ let add_num buf x =
          let s = fmt "%.16g" x in
          if float_of_string s = x then s else fmt "%.17g" x)
 
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let print v =
   let buf = Buffer.create 256 in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num x -> add_num buf x
-    | Str s -> add_escaped buf s
+    | Str s -> Obs.Trace_export.add_json_string buf s
     | Arr l ->
         Buffer.add_char buf '[';
         List.iteri
@@ -62,7 +46,7 @@ let print v =
         List.iteri
           (fun i (k, x) ->
             if i > 0 then Buffer.add_char buf ',';
-            add_escaped buf k;
+            Obs.Trace_export.add_json_string buf k;
             Buffer.add_char buf ':';
             go x)
           fields;

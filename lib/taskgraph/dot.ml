@@ -27,9 +27,3 @@ let render ?proc_of g =
 
 let to_string g = render g
 let with_allocation g ~proc_of = render ~proc_of g
-
-let to_file g path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string g))

@@ -9,5 +9,3 @@ val to_string : Graph.t -> string
 (** [with_allocation g ~proc_of] colours each task by [proc_of task]
     (palette cycles over 12 colours). *)
 val with_allocation : Graph.t -> proc_of:(int -> int) -> string
-
-val to_file : Graph.t -> string -> unit

@@ -204,6 +204,24 @@ let shedding_protects_deadlines () =
   check_bool "a shed replan ran" true
     (List.exists (fun r -> r.D.trigger = "shed") o.D.replans)
 
+(* Two unstarted jobs share the lowest priority: the newer one is shed.
+   The deadline is the urgent job's finish beside a single low job, so
+   one shed meets it whichever low job goes. *)
+let shedding_prefers_the_newest () =
+  let low = E.job ~priority:0 "lu" 12 in
+  let urgent ?deadline () = E.job ~priority:5 ?deadline "stencil" 12 in
+  let beside_one = D.run (plat ()) [ arrive 0. low; arrive 0. (urgent ()) ] in
+  let deadline = (List.nth beside_one.D.jobs 1).D.finish in
+  let o =
+    D.run (plat ())
+      [ arrive 0. low; arrive 0. low; arrive 0. (urgent ~deadline ()) ]
+  in
+  check_int "one job shed" 1 o.D.shed;
+  check_int "deadline met" 0 o.D.deadline_misses;
+  match List.map (fun (j : D.job_report) -> j.D.state) o.D.jobs with
+  | [ D.Completed; D.Shed; D.Completed ] -> ()
+  | _ -> Alcotest.fail "expected the newer low-priority job to be shed"
+
 let admission_control () =
   let job = E.job "fork-join" 12 in
   let config = { D.default_config with D.max_active = 1; queue_cap = 1 } in
@@ -248,7 +266,21 @@ let rejects_bad_input () =
   check_bool "non-port model" true
     (raises (fun () ->
          let params = O.Params.of_model (O.Comm_model.bsp ~g:1. ~l:1.) in
-         D.run ~config:{ D.default_config with D.params } (plat ()) []))
+         D.run ~config:{ D.default_config with D.params } (plat ()) []));
+  (* a bad policy knob is refused up front, before any event runs: a
+     zero job cap used to queue arrivals and then drain forever *)
+  let job = [ arrive 0. (E.job "lu" 12) ] in
+  List.iter
+    (fun (what, config) ->
+      check_bool what true (raises (fun () -> D.run ~config (plat ()) job)))
+    [
+      ("max_active 0", { D.default_config with D.max_active = 0 });
+      ("negative queue_cap", { D.default_config with D.queue_cap = -1 });
+      ("negative max_retries", { D.default_config with D.max_retries = -1 });
+      ("negative backoff", { D.default_config with D.backoff = -1. });
+      ("infinite backoff", { D.default_config with D.backoff = infinity });
+      ("nan backoff", { D.default_config with D.backoff = nan });
+    ]
 
 let suite =
   [
@@ -267,6 +299,8 @@ let suite =
       `Slow acceptance;
     Alcotest.test_case "graceful degradation sheds by priority" `Quick
       shedding_protects_deadlines;
+    Alcotest.test_case "shedding drops the newest among equal priorities"
+      `Quick shedding_prefers_the_newest;
     Alcotest.test_case "admission control queues then rejects" `Quick
       admission_control;
     Alcotest.test_case "down processors are retried then given up" `Quick
