@@ -121,8 +121,7 @@ let schedule ?(params = Params.default) plat g =
       let sched = Schedule.create ~graph:g ~platform:plat ~model () in
       let engine = Engine.create ~policy sched in
       let rank = Obs.Span.with_ "rank" (fun () -> Ranking.upward g plat) in
-      let ord = Ranking.priority_order rank in
-      let ready = Prelude.Pqueue.Int_heap.create ~rank:ord () in
+      let ready = Prelude.Pqueue.Int_heap.create ~rank () in
       let remaining = Array.init (Graph.n_tasks g) (Graph.in_degree g) in
       for v = 0 to Graph.n_tasks g - 1 do
         if remaining.(v) = 0 then Prelude.Pqueue.Int_heap.add ready v

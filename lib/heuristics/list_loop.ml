@@ -11,8 +11,7 @@ let default_handle engine v =
    rebuild arbitrary suffixes of it. *)
 let decision_order ~priority g =
   let n = Graph.n_tasks g in
-  let ord = Ranking.priority_order priority in
-  let ready = Prelude.Pqueue.Int_heap.create ~rank:ord () in
+  let ready = Prelude.Pqueue.Int_heap.create ~rank:priority () in
   let remaining = Array.init n (Graph.in_degree g) in
   for v = 0 to n - 1 do
     if remaining.(v) = 0 then Prelude.Pqueue.Int_heap.add ready v

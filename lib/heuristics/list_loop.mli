@@ -1,8 +1,8 @@
 (** The generic list-scheduling loop shared by the one-task-at-a-time
     heuristics (HEFT, PCT, CPOP, BIL): pop the highest-priority ready task,
     let the heuristic's [handle] place it, release newly ready successors.
-    Priorities are static; ties break on task id ({!Ranking.compare_priority}),
-    keeping every heuristic deterministic.
+    Priorities are static; ties break on task id (the order of
+    {!Prelude.Pqueue.Int_heap}), keeping every heuristic deterministic.
 
     When span tracing is enabled the drain loop is wrapped in a ["map"]
     span with one ["place"] span per task. *)

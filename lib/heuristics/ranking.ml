@@ -1,37 +1,53 @@
 module Graph = Taskgraph.Graph
 
-let bottom_up g ~task_cost ~edge_cost =
+(* How a task's weight becomes time in a rank: [Scaled k] is [w *. k],
+   [Averaged (p, speed)] is [p *. w /. speed] — the same operations as
+   [Platform.avg_execution_time], so the ranks stay bit-identical. *)
+type task_cost = Scaled of float | Averaged of float * float
+
+(* Bottom levels, closure-free: the successor CSR range is walked in
+   place and [best] is a local float ref, so nothing is allocated per
+   task or per edge.  An edge costs [data *. l] under [~link:(Some l)]
+   and nothing under [~link:None]. *)
+let bottom_up g ~task ~link =
   let n = Graph.n_tasks g in
   let rank = Array.make n 0. in
   let order = Graph.topological_order g in
   for i = n - 1 downto 0 do
     let v = order.(i) in
     let best = ref 0. in
-    Graph.iter_succ_edges g v ~f:(fun e ->
-        let u = Graph.edge_dst g e in
-        let c = edge_cost e +. rank.(u) in
-        if c > !best then best := c);
-    rank.(v) <- task_cost v +. !best
+    for k = Graph.succ_first g v to Graph.succ_first g (v + 1) - 1 do
+      let e = Graph.succ_edge g k in
+      let edge_cost =
+        match link with None -> 0. | Some l -> Graph.edge_data g e *. l
+      in
+      let c = edge_cost +. rank.(Graph.edge_dst g e) in
+      if c > !best then best := c
+    done;
+    let w = Graph.weight g v in
+    let task_cost =
+      match task with
+      | Scaled k -> w *. k
+      | Averaged (p, speed) -> p *. w /. speed
+    in
+    rank.(v) <- task_cost +. !best
   done;
   rank
 
 type averaging = Balanced | Arithmetic | Optimistic
 
+let balanced plat =
+  Averaged (float_of_int (Platform.p plat), Platform.aggregate_speed plat)
+
 let upward ?(averaging = Balanced) g plat =
-  let avg_link = Platform.avg_link_cost plat in
-  let task_cost =
+  let task =
     match averaging with
-    | Balanced -> fun v -> Platform.avg_execution_time plat (Graph.weight g v)
+    | Balanced -> balanced plat
     | Arithmetic ->
-        let mean_ct =
-          Prelude.Stats.mean (Array.to_list (Platform.cycle_times plat))
-        in
-        fun v -> Graph.weight g v *. mean_ct
-    | Optimistic ->
-        let tmin = Platform.min_cycle_time plat in
-        fun v -> Graph.weight g v *. tmin
+        Scaled (Prelude.Stats.mean (Array.to_list (Platform.cycle_times plat)))
+    | Optimistic -> Scaled (Platform.min_cycle_time plat)
   in
-  bottom_up g ~task_cost ~edge_cost:(fun e -> Graph.edge_data g e *. avg_link)
+  bottom_up g ~task ~link:(Some (Platform.avg_link_cost plat))
 
 let downward g plat =
   let avg_link = Platform.avg_link_cost plat in
@@ -52,29 +68,8 @@ let downward g plat =
   rank
 
 let upward_min g plat =
-  let avg_link = Platform.avg_link_cost plat in
-  let tmin = Platform.min_cycle_time plat in
   bottom_up g
-    ~task_cost:(fun v -> Graph.weight g v *. tmin)
-    ~edge_cost:(fun e -> Graph.edge_data g e *. avg_link)
+    ~task:(Scaled (Platform.min_cycle_time plat))
+    ~link:(Some (Platform.avg_link_cost plat))
 
-let static_level g plat =
-  bottom_up g
-    ~task_cost:(fun v -> Platform.avg_execution_time plat (Graph.weight g v))
-    ~edge_cost:(fun _ -> 0.)
-
-let compare_priority ranks a b =
-  match compare ranks.(b) ranks.(a) with 0 -> compare a b | c -> c
-
-let priority_order ranks =
-  let n = Array.length ranks in
-  let idx = Array.init n (fun v -> v) in
-  Array.sort
-    (fun a b ->
-      match Float.compare ranks.(b) ranks.(a) with
-      | 0 -> Int.compare a b
-      | c -> c)
-    idx;
-  let ord = Array.make n 0 in
-  Array.iteri (fun pos v -> ord.(v) <- pos) idx;
-  ord
+let static_level g plat = bottom_up g ~task:(balanced plat) ~link:None

@@ -36,15 +36,3 @@ val upward_min : Taskgraph.Graph.t -> Platform.t -> float array
 (** [static_level g plat] — bottom levels ignoring communication costs
     entirely (GDL's static level). *)
 val static_level : Taskgraph.Graph.t -> Platform.t -> float array
-
-(** [compare_priority ranks a b] orders by decreasing rank, breaking ties by
-    increasing task id — the deterministic order every list heuristic in
-    this library uses. *)
-val compare_priority : float array -> int -> int -> int
-
-(** [priority_order ranks] maps each task to its position in the total
-    order of {!compare_priority}: [ord.(v) < ord.(u)] iff
-    [compare_priority ranks v u < 0].  Computed once (an [O(n log n)]
-    index sort), it lets the ready set run on {!Prelude.Pqueue.Int_heap}
-    with pure int comparisons — no float is re-boxed per push. *)
-val priority_order : float array -> int array

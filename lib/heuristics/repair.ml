@@ -23,10 +23,8 @@ let schedule_suffix ?(params = Params.default) ~floor ~candidates engine ~todo =
     invalid_arg "Repair.schedule_suffix: no candidate processor";
   let n = Graph.n_tasks g in
   let ranks = Ranking.upward ~averaging:params.Params.averaging g plat in
-  (* Int-keyed ready heap in [compare_priority] order — the same total
-     order the old list fold selected by, without the O(ready²) scans. *)
-  let ord = Ranking.priority_order ranks in
-  let ready = Prelude.Pqueue.Int_heap.create ~rank:ord () in
+  (* Ready heap in rank order, ties on task id. *)
+  let ready = Prelude.Pqueue.Int_heap.create ~rank:ranks () in
   let remaining = Array.make n 0 in
   for v = 0 to n - 1 do
     if todo.(v) then begin

@@ -36,23 +36,11 @@ let heft ?(params = Params.default) ~costs plat g =
   in
   let engine = Engine.create ~policy:params.Params.policy sched in
   let priority = ranks costs g plat in
-  let ready = Prelude.Pqueue.create ~compare:(Ranking.compare_priority priority) in
-  let remaining = Array.init (Graph.n_tasks g) (Graph.in_degree g) in
-  for v = 0 to Graph.n_tasks g - 1 do
-    if remaining.(v) = 0 then Prelude.Pqueue.add ready v
-  done;
-  let rec drain () =
-    match Prelude.Pqueue.pop ready with
-    | None -> ()
-    | Some v ->
-        let (_ : Engine.eval) = Engine.schedule_best engine ~task:v in
-        Graph.iter_succ_edges g v ~f:(fun e ->
-            let u = Graph.edge_dst g e in
-            remaining.(u) <- remaining.(u) - 1;
-            if remaining.(u) = 0 then Prelude.Pqueue.add ready u);
-        drain ()
-  in
-  drain ();
+  Array.iter
+    (fun v ->
+      let (_ : Engine.eval) = Engine.schedule_best engine ~task:v in
+      ())
+    (List_loop.decision_order ~priority g);
   sched
 
 (* The HEFT paper's Figure 2 example: computation costs w(task, proc) and

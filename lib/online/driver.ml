@@ -584,7 +584,9 @@ let step st t ev =
             kill q ~since ~trigger:"give-up"
           else begin
             st.pstate.(q) <- P_down { since; attempt };
-            let pause = st.config.backoff *. (2. ** float_of_int attempt) in
+            (* [backoff * 2^attempt], exact, and 0 (not NaN) when
+               [backoff] is 0; [validate_input] keeps it finite *)
+            let pause = Float.ldexp st.config.backoff attempt in
             st.backoff_s <- st.backoff_s +. pause;
             Obs.Counters.backoff pause;
             push st (now +. pause) (Probe { p_proc = q; p_since = since })
@@ -671,6 +673,10 @@ let validate_input config plat events =
   if config.max_retries < 0 then bad "negative max_retries";
   if not (Float.is_finite config.backoff && config.backoff >= 0.) then
     bad "backoff must be finite and non-negative";
+  (* the pauses double per retry: their sum stays below
+     [backoff * 2^max_retries], which must be a finite time *)
+  if not (Float.is_finite (Float.ldexp config.backoff config.max_retries)) then
+    bad "backoff * 2^max_retries must be finite";
   let p = Platform.p plat in
   List.iter
     (fun (e : Event.t) ->

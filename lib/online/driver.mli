@@ -125,7 +125,8 @@ type outcome = {
     finish, then every active job completes.
     @raise Invalid_argument on a non-port communication model, a
     [max_active] below 1, a negative [queue_cap] or [max_retries], a
-    negative or non-finite [backoff], a negative event time, an
+    negative or non-finite [backoff], a [backoff * 2^max_retries] that
+    is not finite, a negative event time, an
     out-of-range processor, or an unknown heuristic / testbed name.
     @raise Failure if a re-plan is not Validate-clean, the frozen prefix
     changes, or every processor is dead at a re-plan. *)

@@ -7,7 +7,41 @@ type t = {
   direct : float array array;
   (* next.(q).(r) is the first hop on the route q -> r (-1 when q = r). *)
   next_hop : int array array;
+  (* The §4.1 averages, computed once: sum of 1/t_i, and the harmonic
+     mean of the route costs. *)
+  aggregate_speed : float;
+  avg_link_cost : float;
 }
+
+(* Harmonic mean of the route costs over ordered pairs [q <> r], 0 when a
+   link is free.  The sum runs from the last pair back to the first, the
+   order [Stats.harmonic_mean] adds a pair list built by prepending in
+   row order: the ranks' bits, which the goldens pin, depend on it. *)
+let harmonic_link_cost route_cost =
+  let n = Array.length route_cost in
+  let free = ref false and sum = ref 0. in
+  for q = n - 1 downto 0 do
+    for r = n - 1 downto 0 do
+      if q <> r then begin
+        let c = route_cost.(q).(r) in
+        if c = 0. then free := true;
+        sum := !sum +. (1. /. c)
+      end
+    done
+  done;
+  if n = 1 || !free then 0. else float_of_int (n * (n - 1)) /. !sum
+
+let make ~name ~cycle_times ~route_cost ~direct ~next_hop =
+  {
+    name;
+    cycle_times;
+    route_cost;
+    direct;
+    next_hop;
+    aggregate_speed =
+      Array.fold_left (fun acc ct -> acc +. (1. /. ct)) 0. cycle_times;
+    avg_link_cost = harmonic_link_cost route_cost;
+  }
 
 let validate_cycle_times cycle_times =
   if Array.length cycle_times = 0 then invalid_arg "Platform: no processors";
@@ -36,13 +70,8 @@ let create ?(name = "platform") ~cycle_times ~link () =
   let next_hop =
     Array.init p (fun i -> Array.init p (fun j -> if i = j then -1 else j))
   in
-  {
-    name;
-    cycle_times = Array.copy cycle_times;
-    route_cost = Array.map Array.copy link;
-    direct;
-    next_hop;
-  }
+  make ~name ~cycle_times:(Array.copy cycle_times)
+    ~route_cost:(Array.map Array.copy link) ~direct ~next_hop
 
 let fully_connected ?(name = "fully-connected") ~cycle_times ~link_cost () =
   let p = Array.length cycle_times in
@@ -101,7 +130,8 @@ let with_topology ?(name = "topology") ~cycle_times ~links () =
         invalid_arg "Platform.with_topology: disconnected interconnect"
     done
   done;
-  { name; cycle_times = Array.copy cycle_times; route_cost = cost; direct; next_hop }
+  make ~name ~cycle_times:(Array.copy cycle_times) ~route_cost:cost ~direct
+    ~next_hop
 
 let ring ~cycle_times ~link_cost () =
   let p = Array.length cycle_times in
@@ -169,28 +199,11 @@ let[@inline] hop_cost t ~src ~dst =
 
 let min_cycle_time t = Array.fold_left min t.cycle_times.(0) t.cycle_times
 
-let aggregate_speed t =
-  Array.fold_left (fun acc ct -> acc +. (1. /. ct)) 0. t.cycle_times
-
-let balanced_fraction t i = 1. /. cycle_time t i /. aggregate_speed t
-
-let avg_link_cost t =
-  let n = p t in
-  if n = 1 then 0.
-  else begin
-    let costs = ref [] in
-    for q = 0 to n - 1 do
-      for r = 0 to n - 1 do
-        if q <> r then costs := t.route_cost.(q).(r) :: !costs
-      done
-    done;
-    (* Harmonic mean of link costs; a zero-cost link makes the average 0. *)
-    if List.exists (fun c -> c = 0.) !costs then 0.
-    else Prelude.Stats.harmonic_mean !costs
-  end
-
-let avg_execution_time t w = float_of_int (p t) *. w /. aggregate_speed t
-let speedup_bound t = min_cycle_time t *. aggregate_speed t
+let aggregate_speed t = t.aggregate_speed
+let balanced_fraction t i = 1. /. cycle_time t i /. t.aggregate_speed
+let avg_link_cost t = t.avg_link_cost
+let avg_execution_time t w = float_of_int (p t) *. w /. t.aggregate_speed
+let speedup_bound t = min_cycle_time t *. t.aggregate_speed
 
 let description_fail line_no fmt =
   Printf.ksprintf

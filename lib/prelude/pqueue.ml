@@ -61,20 +61,27 @@ let to_sorted_list q =
   in
   drain []
 
-(* A monomorphic min-heap of small ints ordered by a precomputed integer
-   key array: one int comparison per sift step, no closure call and no
-   float (un)boxing.  The schedulers' ready sets live here — the key array
-   is the task's position in the (priority desc, id asc) order, so the heap
-   order is exactly [Ranking.compare_priority] at a fraction of the cost. *)
+(* A monomorphic heap of small ints, served by the rank order of the
+   list schedulers straight from their float ranks: rank descending, ties
+   on the smaller int.  [Float.compare] on two unboxed array reads is
+   inlined, so a sift step costs no closure call and no allocation, and
+   ±0., infinities and NaN order exactly as [compare] on floats orders
+   them.  Without ranks the heap serves ascending ints. *)
 module Int_heap = struct
-  type t = { rank : int array option; mutable heap : int array; mutable len : int }
+  type t = { rank : float array option; mutable heap : int array; mutable len : int }
 
   let create ?rank () = { rank; heap = Array.make 16 0; len = 0 }
 
   let length q = q.len
   let is_empty q = q.len = 0
 
-  let key q v = match q.rank with None -> v | Some r -> r.(v)
+  (* [before q a b]: [a] is served before [b]. *)
+  let[@inline] before q a b =
+    match q.rank with
+    | None -> a < b
+    | Some r ->
+        let c = Float.compare r.(a) r.(b) in
+        c > 0 || (c = 0 && a < b)
 
   let add q x =
     if q.len = Array.length q.heap then begin
@@ -84,13 +91,12 @@ module Int_heap = struct
     end;
     let h = q.heap in
     (* Sift up in place: move the hole, write once. *)
-    let kx = key q x in
     let i = ref q.len in
     q.len <- q.len + 1;
     let continue = ref true in
     while !continue && !i > 0 do
       let parent = (!i - 1) / 2 in
-      if key q h.(parent) > kx then begin
+      if before q x h.(parent) then begin
         h.(!i) <- h.(parent);
         i := parent
       end
@@ -107,33 +113,26 @@ module Int_heap = struct
     q.len <- q.len - 1;
     if q.len > 0 then begin
       let x = h.(q.len) in
-      let kx = key q x in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
         let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i and ks = ref kx in
-        if l < q.len then begin
-          let kl = key q h.(l) in
-          if kl < !ks then begin
-            smallest := l;
-            ks := kl
-          end
+        let first = ref x and at = ref !i in
+        if l < q.len && before q h.(l) !first then begin
+          first := h.(l);
+          at := l
         end;
-        if r < q.len then begin
-          let kr = key q h.(r) in
-          if kr < !ks then begin
-            smallest := r;
-            ks := kr
-          end
+        if r < q.len && before q h.(r) !first then begin
+          first := h.(r);
+          at := r
         end;
-        if !smallest = !i then begin
+        if !at = !i then begin
           h.(!i) <- x;
           continue := false
         end
         else begin
-          h.(!i) <- h.(!smallest);
-          i := !smallest
+          h.(!i) <- !first;
+          i := !at
         end
       done
     end;

@@ -31,21 +31,23 @@ val of_list : compare:('a -> 'a -> int) -> 'a list -> 'a t
 (** [to_sorted_list q] drains a copy of [q] in priority order. *)
 val to_sorted_list : 'a t -> 'a list
 
-(** Monomorphic min-heap of non-negative ints ordered by a precomputed
-    integer key array — one int comparison per sift step, no closure call,
-    no float re-boxing per push.  This is the ready-set representation of
-    the list schedulers at scale: keys come from
-    [Ranking.priority_order], whose positions encode the full
-    (priority desc, id asc) order, so popping reproduces
-    [Ranking.compare_priority] bit for bit. *)
+(** Monomorphic heap of non-negative ints served in the list
+    schedulers' priority order, read straight from their float ranks:
+    [rank] descending under [Float.compare], then the int ascending.
+    [Float.compare] on two unboxed array reads is inlined, so a sift step
+    is one float comparison (two on a rank tie), with no closure call, no
+    boxing and no [O(n log n)] sort to turn ranks into keys first.  ±0.
+    tie, infinities order as usual and NaN ranks last, exactly as
+    [compare] on floats orders them — the order of the ready set in HEFT,
+    ILHA, the repair re-mapper and unrelated-machine HEFT. *)
 module Int_heap : sig
   type t
 
-  (** [create ?rank ()] — elements [v] are served in increasing
-      [rank.(v)]; without [rank], in increasing [v] itself.  The key array
-      is read on every heap operation and must not be mutated while the
-      heap is non-empty. *)
-  val create : ?rank:int array -> unit -> t
+  (** [create ?rank ()] — elements [v] are served by decreasing
+      [rank.(v)], ties on the smaller [v]; without [rank], in increasing
+      [v].  The rank array is read on every heap operation and must not
+      be mutated while the heap is non-empty. *)
+  val create : ?rank:float array -> unit -> t
 
   val length : t -> int
   val is_empty : t -> bool

@@ -2,19 +2,25 @@ module Graph = Taskgraph.Graph
 
 module Numfmt = Prelude.Numfmt
 
-(* [put buf s n] appends the literal [s], then [n] as "%d"; [put_g] and
-   [put_h] do the same with a float as "%g" and "%h". *)
-let put buf s n =
-  Buffer.add_string buf s;
-  Numfmt.add_int buf n
+(* [put w s n] writes the literal [s], then [n] as "%d"; [put_g] and
+   [put_h] do the same with a float as "%g" and "%h".  All of them write
+   unchecked, into room the caller reserved for its whole row or entry. *)
+let put w s n =
+  Numfmt.add_string w s;
+  Numfmt.add_int w n
 
-let put_g buf s x =
-  Buffer.add_string buf s;
-  Numfmt.add_g buf x
+let put_g w s x =
+  Numfmt.add_string w s;
+  Numfmt.add_g w x
 
-let put_h buf s x =
-  Buffer.add_string buf s;
-  Numfmt.add_h buf x
+let put_h w s x =
+  Numfmt.add_string w s;
+  Numfmt.add_h w x
+
+let str = Numfmt.add_string
+let int_w = Numfmt.int_width
+let g_w = Numfmt.g_width
+let h_w = Numfmt.h_width
 
 (* Thread ids inside a processor's trace group. *)
 let tid_cpu = 0
@@ -57,48 +63,53 @@ let to_chrome_trace ?(time_unit = 1.0) s =
   Prelude.Tagsort.sort ~key:starts ~fin:(Array.init total float_of_int)
     ~tag:order;
   let p = Platform.p (Schedule.platform s) in
-  let buf = Buffer.create (256 + (total * 96)) in
-  Buffer.add_char buf '[';
+  let w = Numfmt.create (256 + (total * 160)) in
+  Numfmt.reserve w 1;
+  str w "[";
   (* Thread name metadata makes the ports readable in the viewer. *)
   let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string buf ",\n"
-  in
+  let sep () = if !first then first := false else str w ",\n" in
   for q = 0 to p - 1 do
     List.iter
       (fun (tid, label) ->
+        Numfmt.reserve w (128 + (2 * int_w));
         sep ();
-        put buf {|{"name":"thread_name","ph":"M","pid":|} q;
-        put buf {|,"tid":|} tid;
-        Buffer.add_string buf {|,"args":{"name":"|};
-        Buffer.add_string buf label;
-        Buffer.add_string buf {|"}}|})
+        put w {|{"name":"thread_name","ph":"M","pid":|} q;
+        put w {|,"tid":|} tid;
+        str w {|,"args":{"name":"|};
+        str w label;
+        str w {|"}}|})
       [ (tid_cpu, "cpu"); (tid_send, "send port"); (tid_recv, "recv port") ]
   done;
-  (* A "complete" event.  [name] and [args] write the name (which never
-     needs JSON escaping) and the body of the args object. *)
+  (* A "complete" event, reserved whole by the caller.  [name] and [args]
+     write the name (which never needs JSON escaping) and the body of the
+     args object. *)
   let event ~name ~pid ~tid ~start ~finish ~args =
-    Buffer.add_string buf {|{"name":"|};
+    str w {|{"name":"|};
     name ();
-    put_g buf {|","ph":"X","ts":|} (time_unit *. start);
-    put_g buf {|,"dur":|} (time_unit *. (finish -. start));
-    put buf {|,"pid":|} pid;
-    put buf {|,"tid":|} tid;
-    Buffer.add_string buf {|,"args":{|};
+    put_g w {|","ph":"X","ts":|} (time_unit *. start);
+    put_g w {|,"dur":|} (time_unit *. (finish -. start));
+    put w {|,"pid":|} pid;
+    put w {|,"tid":|} tid;
+    str w {|,"args":{|};
     args ();
-    Buffer.add_string buf "}}"
+    str w "}}"
   in
   let task_args v () =
-    put buf {|"task":|} v;
-    put_g buf {|,"weight":|} (Graph.weight g v)
+    put w {|"task":|} v;
+    put_g w {|,"weight":|} (Graph.weight g v)
   in
+  (* an event's literals and separator take under 128 bytes; at most
+     eight ints (a hop's name and args) and three floats fill the rest *)
+  let event_width = 128 + (8 * int_w) + (3 * g_w) in
   Array.iter
     (fun tag ->
+      Numfmt.reserve w event_width;
       sep ();
       if tag < n then begin
         let pl = Schedule.placement_exn s tag in
         event
-          ~name:(fun () -> put buf "v" tag)
+          ~name:(fun () -> put w "v" tag)
           ~pid:pl.Schedule.proc ~tid:tid_cpu ~start:pl.Schedule.start
           ~finish:pl.Schedule.finish ~args:(task_args tag)
       end
@@ -106,48 +117,58 @@ let to_chrome_trace ?(time_unit = 1.0) s =
         let v, pl = dups.(tag - n - (2 * nc)) in
         event
           ~name:(fun () ->
-            put buf "v" v;
-            Buffer.add_char buf '\'')
+            put w "v" v;
+            str w "'")
           ~pid:pl.Schedule.proc ~tid:tid_cpu ~start:pl.Schedule.start
           ~finish:pl.Schedule.finish
           ~args:(fun () ->
             task_args v ();
-            Buffer.add_string buf {|,"copy":true|})
+            str w {|,"copy":true|})
       end
       else begin
         let c = Schedule.comm_at s ((tag - n) / 2) in
         let recv = (tag - n) land 1 = 1 in
         event
           ~name:(fun () ->
-            put buf "e" c.edge;
-            put buf ":" c.src_proc;
-            put buf "->" c.dst_proc)
+            put w "e" c.edge;
+            put w ":" c.src_proc;
+            put w "->" c.dst_proc)
           ~pid:(if recv then c.dst_proc else c.src_proc)
           ~tid:(if recv then tid_recv else tid_send)
           ~start:c.start ~finish:c.finish
           ~args:(fun () ->
-            put buf {|"edge":|} c.edge;
-            put buf {|,"src":|} c.src_proc;
-            put buf {|,"dst":|} c.dst_proc)
+            put w {|"edge":|} c.edge;
+            put w {|,"src":|} c.src_proc;
+            put w {|,"dst":|} c.dst_proc)
       end)
     order;
-  Buffer.add_string buf "]\n";
-  Buffer.contents buf
+  Numfmt.reserve w 2;
+  str w "]\n";
+  Numfmt.contents w
+
+let csv_header = "kind,name,processor,resource,start,finish,duration\n"
+
+(* The longest row: ["comm,e"], two ints, a four-letter resource, three
+   floats, five commas and the newline. *)
+let csv_row_width = 6 + (2 * int_w) + 4 + (3 * g_w) + 6
 
 let to_csv s =
   let g = Schedule.graph s in
-  let buf = Buffer.create (1024 + ((Graph.n_tasks g + Schedule.n_comms s) * 48)) in
-  Buffer.add_string buf "kind,name,processor,resource,start,finish,duration\n";
+  let rows = Graph.n_tasks g + (2 * Schedule.n_comms s) in
+  let w = Numfmt.create (String.length csv_header + (rows * 48)) in
+  Numfmt.reserve w (String.length csv_header);
+  str w csv_header;
   (* [prefix] is "kind,x" and [id] completes the name "x<id>" *)
   let row prefix id proc resource start finish =
-    put buf prefix id;
-    put buf "," proc;
-    Buffer.add_char buf ',';
-    Buffer.add_string buf resource;
-    put_g buf "," start;
-    put_g buf "," finish;
-    put_g buf "," (finish -. start);
-    Buffer.add_char buf '\n'
+    Numfmt.reserve w csv_row_width;
+    put w prefix id;
+    put w "," proc;
+    str w ",";
+    str w resource;
+    put_g w "," start;
+    put_g w "," finish;
+    put_g w "," (finish -. start);
+    str w "\n"
   in
   for v = 0 to Graph.n_tasks g - 1 do
     let pl = Schedule.placement_exn s v in
@@ -160,7 +181,7 @@ let to_csv s =
   Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
       row "comm,e" c.edge c.src_proc "send" c.start c.finish;
       row "comm,e" c.edge c.dst_proc "recv" c.start c.finish);
-  Buffer.contents buf
+  Numfmt.contents w
 
 let write_file path contents =
   let oc = open_out path in
@@ -168,25 +189,35 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
+(* The longest entry: [";c<edge>=<src>><dst>:<start>:<finish>"], three
+   ints, two floats and six literal bytes. *)
+let fingerprint_entry_width = 6 + (3 * int_w) + (2 * h_w)
+
 let fingerprint s =
   let g = Schedule.graph s in
-  let buf = Buffer.create (64 + ((Graph.n_tasks g + Schedule.n_comms s) * 32)) in
+  let w =
+    Numfmt.create (64 + ((Graph.n_tasks g + Schedule.n_comms s) * 48))
+  in
   (* entries: ";t<task>=<proc>:<start>:<finish>" (or ";t<task>=-"),
      ";d<task>=..." per extra copy, ";c<edge>=<src>><dst>:<start>:<finish>"
-     per hop and ";p=<start>:<finish>" per BSP phase *)
+     per hop and ";p=<start>:<finish>" per BSP phase; each entry reserves
+     its room first *)
+  let entry () = Numfmt.reserve w fingerprint_entry_width in
   let times start finish =
-    put_h buf ":" start;
-    put_h buf ":" finish
+    put_h w ":" start;
+    put_h w ":" finish
   in
-  if Schedule.all_placed s then put_h buf "m=" (Schedule.makespan s)
-  else Buffer.add_string buf "m=-";
+  entry ();
+  if Schedule.all_placed s then put_h w "m=" (Schedule.makespan s)
+  else str w "m=-";
   for v = 0 to Graph.n_tasks g - 1 do
-    put buf ";t" v;
+    entry ();
+    put w ";t" v;
     if Schedule.is_placed s v then begin
-      put buf "=" (Schedule.proc_of_exn s v);
+      put w "=" (Schedule.proc_of_exn s v);
       times (Schedule.start_of_exn s v) (Schedule.finish_of_exn s v)
     end
-    else Buffer.add_string buf "=-"
+    else str w "=-"
   done;
   (* copy lines appear only on duplicated schedules, so single-copy
      fingerprints are bit-identical to the pre-duplication era *)
@@ -194,17 +225,20 @@ let fingerprint s =
     for v = 0 to Graph.n_tasks g - 1 do
       List.iter
         (fun (c : Schedule.placement) ->
-          put buf ";d" v;
-          put buf "=" c.Schedule.proc;
+          entry ();
+          put w ";d" v;
+          put w "=" c.Schedule.proc;
           times c.Schedule.start c.Schedule.finish)
         (Schedule.dup_copies s v)
     done;
   Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
-      put buf ";c" c.Schedule.edge;
-      put buf "=" c.Schedule.src_proc;
-      put buf ">" c.Schedule.dst_proc;
+      entry ();
+      put w ";c" c.Schedule.edge;
+      put w "=" c.Schedule.src_proc;
+      put w ">" c.Schedule.dst_proc;
       times c.Schedule.start c.Schedule.finish);
   Schedule.iter_phases s ~f:(fun start finish ->
-      put_h buf ";p=" start;
-      put_h buf ":" finish);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+      entry ();
+      put_h w ";p=" start;
+      put_h w ":" finish);
+  Digest.to_hex (Numfmt.digest w)

@@ -16,7 +16,7 @@ type t =
 let add_num buf x =
   if Float.is_integer x && Float.abs x < 1e15 then
     if x = 0. && Float.sign_bit x then Buffer.add_string buf "-0"
-    else Prelude.Numfmt.add_int buf (int_of_float x)
+    else Prelude.Numfmt.buffer_add_int buf (int_of_float x)
   else
     let fmt = Prelude.Numfmt.format_float in
     let s = fmt "%.15g" x in

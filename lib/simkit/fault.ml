@@ -165,7 +165,10 @@ let validate ~p fault =
   | Flaky { prob; max_retries; backoff } ->
       if prob < 0. || prob > 1. then invalid_arg "Fault.validate: probability out of [0,1]";
       if max_retries < 0 then invalid_arg "Fault.validate: negative retry budget";
-      if backoff < 0. then invalid_arg "Fault.validate: negative backoff"
+      if backoff < 0. then invalid_arg "Fault.validate: negative backoff";
+      (* the i-th retry waits [backoff * 2^i]: the last must be a time *)
+      if not (Float.is_finite (Float.ldexp backoff max_retries)) then
+        invalid_arg "Fault.validate: backoff * 2^max_retries must be finite"
   | Rejoin { proc; at } ->
       proc_ok proc;
       if at < 0. then invalid_arg "Fault.validate: negative rejoin time"

@@ -72,7 +72,8 @@ val flaky : ?max_retries:int -> ?backoff:float -> float -> t
 
 (** [validate ~p fault] checks processor indices against a platform of
     [p] processors and value ranges (probabilities in [0, 1], factors
-    and windows positive).
+    and windows positive, a flaky retry budget whose last pause
+    [backoff * 2^max_retries] is finite).
     @raise Invalid_argument on the first violation. *)
 val validate : p:int -> t -> unit
 

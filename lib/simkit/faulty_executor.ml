@@ -161,7 +161,7 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
                 if Rng.float rng 1. < prob then
                   if i >= max_retries then None
                   else begin
-                    let pause = backoff *. (2. ** float_of_int i) in
+                    let pause = Float.ldexp backoff i in
                     attempt (i + 1) (elapsed +. dur +. pause) (paused +. pause)
                   end
                 else Some (elapsed +. dur, i, paused)

@@ -54,6 +54,9 @@ let iter_succ_edges g v ~f =
     f g.succ_ids.(i)
   done
 
+let succ_first g v = g.succ_off.(v)
+let succ_edge g i = g.succ_ids.(i)
+
 let preds g v =
   List.rev (fold_pred_edges g v ~init:[] ~f:(fun acc e -> g.edge_srcs.(e) :: acc))
 

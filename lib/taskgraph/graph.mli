@@ -60,6 +60,14 @@ val fold_succ_edges : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 val iter_pred_edges : t -> int -> f:(int -> unit) -> unit
 val iter_succ_edges : t -> int -> f:(int -> unit) -> unit
 
+(** The successor CSR range, for loops that must not allocate a closure:
+    the successor edges of [v] are [succ_edge g i] for [i] from
+    [succ_first g v] to [succ_first g (v + 1) - 1], in the order of
+    {!iter_succ_edges}. *)
+val succ_first : t -> int -> int
+
+val succ_edge : t -> int -> int
+
 (** Predecessor/successor task lists (allocating; for tests and tools). *)
 val preds : t -> int -> int list
 

@@ -13,10 +13,19 @@ open Onesched_oracle
 module Numfmt = Prelude.Numfmt
 open Util
 
-let with_buf f x =
-  let buf = Buffer.create 32 in
-  f buf x;
-  Buffer.contents buf
+(* One number through the writer, after reserving the room its width
+   constant promises; a number longer than that width fails the test. *)
+let with_buf f ~width x =
+  let w = Numfmt.create 0 in
+  Numfmt.reserve w width;
+  f w x;
+  if Numfmt.length w > width then
+    Alcotest.failf "wrote %d bytes into %d reserved" (Numfmt.length w) width;
+  Numfmt.contents w
+
+let add_int = with_buf Numfmt.add_int ~width:Numfmt.int_width
+let add_g = with_buf Numfmt.add_g ~width:Numfmt.g_width
+let add_h = with_buf Numfmt.add_h ~width:Numfmt.h_width
 
 (* The wire printer as it was written with Printf. *)
 let wire_num_ref x =
@@ -70,23 +79,23 @@ let formatter_tests =
     Alcotest.test_case "edge values match Printf" `Quick (fun () ->
         List.iter
           (fun n ->
-            same_as_printf "add_int" (with_buf Numfmt.add_int)
+            same_as_printf "add_int" add_int
               (Printf.sprintf "%d") n ~print:string_of_int)
           edge_ints;
         List.iter
           (fun x ->
-            same_as_printf "add_g" (with_buf Numfmt.add_g)
+            same_as_printf "add_g" add_g
               (Printf.sprintf "%g") x ~print:float_print;
-            same_as_printf "add_h" (with_buf Numfmt.add_h)
+            same_as_printf "add_h" add_h
               (Printf.sprintf "%h") x ~print:float_print;
             same_as_printf "wire" wire_num wire_num_ref x ~print:float_print)
           edge_floats);
     qtest ~count:2000 "add_int = %d" QCheck2.Gen.int (fun n ->
-        with_buf Numfmt.add_int n = Printf.sprintf "%d" n);
+        add_int n = Printf.sprintf "%d" n);
     qtest ~count:5000 "add_g = %g" ~print:float_print float_gen (fun x ->
-        with_buf Numfmt.add_g x = Printf.sprintf "%g" x);
+        add_g x = Printf.sprintf "%g" x);
     qtest ~count:5000 "add_h = %h" ~print:float_print float_gen (fun x ->
-        with_buf Numfmt.add_h x = Printf.sprintf "%h" x);
+        add_h x = Printf.sprintf "%h" x);
     qtest ~count:5000 "wire number = %.0f or shortest of %.15g-%.17g"
       ~print:float_print float_gen (fun x -> wire_num x = wire_num_ref x);
   ]

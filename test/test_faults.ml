@@ -198,7 +198,26 @@ let flaky_retries () =
     | O.Faulty_executor.Stranded _ ->
         Alcotest.fail "50-deep retry budget should absorb p=0.9 failures"
   done;
-  check_bool "retries happened" true !saw_retry
+  check_bool "retries happened" true !saw_retry;
+  (* a budget whose last pause overflows is refused; with no backoff the
+     same budget runs, every pause 0 rather than [0 * inf] = NaN *)
+  check_bool "overflowing backoff refused" true
+    (match
+       O.Faulty_executor.run
+         ~faults:[ O.Fault.flaky ~max_retries:2000 ~backoff:1. 0.5 ]
+         sched
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  match
+    O.Faulty_executor.run ~rng:(O.Rng.create ~seed:1)
+      ~faults:[ O.Fault.flaky ~max_retries:1100 ~backoff:0. 0.999 ]
+      sched
+  with
+  | O.Faulty_executor.Completed { stats; _ }
+  | O.Faulty_executor.Stranded { stats; _ } ->
+      check_bool "retries happened" true (stats.O.Faulty_executor.retries > 0);
+      check_float "zero backoff" 0. stats.O.Faulty_executor.backoff_time
 
 (* --- crash + rejoin windows --- *)
 

@@ -280,7 +280,19 @@ let rejects_bad_input () =
       ("negative backoff", { D.default_config with D.backoff = -1. });
       ("infinite backoff", { D.default_config with D.backoff = infinity });
       ("nan backoff", { D.default_config with D.backoff = nan });
-    ]
+      (* the last retry's pause, 2^1999, used to overflow to infinity *)
+      ( "total backoff overflows",
+        { D.default_config with D.backoff = 1.; D.max_retries = 2000 } );
+    ];
+  (* with no backoff at all, many retries are fine: every pause is 0, not
+     the NaN of [0 * 2^1100] *)
+  let outage = [ arrive 0. (E.job "lu" 10); ev 5. (E.Down 1) ] in
+  let r =
+    D.run
+      ~config:{ D.default_config with D.backoff = 0.; D.max_retries = 1100 }
+      (plat ()) outage
+  in
+  check_int "zero backoff, 1100 retries" 1100 r.D.retries
 
 let suite =
   [

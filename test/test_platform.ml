@@ -87,6 +87,50 @@ let averaging_tests =
         check_float "uniform" 4. (O.Platform.avg_link_cost plat);
         let single = O.Platform.homogeneous ~p:1 ~link_cost:1. in
         check_float "single proc" 0. (O.Platform.avg_link_cost single));
+    qtest ~count:200 "constants computed at create are the §4.1 formulas, bit for bit"
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 1 8) (int_range 1 20))
+          (list_size (int_range 0 12)
+             (triple (int_bound 7) (int_bound 7) (int_range 0 9))))
+      (fun (cts, links) ->
+        let cycle_times = Array.of_list (List.map float_of_int cts) in
+        let p = Array.length cycle_times in
+        let links =
+          List.filter_map
+            (fun (i, j, c) ->
+              if i < p && j < p && i <> j then Some (i, j, float_of_int c /. 3.)
+              else None)
+            links
+        in
+        (* a chain keeps every platform connected *)
+        let chain = List.init (p - 1) (fun i -> (i, i + 1, 1.5)) in
+        let plat =
+          O.Platform.with_topology ~cycle_times ~links:(chain @ links) ()
+        in
+        (* the list folds they replace: every route cost, harmonic mean *)
+        let speed =
+          Array.fold_left (fun acc ct -> acc +. (1. /. ct)) 0. cycle_times
+        in
+        let link =
+          if p = 1 then 0.
+          else begin
+            let costs = ref [] in
+            for q = 0 to p - 1 do
+              for r = 0 to p - 1 do
+                if q <> r then
+                  costs := O.Platform.link plat ~src:q ~dst:r :: !costs
+              done
+            done;
+            if List.mem 0. !costs then 0. else O.Stats.harmonic_mean !costs
+          end
+        in
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        same speed (O.Platform.aggregate_speed plat)
+        && same link (O.Platform.avg_link_cost plat)
+        && same
+             (float_of_int p *. 7. /. speed)
+             (O.Platform.avg_execution_time plat 7.));
   ]
 
 let model_tests =

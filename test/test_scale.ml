@@ -11,31 +11,54 @@ open Util
 
 let int_heap_tests =
   [
-    qtest ~count:200 "Int_heap drains in Ranking.compare_priority order"
-      QCheck2.Gen.(list_size (int_range 1 64) (int_bound 30))
+    qtest ~count:500 "Int_heap drains in Ranking_ref.compare_priority order"
+      QCheck2.Gen.(
+        list_size (int_range 1 64)
+          (frequency
+             [
+               (* a small int range forces rank ties, exercising the id
+                  tie-break; the specials probe the float order *)
+               (6, map float_of_int (int_bound 30));
+               ( 1,
+                 oneofl
+                   [ 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan;
+                     -.Float.nan ] );
+             ]))
       (fun ranks_l ->
-        (* small int range forces rank ties, exercising the id tie-break *)
-        let ranks = Array.of_list (List.map float_of_int ranks_l) in
+        let ranks = Array.of_list ranks_l in
         let n = Array.length ranks in
-        let ord = O.Ranking.priority_order ranks in
-        let heap = Prelude.Pqueue.Int_heap.create ~rank:ord () in
-        for v = 0 to n - 1 do
+        let heap = Prelude.Pqueue.Int_heap.create ~rank:ranks () in
+        for v = n - 1 downto 0 do
           Prelude.Pqueue.Int_heap.add heap v
         done;
         let drained = ref [] in
-        let rec drain () =
-          match Prelude.Pqueue.Int_heap.pop heap with
-          | None -> ()
-          | Some v ->
-              drained := v :: !drained;
-              drain ()
-        in
-        drain ();
+        while not (Prelude.Pqueue.Int_heap.is_empty heap) do
+          drained := Prelude.Pqueue.Int_heap.pop_exn heap :: !drained
+        done;
         let got = List.rev !drained in
         let expected =
-          List.sort (O.Ranking.compare_priority ranks) (List.init n Fun.id)
+          List.sort (Ranking_ref.compare_priority ranks) (List.init n Fun.id)
         in
         got = expected);
+    Alcotest.test_case "ranks and ready order allocate at most 12 words per task"
+      `Quick (fun () ->
+        let g = (O.Suite.find "lu").O.Suite.build ~n:36 ~ccr:10. in
+        let plat = O.Platform.paper_platform () in
+        let run () =
+          let priority = O.Ranking.upward g plat in
+          Sys.opaque_identity (Heuristics.List_loop.decision_order ~priority g)
+        in
+        ignore (run ());
+        (* minor plus direct-to-major words: the arrays are large *)
+        let words () =
+          let minor, promoted, major = Gc.counters () in
+          minor +. major -. promoted
+        in
+        let w0 = words () in
+        ignore (run ());
+        let per_task = (words () -. w0) /. float_of_int (O.Graph.n_tasks g) in
+        if per_task > 12. then
+          Alcotest.failf "%.1f words per task (bound 12)" per_task);
     Alcotest.test_case "Int_heap without keys serves ascending ints" `Quick
       (fun () ->
         let heap = Prelude.Pqueue.Int_heap.create () in
