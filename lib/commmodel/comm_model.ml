@@ -87,7 +87,7 @@ let all =
 (* [hop_span] is the wall-clock span of one hop's communication event.
    BSP hops are scheduled inside an explicit superstep window, never
    priced per hop. *)
-let hop_span m ~data ~hop_cost =
+let[@inline] hop_span m ~data ~hop_cost =
   match m.regime with
   | Port -> data *. hop_cost
   | Latency_overhead { o; l } -> (2. *. o) +. (data *. hop_cost) +. l

@@ -41,7 +41,7 @@ let schedule ?(params = Params.default) plat g =
   let handle engine v =
     if on_cp.(v) then Engine.schedule_on engine ~task:v ~proc:!cp_proc
     else begin
-      let (_ : Engine.eval) = Engine.schedule_best engine ~task:v in
+      let (_ : int) = Engine.schedule_best engine ~task:v in
       ()
     end
   in

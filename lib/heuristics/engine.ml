@@ -62,9 +62,10 @@ let priced_create () =
 
 (* The engine owns every scratch structure the evaluation grid needs, so
    that pricing one (task, processor) candidate builds no list, record
-   or closure — the allocations left are the boxed floats that cross
-   non-inlined calls (probe results, execution times, the bound), a few
-   words each:
+   or closure.  Floats cross calls unboxed: a probe's query and answer
+   travel in [q], and the bound, the execution time and the arena's
+   inserts are inlined; the floats still boxed to cross a call are on
+   colder paths:
 
    - [routes] caches, per ordered processor pair, the platform route with
      each hop's busy set and per-item cost ([route_cache_hits] counts
@@ -108,7 +109,9 @@ type t = {
   mutable buf_len : int array;
   mutable dirty : int array;
   mutable n_dirty : int;
-  (* merged extras of the probe in flight *)
+  (* the probe in flight: its query cell ([q.(0)] after, then the slot;
+     [q.(1)] duration) and its merged extras *)
+  q : float array;
   mutable ext_s : float array;
   mutable ext_f : float array;
   mutable idx : int array;
@@ -186,6 +189,7 @@ let create ?(policy = Insertion) sched =
     buf_len = Array.make (max nid 1) 0;
     dirty = Array.make (max nid 1) 0;
     n_dirty = 0;
+    q = Array.make 2 0.;
     ext_s = Array.make 16 0.;
     ext_f = Array.make 16 0.;
     idx = Array.make 8 0;
@@ -260,7 +264,7 @@ let arena_reset t =
    intervals land at the tail, where nothing shifts; probes of later
    messages may still slot in front of earlier ones.  Zero-length
    intervals block nothing and are dropped, mirroring [Timeline.add]. *)
-let arena_add t id s f =
+let[@inline] arena_add t id s f =
   if f > s then begin
     ensure_id t id;
     let n = t.buf_len.(id) in
@@ -310,42 +314,22 @@ let arena_add t id s f =
 (* Earliest slot of [duration] on the joint busy set of [tls] plus the
    arena's tentative intervals for [ids], at or after [after], honouring
    the policy.  The arena's intervals are merged into one start-sorted
-   run right here rather than through a helper, so no float crosses a
-   call per interval. *)
-let probe t ~tls ~ids ~after ~duration =
-  let k = Array.length tls in
-  let after =
-    match t.policy with
-    | Insertion -> after
-    | Append ->
-        let a = ref after in
-        for j = 0 to k - 1 do
-          let lf = Timeline.last_finish tls.(j) in
-          if lf > !a then a := lf;
-          let id = ids.(j) in
-          if id < Array.length t.buf_len then begin
-            let n = t.buf_len.(id) in
-            (* sorted by start and disjoint per id: the last finish is
-               the max *)
-            if n > 0 && t.buf_f.(id).(n - 1) > !a then
-              a := t.buf_f.(id).(n - 1)
-          end
-        done;
-        !a
-  in
-  let total = ref 0 in
-  for j = 0 to k - 1 do
-    let id = ids.(j) in
-    if id < Array.length t.buf_len then total := !total + t.buf_len.(id)
-  done;
-  if !total > Array.length t.ext_s then begin
-    let cap = max !total (2 * Array.length t.ext_s) in
+   run in place ({!merge_extras}), so no float crosses a call per
+   interval.  When the arena holds nothing for [ids] — every
+   bound probe, and the compute probe whenever communication overlaps
+   computation — there is nothing to merge, and one timeline is walked
+   on its own ({!Timeline.earliest_gap}). *)
+(* Stage the arena's [total] intervals for [ids] into [ext_s]/[ext_f]
+   as one start-sorted run; returns its length. *)
+let merge_extras t ~ids ~total =
+  if total > Array.length t.ext_s then begin
+    let cap = max total (2 * Array.length t.ext_s) in
     t.ext_s <- Array.make cap 0.;
     t.ext_f <- Array.make cap 0.
   end;
   let es = t.ext_s and ef = t.ext_f in
   let n = ref 0 in
-  for j = 0 to k - 1 do
+  for j = 0 to Array.length ids - 1 do
     let id = ids.(j) in
     if id < Array.length t.buf_len then begin
       let bs = t.buf_s.(id) and bf = t.buf_f.(id) in
@@ -363,9 +347,49 @@ let probe t ~tls ~ids ~after ~duration =
       done
     end
   done;
-  if k > Array.length t.idx then t.idx <- Array.make (max k (2 * Array.length t.idx)) 0;
-  Timeline.earliest_gap_joint_arr tls ~k ~extra_s:es ~extra_f:ef ~extra_len:!n
-    ~idx:t.idx ~after ~duration
+  !n
+
+(* The probe proper, over the query in [t.q] ({!Timeline.earliest_gap}
+   and {!Timeline.earliest_gap_joint_arr} read and answer it in place):
+   no float crosses a call, so nothing is boxed. *)
+let probe_q t ~tls ~ids =
+  let k = Array.length tls in
+  (match t.policy with
+  | Insertion -> ()
+  | Append ->
+      let a = ref t.q.(0) in
+      for j = 0 to k - 1 do
+        let lf = Timeline.last_finish tls.(j) in
+        if lf > !a then a := lf;
+        let id = ids.(j) in
+        if id < Array.length t.buf_len then begin
+          let n = t.buf_len.(id) in
+          (* sorted by start and disjoint per id: the last finish is
+             the max *)
+          if n > 0 && t.buf_f.(id).(n - 1) > !a then
+            a := t.buf_f.(id).(n - 1)
+        end
+      done;
+      t.q.(0) <- !a);
+  let total = ref 0 in
+  for j = 0 to k - 1 do
+    let id = ids.(j) in
+    if id < Array.length t.buf_len then total := !total + t.buf_len.(id)
+  done;
+  if !total = 0 && k = 1 then Timeline.earliest_gap tls.(0) ~q:t.q
+  else begin
+    let n = merge_extras t ~ids ~total:!total in
+    if k > Array.length t.idx then
+      t.idx <- Array.make (max k (2 * Array.length t.idx)) 0;
+    Timeline.earliest_gap_joint_arr tls ~k ~extra_s:t.ext_s ~extra_f:t.ext_f
+      ~extra_len:n ~idx:t.idx ~q:t.q
+  end
+
+let[@inline] probe t ~tls ~ids ~after ~duration =
+  t.q.(0) <- after;
+  t.q.(1) <- duration;
+  probe_q t ~tls ~ids;
+  t.q.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Route and incoming caches                                           *)
@@ -403,34 +427,37 @@ let route_for t ~src ~dst =
       t.routes.(key) <- Some r;
       r
 
-(* The copy of [src] that feeds remote consumers: the earliest-finishing
-   one, ties to the lowest processor.  For single-copy schedules this is
-   exactly the primary placement — same floats, no allocation. *)
-let rep_fin_proc sched src =
-  let fin = Schedule.finish_of_exn sched src in
-  let proc = Schedule.proc_of_exn sched src in
-  if not (Schedule.has_dups sched) then (fin, proc)
-  else
-    List.fold_left
-      (fun ((bf, bp) as acc) (c : Schedule.placement) ->
-        if c.finish < bf || (c.finish = bf && c.proc < bp) then
-          (c.finish, c.proc)
-        else acc)
-      (fin, proc)
-      (Schedule.dup_copies sched src)
+(* Row [i] of the incoming table: the copy of [src] that feeds remote
+   consumers, the earliest-finishing one, ties to the lowest processor.
+   For single-copy schedules this is exactly the primary placement,
+   written straight into the row. *)
+let rec pick_rep_copy t i = function
+  | [] -> ()
+  | (c : Schedule.placement) :: rest ->
+      let bf = t.inc_fin.(i) in
+      if c.finish < bf || (c.finish = bf && c.proc < t.inc_proc.(i)) then begin
+        t.inc_fin.(i) <- c.finish;
+        t.inc_proc.(i) <- c.proc
+      end;
+      pick_rep_copy t i rest
+
+let set_rep_copy t i src =
+  let sched = t.sched in
+  t.inc_fin.(i) <- Schedule.finish_of_exn sched src;
+  t.inc_proc.(i) <- Schedule.proc_of_exn sched src;
+  if Schedule.has_dups sched then
+    pick_rep_copy t i (Schedule.dup_copies sched src)
 
 (* The finish of a copy of [src] local to [proc], if any — consulted by
-   the port evaluators before pricing a remote transfer.  [None] on every
-   single-copy schedule (the primary case is handled by the [q = proc]
-   test), keeping the historical path branch-for-branch identical.
+   the port evaluators before pricing a remote transfer; [neg_infinity]
+   when there is none, and always on a single-copy schedule (the primary
+   case is handled by the [q = proc] test), keeping the historical path
+   branch-for-branch identical.
    Inlined: the bound and the pricing ask it for every remote input of
    every candidate. *)
 let[@inline] dup_local_finish sched ~src ~proc =
-  if not (Schedule.has_dups sched) then None
-  else
-    match Schedule.copy_on sched ~task:src ~proc with
-    | Some c -> Some c.Schedule.finish
-    | None -> None
+  if not (Schedule.has_dups sched) then neg_infinity
+  else Schedule.copy_finish_on sched ~task:src ~proc
 
 (* Fill the [inc_*] table for [task]: one row per incoming edge, sorted
    by (source finish, source id, edge id) — the greedy order in which
@@ -453,18 +480,16 @@ let prepare_incoming t ~task =
       t.sp_start <- Array.make cap 0.
     end;
     t.gen <- t.gen + 1;
-    let n = ref 0 in
-    Graph.fold_pred_edges g task ~init:() ~f:(fun () e ->
-        let src = Graph.edge_src g e in
-        let i = !n in
-        let fin, proc = rep_fin_proc t.sched src in
-        t.inc_fin.(i) <- fin;
-        t.inc_src.(i) <- src;
-        t.inc_edge.(i) <- e;
-        t.inc_proc.(i) <- proc;
-        t.inc_data.(i) <- Graph.edge_data g e;
-        incr n);
-    let n = !n in
+    let first = Graph.pred_first g task in
+    for i = 0 to deg - 1 do
+      let e = Graph.pred_edge g (first + i) in
+      let src = Graph.edge_src g e in
+      set_rep_copy t i src;
+      t.inc_src.(i) <- src;
+      t.inc_edge.(i) <- e;
+      t.inc_data.(i) <- Graph.edge_data g e
+    done;
+    let n = deg in
     (* insertion sort of the parallel rows by (fin, src, edge) *)
     for i = 1 to n - 1 do
       let fin = t.inc_fin.(i)
@@ -528,20 +553,23 @@ let oracle = ref None
 (* Optimized evaluation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Append a hop to [c], growing its buffers when full. *)
-let push_hop c ~edge ~src ~dst start =
+let grow_priced c =
   let n = c.p_n in
-  if n = Array.length c.p_edge then begin
-    let grow a fill =
-      let a' = Array.make (2 * n) fill in
-      Array.blit a 0 a' 0 n;
-      a'
-    in
-    c.p_edge <- grow c.p_edge 0;
-    c.p_src <- grow c.p_src 0;
-    c.p_dst <- grow c.p_dst 0;
-    c.p_start <- grow c.p_start 0.
-  end;
+  let grow a fill =
+    let a' = Array.make (2 * n) fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  c.p_edge <- grow c.p_edge 0;
+  c.p_src <- grow c.p_src 0;
+  c.p_dst <- grow c.p_dst 0;
+  c.p_start <- grow c.p_start 0.
+
+(* Append a hop to [c], growing its buffers when full.  Inlined, so
+   that [start] is stored unboxed. *)
+let[@inline] push_hop c ~edge ~src ~dst start =
+  let n = c.p_n in
+  if n = Array.length c.p_edge then grow_priced c;
   c.p_edge.(n) <- edge;
   c.p_src.(n) <- src;
   c.p_dst.(n) <- dst;
@@ -566,27 +594,30 @@ let price_port ~floor ~abort t ~task ~proc =
       if fin > !ready then ready := fin
     end
     else begin
-      match dup_local_finish t.sched ~src:t.inc_src.(!i) ~proc with
-      | Some f -> if f > !ready then ready := f
-      | None ->
-          let e = t.inc_edge.(!i) in
-          let route = route_for t ~src:q ~dst:proc in
-          let data_ready = ref (if fin > floor then fin else floor) in
-          for h = 0 to Array.length route - 1 do
-            let hs = route.(h) in
-            let duration = data *. hs.h_cost in
-            let start =
-              probe t ~tls:hs.h_tls ~ids:hs.h_ids ~after:!data_ready ~duration
-            in
-            Obs.Counters.(bump tentative_hops);
-            push_hop c ~edge:e ~src:hs.h_src ~dst:hs.h_dst start;
-            let finish = start +. duration in
-            for j = 0 to Array.length hs.h_ids - 1 do
-              arena_add t hs.h_ids.(j) start finish
-            done;
-            data_ready := finish
+      let f = dup_local_finish t.sched ~src:t.inc_src.(!i) ~proc in
+      if f > neg_infinity then begin
+        if f > !ready then ready := f
+      end
+      else begin
+        let e = t.inc_edge.(!i) in
+        let route = route_for t ~src:q ~dst:proc in
+        let data_ready = ref (if fin > floor then fin else floor) in
+        for h = 0 to Array.length route - 1 do
+          let hs = route.(h) in
+          let duration = data *. hs.h_cost in
+          let start =
+            probe t ~tls:hs.h_tls ~ids:hs.h_ids ~after:!data_ready ~duration
+          in
+          Obs.Counters.(bump tentative_hops);
+          push_hop c ~edge:e ~src:hs.h_src ~dst:hs.h_dst start;
+          let finish = start +. duration in
+          for j = 0 to Array.length hs.h_ids - 1 do
+            arena_add t hs.h_ids.(j) start finish
           done;
-          if !data_ready > !ready then ready := !data_ready
+          data_ready := finish
+        done;
+        if !data_ready > !ready then ready := !data_ready
+      end
     end;
     incr i;
     if abort && !ready +. exec >= t.cutoff.(0) then live := false
@@ -767,6 +798,13 @@ let evaluate ?(floor = 0.) t ~task ~proc =
       let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
       materialize t.cur
 
+let evaluate_eft ?(floor = 0.) t ~task ~proc =
+  match !oracle with
+  | Some o -> (o.evaluate ~floor t ~task ~proc).eft
+  | None ->
+      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
+      t.cur.p_times.(1)
+
 (* The latest finish over [q]'s send-only busy set; inlined, like
    [Timeline.last_finish], so that the float stays unboxed. *)
 let[@inline] send_last_finish t q =
@@ -830,7 +868,7 @@ let set_send_ceiling ~floor t =
    hop's duration only — not on [proc]'s side of the link — so it is
    cached under exactly that key: one probe per input per task on
    uniform links. *)
-let send_arrival ~floor t ~proc =
+let[@inline] send_arrival ~floor t ~proc =
   let ready = ref neg_infinity in
   for i = 0 to t.inc_len - 1 do
     let q = t.inc_proc.(i) and data = t.inc_data.(i) in
@@ -838,11 +876,10 @@ let send_arrival ~floor t ~proc =
     let after = if fin > floor then fin else floor in
     if q <> proc && data <> 0. && send_last_finish t q > after then
       (* stage 1 has just cached the route of every remote input *)
-      match
-        (dup_local_finish t.sched ~src:t.inc_src.(i) ~proc,
-         t.routes.((q * t.p) + proc))
-      with
-      | None, Some route ->
+      match t.routes.((q * t.p) + proc) with
+      | Some route
+        when dup_local_finish t.sched ~src:t.inc_src.(i) ~proc = neg_infinity
+        ->
           let d0 = data *. route.(0).h_cost in
           if not (t.sp_gen.(i) = t.gen && t.sp_dur.(i) = d0) then begin
             t.sp_start.(i) <-
@@ -861,21 +898,23 @@ let send_arrival ~floor t ~proc =
   !ready
 
 (* A lower bound on the EFT of [task] on [proc], from committed state
-   alone, in three stages, each run only when the previous one stays
-   below the scan's cutoff ({!set_cutoff}).  Under the port regime
-   stage 1 mirrors [price_port]'s branches: a local or zero-data input
-   is ready at its finish, a local duplicate copy at that copy's finish,
-   and a remote input at [max fin floor] plus each route hop's
-   [data *. h_cost], added hop by hop in the evaluator's order — a probe
-   never returns a slot before its [after] and rounding is monotone, so
-   each partial sum stays at or below the evaluator's.  Stage 2 probes
+   alone, in three stages run in the order 1, 3, 2, each only while the
+   ones before it stay below the scan's cutoff ({!set_cutoff}).  Under
+   the port regime stage 1 mirrors [price_port]'s branches: a local or
+   zero-data input is ready at its finish, a local duplicate copy at
+   that copy's finish, and a remote input at [max fin floor] plus each
+   route hop's [data *. h_cost], added hop by hop in the evaluator's
+   order — a probe never returns a slot before its [after] and rounding
+   is monotone, so each partial sum stays at or below the evaluator's.
+   Stage 3 ({!send_arrival}) prices each remote input's wait for its
+   committed send port.  Stage 2 probes
    [proc]'s committed compute timeline at [ready], arena empty: the slot
    search is exact, hence monotone in [after], and the tentative
-   intervals it leaves out can only delay the real slot.  Stage 3
-   ({!send_arrival}) prices each remote input's wait for its committed
-   send port.  The BSP and latency+overhead regimes keep the plain
-   bound, latest predecessor finish (or [floor]) plus execution. *)
-let bound ~floor ~gate t ~task ~proc =
+   intervals it leaves out can only delay the real slot.  Inlined into
+   the scan, so that no float crosses a call.  The BSP and
+   latency+overhead regimes keep the plain bound, latest predecessor
+   finish (or [floor]) plus execution. *)
+let[@inline] bound ~floor ~gate t ~task ~proc =
   let cutoff = t.cutoff.(0) in
   prepare_incoming t ~task;
   let exec = Schedule.exec_duration t.sched ~task ~proc in
@@ -892,38 +931,46 @@ let bound ~floor ~gate t ~task ~proc =
           if fin > !ready then ready := fin
         end
         else begin
-          match dup_local_finish t.sched ~src:t.inc_src.(i) ~proc with
-          | Some f -> if f > !ready then ready := f
-          | None ->
-              let route = route_for t ~src:q ~dst:proc in
-              let arrival = ref (if fin > floor then fin else floor) in
-              for h = 0 to Array.length route - 1 do
-                arrival := !arrival +. (data *. route.(h).h_cost)
-              done;
-              if !arrival > !ready then ready := !arrival
+          let f = dup_local_finish t.sched ~src:t.inc_src.(i) ~proc in
+          if f > neg_infinity then begin
+            if f > !ready then ready := f
+          end
+          else begin
+            let route = route_for t ~src:q ~dst:proc in
+            let arrival = ref (if fin > floor then fin else floor) in
+            for h = 0 to Array.length route - 1 do
+              arrival := !arrival +. (data *. route.(h).h_cost)
+            done;
+            if !arrival > !ready then ready := !arrival
+          end
         end
       done;
       if !ready +. exec >= cutoff then !ready +. exec
       else begin
         arena_reset t;
-        let lb =
-          probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc) ~after:!ready
-            ~duration:exec
-          +. exec
+        (* Stage 3 before stage 2: its probe is cached per row, so it
+           usually costs nothing, and a candidate it prunes saves the
+           compute probe.  Each stage is a lower bound, so which one
+           reaches [cutoff] first does not change what is pruned.  With
+           [gate], stage 3 runs only when its ceiling reaches
+           [cutoff]. *)
+        let sent =
+          if
+            gate
+            && begin
+                 if t.gate_gen <> t.gen then set_send_ceiling ~floor t;
+                 t.gate_at.(0) +. exec < cutoff
+               end
+          then neg_infinity
+          else send_arrival ~floor t ~proc +. exec
         in
-        (* stage 1 is at most [lb], so only the remote arrivals can
-           lift stage 3 above it; with [gate], stage 3 runs only when
-           its ceiling reaches [cutoff] *)
-        if
-          lb >= cutoff
-          || gate
-             && begin
-                  if t.gate_gen <> t.gen then set_send_ceiling ~floor t;
-                  t.gate_at.(0) +. exec < cutoff
-                end
-        then lb
+        if sent >= cutoff then sent
         else
-          let sent = send_arrival ~floor t ~proc +. exec in
+          let lb =
+            probe t ~tls:t.comp_tls.(proc) ~ids:t.comp_ids.(proc)
+              ~after:!ready ~duration:exec
+            +. exec
+          in
           if sent > lb then sent else lb
       end
 
@@ -1012,53 +1059,62 @@ let index_of (procs : int array) proc =
 (* Earliest-best scan of a non-empty, strictly sorted candidate array:
    the seed first ({!seed_proc}), when it is a candidate, so that the
    pruning has a strong incumbent early, then the rest in index order.
-   Ties still go to the lowest index ({!offer}).  Only the winner is
-   materialized. *)
+   Ties still go to the lowest index ({!offer}); the winner is left in
+   [t.best]. *)
 let scan_candidates ~floor t ~task procs =
   start_scan t;
   let s = index_of procs (seed_proc t ~task) in
   if s >= 0 then consider ~floor t ~task ~proc:procs.(s) s;
   for i = 0 to Array.length procs - 1 do
     if i <> s then consider ~floor t ~task ~proc:procs.(i) i
-  done;
-  materialize t.best
+  done
+
+(* A candidate list as a strictly sorted array.  Candidates are almost
+   always handed over sorted (processor ranges, filtered survivor
+   lists); only re-sort when not. *)
+let candidate_array = function
+  | [] -> invalid_arg "Engine.best_proc_among: no candidates"
+  | procs ->
+      Array.of_list
+        (if is_sorted_strict procs then procs else List.sort_uniq compare procs)
 
 let best_proc_among ?(floor = 0.) t ~task procs =
-  match (!oracle, procs) with
-  | Some o, _ -> o.best_proc_among ~floor t ~task procs
-  | None, [] -> invalid_arg "Engine.best_proc_among: no candidates"
-  | None, procs ->
-      (* Candidates are almost always handed over sorted (processor
-         ranges, filtered survivor lists); only re-sort when not. *)
-      let procs =
-        if is_sorted_strict procs then procs else List.sort_uniq compare procs
-      in
-      scan_candidates ~floor t ~task (Array.of_list procs)
+  match !oracle with
+  | Some o -> o.best_proc_among ~floor t ~task procs
+  | None ->
+      scan_candidates ~floor t ~task (candidate_array procs);
+      materialize t.best
 
 let best_proc ?(floor = 0.) t ~task =
   match !oracle with
   | Some o -> o.best_proc ~floor t ~task
-  | None -> scan_candidates ~floor t ~task t.all_procs
+  | None ->
+      scan_candidates ~floor t ~task t.all_procs;
+      materialize t.best
 
 (* Earliest-best scan over the alive rows of a pending (task, proc)
    table — ILHA's reschedule step — with the same pruning and early
    abort as [scan_candidates]: rows price different tasks, but each
    bound is a bound on its own row's EFT, and ties go to the lowest row.
-   Returns the winning row alongside its eval. *)
+   The winning row is left in [t.best_idx], -1 when none is alive. *)
 let scan_pending ~floor t ~tasks ~procs ~alive =
   start_scan t;
   for i = 0 to Array.length tasks - 1 do
     if alive.(i) then consider ~floor t ~task:tasks.(i) ~proc:procs.(i) i
-  done;
-  if t.best_idx < 0 then None else Some (t.best_idx, materialize t.best)
+  done
 
-let best_pending ?(floor = 0.) t ~tasks ~procs ~alive =
+let check_pending ~tasks ~procs ~alive =
   let n = Array.length tasks in
   if Array.length procs <> n || Array.length alive <> n then
-    invalid_arg "Engine.best_pending: array length mismatch";
+    invalid_arg "Engine.best_pending: array length mismatch"
+
+let best_pending ?(floor = 0.) t ~tasks ~procs ~alive =
+  check_pending ~tasks ~procs ~alive;
   match !oracle with
   | Some o -> o.best_pending ~floor t ~tasks ~procs ~alive
-  | None -> scan_pending ~floor t ~tasks ~procs ~alive
+  | None ->
+      scan_pending ~floor t ~tasks ~procs ~alive;
+      if t.best_idx < 0 then None else Some (t.best_idx, materialize t.best)
 
 let log_push t ~task ~proc ~comms_before ~phases_before =
   if t.log_len = Array.length t.log_task then begin
@@ -1083,70 +1139,94 @@ let log_push t ~task ~proc ~comms_before ~phases_before =
   t.log_proc.(t.log_len) <- proc;
   t.log_len <- t.log_len + 1
 
-let commit t ~task ev =
+(* Load [ev] into the flat form [c], which the commits read. *)
+let load c (ev : eval) =
+  c.p_n <- 0;
+  List.iter
+    (fun h -> push_hop c ~edge:h.edge ~src:h.src_proc ~dst:h.dst_proc h.start)
+    ev.hops;
+  c.p_proc <- ev.proc;
+  c.p_times.(0) <- ev.est;
+  c.p_times.(1) <- ev.eft;
+  match ev.phase with
+  | Some (s, f) ->
+      c.p_phased <- true;
+      c.p_times.(2) <- s;
+      c.p_times.(3) <- f
+  | None -> c.p_phased <- false
+
+(* Commit [c]'s hops.  Within one candidate each edge contributes one
+   route-following chain, its hops consecutive, so a hop heads a chain
+   exactly when the hop before it carries another edge — stated
+   explicitly because with duplication a new chain may begin on the
+   processor where a previous chain of the same edge ended.  The flag
+   is passed as a literal so that no option is built per hop. *)
+let commit_hops t c =
+  for i = 0 to c.p_n - 1 do
+    let edge = c.p_edge.(i) in
+    let src_proc = c.p_src.(i) and dst_proc = c.p_dst.(i) in
+    let (_ : float) =
+      if i = 0 || c.p_edge.(i - 1) <> edge then
+        Schedule.add_comm ~head:true t.sched ~edge ~src_proc ~dst_proc
+          ~start:c.p_start.(i)
+      else
+        Schedule.add_comm ~head:false t.sched ~edge ~src_proc ~dst_proc
+          ~start:c.p_start.(i)
+    in
+    ()
+  done
+
+(* The one commit: place [task] as priced in [c], logging the entry. *)
+let commit_priced t ~task c =
   Obs.Counters.(bump commits);
   log_push t ~task ~proc:(-1)
     ~comms_before:(Schedule.n_comm_events t.sched)
     ~phases_before:(Schedule.n_phases t.sched);
-  (match ev.phase with
-  | Some (c, f) ->
-      (* BSP: the phase window was chosen during evaluation; every hop
-         event spans it. *)
-      Schedule.add_phase t.sched ~start:c ~finish:f;
-      List.iter
-        (fun h ->
-          let (_ : float) =
-            Schedule.add_comm_in_window t.sched ~edge:h.edge
-              ~src_proc:h.src_proc ~dst_proc:h.dst_proc ~start:h.start
-              ~finish:f
-          in
-          ())
-        ev.hops
-  | None ->
-      (* Within one evaluation each edge contributes one route-following
-         chain, so an edge's first hop here is a chain head — stated
-         explicitly because with duplication a new chain may begin on the
-         processor where a previous chain of the same edge ended. *)
-      let seen = ref [] in
-      List.iter
-        (fun h ->
-          let head = not (List.mem h.edge !seen) in
-          if head then seen := h.edge :: !seen;
-          let (_ : float) =
-            Schedule.add_comm ~head t.sched ~edge:h.edge ~src_proc:h.src_proc
-              ~dst_proc:h.dst_proc ~start:h.start
-          in
-          ())
-        ev.hops);
-  Schedule.place_task t.sched ~task ~proc:ev.proc ~start:ev.est
+  if c.p_phased then begin
+    (* BSP: the phase window was chosen during evaluation; every hop
+       event spans it. *)
+    Schedule.add_phase t.sched ~start:c.p_times.(2) ~finish:c.p_times.(3);
+    for i = 0 to c.p_n - 1 do
+      let (_ : float) =
+        Schedule.add_comm_in_window t.sched ~edge:c.p_edge.(i)
+          ~src_proc:c.p_src.(i) ~dst_proc:c.p_dst.(i) ~start:c.p_start.(i)
+          ~finish:c.p_times.(3)
+      in
+      ()
+    done
+  end
+  else commit_hops t c;
+  Schedule.place_task t.sched ~task ~proc:c.p_proc ~start:c.p_times.(0)
+
+let commit t ~task ev =
+  load t.cur ev;
+  commit_priced t ~task t.cur
 
 (* Drop the cached incoming table: it may list the task just copied as
    a predecessor, whose feeding copy set changed. *)
 let invalidate_incoming t = t.inc_task <- -1
 
-let commit_copy t ~task ev =
+let check_copy t ~task ~phased =
   if not (Schedule.is_placed t.sched task) then
     invalid_arg "Engine.commit_copy: task has no primary copy yet";
-  (match ev.phase with
-  | Some _ -> invalid_arg "Engine.commit_copy: duplication is port-regime only"
-  | None -> ());
+  if phased then
+    invalid_arg "Engine.commit_copy: duplication is port-regime only"
+
+(* The one copy commit: place a copy of [task] as priced in [c]. *)
+let commit_copy_priced t ~task c =
+  check_copy t ~task ~phased:c.p_phased;
   Obs.Counters.(bump commits);
-  log_push t ~task ~proc:ev.proc
+  log_push t ~task ~proc:c.p_proc
     ~comms_before:(Schedule.n_comm_events t.sched)
     ~phases_before:(Schedule.n_phases t.sched);
-  let seen = ref [] in
-  List.iter
-    (fun h ->
-      let head = not (List.mem h.edge !seen) in
-      if head then seen := h.edge :: !seen;
-      let (_ : float) =
-        Schedule.add_comm ~head t.sched ~edge:h.edge ~src_proc:h.src_proc
-          ~dst_proc:h.dst_proc ~start:h.start
-      in
-      ())
-    ev.hops;
-  Schedule.place_copy t.sched ~task ~proc:ev.proc ~start:ev.est;
+  commit_hops t c;
+  Schedule.place_copy t.sched ~task ~proc:c.p_proc ~start:c.p_times.(0);
   invalidate_incoming t
+
+let commit_copy t ~task ev =
+  check_copy t ~task ~phased:(ev.phase <> None);
+  load t.cur ev;
+  commit_copy_priced t ~task t.cur
 
 let n_commits t = t.log_len
 let commit_task_at t i = t.log_task.(i)
@@ -1173,11 +1253,53 @@ let rewind t ~to_ =
     if had_dups then invalidate_incoming t
   end
 
-let schedule_on ?floor t ~task ~proc =
-  let ev = evaluate ?floor t ~task ~proc in
-  commit t ~task ev
+let schedule_on ?(floor = 0.) t ~task ~proc =
+  match !oracle with
+  | Some o -> commit t ~task (o.evaluate ~floor t ~task ~proc)
+  | None ->
+      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
+      commit_priced t ~task t.cur
 
-let schedule_best ?floor t ~task =
-  let ev = best_proc ?floor t ~task in
-  commit t ~task ev;
-  ev
+let schedule_copy_on ?(floor = 0.) t ~task ~proc =
+  match !oracle with
+  | Some o -> commit_copy t ~task (o.evaluate ~floor t ~task ~proc)
+  | None ->
+      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
+      commit_copy_priced t ~task t.cur
+
+let schedule_best ?(floor = 0.) t ~task =
+  match !oracle with
+  | Some o ->
+      let ev = o.best_proc ~floor t ~task in
+      commit t ~task ev;
+      ev.proc
+  | None ->
+      scan_candidates ~floor t ~task t.all_procs;
+      commit_priced t ~task t.best;
+      t.best.p_proc
+
+let schedule_best_among ?(floor = 0.) t ~task procs =
+  match !oracle with
+  | Some o ->
+      let ev = o.best_proc_among ~floor t ~task procs in
+      commit t ~task ev;
+      ev.proc
+  | None ->
+      scan_candidates ~floor t ~task (candidate_array procs);
+      commit_priced t ~task t.best;
+      t.best.p_proc
+
+let schedule_pending ?(floor = 0.) t ~tasks ~procs ~alive =
+  check_pending ~tasks ~procs ~alive;
+  match !oracle with
+  | Some o -> (
+      match o.best_pending ~floor t ~tasks ~procs ~alive with
+      | None -> -1
+      | Some (i, ev) ->
+          commit t ~task:tasks.(i) ev;
+          i)
+  | None ->
+      scan_pending ~floor t ~tasks ~procs ~alive;
+      let i = t.best_idx in
+      if i >= 0 then commit_priced t ~task:tasks.(i) t.best;
+      i

@@ -65,6 +65,11 @@ val policy : t -> policy
     new decisions at or after the crash instant. *)
 val evaluate : ?floor:float -> t -> task:int -> proc:int -> eval
 
+(** [evaluate_eft t ~task ~proc] is [(evaluate t ~task ~proc).eft],
+    priced the same way but without building the {!eval}: for callers
+    that only compare finish times. *)
+val evaluate_eft : ?floor:float -> t -> task:int -> proc:int -> float
+
 (** [best_proc t ~task] — minimum [eft] over all processors, ties to the
     lowest processor index (the paper's tie-break in §4.4's toy example).
     The scan is {!best_proc_among}'s over every processor, seed first. *)
@@ -85,10 +90,16 @@ val best_proc : ?floor:float -> t -> task:int -> eval
     lower index than the incumbent wins a tie, so for it both figures
     must exceed the incumbent's finish time.  Neither ever changes the
     result: both figures are at most the true finish time, and ties go
-    to the lowest index.  The bound's last stage, the committed
-    send-port wait, runs only when a cheap ceiling on it reaches the
-    incumbent.  Losing candidates are priced into the engine's scratch
-    space: only the winner is built as an {!eval}.
+    to the lowest index.  The bound runs its stages in the order
+    input arrival (stage 1), committed send-port wait (stage 3), then
+    the compute-timeline probe (stage 2), each only while the ones
+    before it stay below the incumbent: stage 3's probe is cached per
+    input, so it usually costs nothing, and a candidate it prunes saves
+    the compute probe.  Stage 3 runs only when a cheap ceiling on it
+    reaches the incumbent.  Each stage is a lower bound, so the order
+    does not change which candidates are pruned.  Losing candidates are
+    priced into the engine's scratch space: only the winner is built as
+    an {!eval}.
     @raise Invalid_argument on an empty list. *)
 val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
 
@@ -101,7 +112,8 @@ val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
     ports), plus the execution time; and every remote input's arrival
     when its first hop waits for the earliest slot of the source's
     committed send port, plus the execution time.  Scans run the stages
-    lazily and gate the last one; this hook always runs all of them.
+    lazily, the send-port stage before the compute probe, and gate the
+    send-port stage; this hook always runs all of them.
     Under BSP and latency+overhead it is the latest predecessor finish
     (or [floor]) plus the execution time.  Never above
     [(evaluate ?floor t ~task ~proc).eft]. *)
@@ -125,7 +137,9 @@ val best_pending :
 
 (** [commit t ~task ev] places the task and its communications, and
     appends an entry to the engine's {e commit log}, enabling
-    {!rewind}. *)
+    {!rewind}.  The hops of one edge must be consecutive in [ev.hops],
+    as every evaluation lists them: a hop heads a provenance chain
+    exactly when the hop before it carries another edge. *)
 val commit : t -> task:int -> eval -> unit
 
 (** [commit_copy t ~task ev] places a {e duplicate} copy of an
@@ -158,12 +172,39 @@ val commit_proc_at : t -> int -> int
     @raise Invalid_argument unless [0 <= to_ <= n_commits t]. *)
 val rewind : t -> to_:int -> unit
 
+(** {2 Place steps}
+
+    Price and commit in one call.  The winner is committed straight
+    from the engine's flat scratch form: no {!eval} record and no hop
+    list is built. *)
+
 (** [schedule_on t ~task ~proc] = evaluate + commit on a forced processor. *)
 val schedule_on : ?floor:float -> t -> task:int -> proc:int -> unit
 
+(** [schedule_copy_on t ~task ~proc] = evaluate + {!commit_copy} on
+    [proc]. *)
+val schedule_copy_on : ?floor:float -> t -> task:int -> proc:int -> unit
+
 (** [schedule_best t ~task] = {!best_proc} + commit; returns the chosen
-    evaluation. *)
-val schedule_best : ?floor:float -> t -> task:int -> eval
+    processor. *)
+val schedule_best : ?floor:float -> t -> task:int -> int
+
+(** [schedule_best_among t ~task procs] = {!best_proc_among} + commit;
+    returns the chosen processor.
+    @raise Invalid_argument on an empty list. *)
+val schedule_best_among : ?floor:float -> t -> task:int -> int list -> int
+
+(** [schedule_pending t ~tasks ~procs ~alive] = {!best_pending} + commit
+    of the winning row; returns that row, or [-1] when no row is alive
+    (nothing is committed then).
+    @raise Invalid_argument on mismatched array lengths. *)
+val schedule_pending :
+  ?floor:float ->
+  t ->
+  tasks:int array ->
+  procs:int array ->
+  alive:bool array ->
+  int
 
 (** {2 Test seam} *)
 

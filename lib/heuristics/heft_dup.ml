@@ -2,61 +2,77 @@ module Graph = Taskgraph.Graph
 module Schedule = Sched.Schedule
 module Comm_model = Commmodel.Comm_model
 
-(* The copy of [u] feeding consumers by default: earliest finish, ties to
-   the lowest processor — the engine's representative-copy rule. *)
-let rep_copy sched u =
-  match Schedule.copies sched u with
-  | [] -> invalid_arg "Heft_dup: predecessor not placed"
-  | c :: rest ->
-      List.fold_left
-        (fun (b : Schedule.placement) (c : Schedule.placement) ->
-          if c.finish < b.finish || (c.finish = b.finish && c.proc < b.proc)
-          then c
-          else b)
-        c rest
-
 (* The predecessor of [v] whose remote delivery onto [proc] looks most
    expensive: maximum representative finish plus direct-link price, ties
-   to the lowest task id.  Predecessors already running on [proc] (any
-   copy) and zero-data edges feed locally/freely and are skipped. *)
+   to the lowest task id; -1 when there is none.  Predecessors already
+   running on [proc] (any copy) and zero-data edges feed locally/freely
+   and are skipped.  The representative copy is the engine's: earliest
+   finish, ties to the lowest processor.  The route price is summed hop
+   by hop along [Platform.next_hop], in route order. *)
 let critical_remote_pred sched plat g v ~proc =
-  Graph.fold_pred_edges g v ~init:None ~f:(fun acc e ->
-      let u = Graph.edge_src g e in
-      let data = Graph.edge_data g e in
-      if data <= 0. || Schedule.copy_on sched ~task:u ~proc <> None then acc
-      else
-        let rep = rep_copy sched u in
-        let price =
-          List.fold_left
-            (fun acc (s, d) -> acc +. Platform.hop_cost plat ~src:s ~dst:d)
-            0.
-            (Platform.route plat ~src:rep.proc ~dst:proc)
-        in
-        let key = rep.finish +. (data *. price) in
-        match acc with
-        | Some (k, u') when k > key || (k = key && u' <= u) -> acc
-        | _ -> Some (key, u))
+  let best_key = ref 0. and best_u = ref (-1) in
+  for i = Graph.pred_first g v to Graph.pred_first g (v + 1) - 1 do
+    let e = Graph.pred_edge g i in
+    let u = Graph.edge_src g e in
+    let data = Graph.edge_data g e in
+    if
+      (not (data <= 0.))
+      && Schedule.copy_finish_on sched ~task:u ~proc = neg_infinity
+    then begin
+      let rep_fin = ref (Schedule.finish_of_exn sched u)
+      and rep_proc = ref (Schedule.proc_of_exn sched u) in
+      (match Schedule.dup_copies sched u with
+      | [] -> ()
+      | dups ->
+          List.iter
+            (fun (c : Schedule.placement) ->
+              if
+                c.finish < !rep_fin
+                || (c.finish = !rep_fin && c.proc < !rep_proc)
+              then begin
+                rep_fin := c.finish;
+                rep_proc := c.proc
+              end)
+            dups);
+      let price = ref 0. and at = ref !rep_proc in
+      while !at <> proc do
+        let next = Platform.next_hop plat ~src:!at ~dst:proc in
+        price := !price +. Platform.hop_cost plat ~src:!at ~dst:next;
+        at := next
+      done;
+      let key = !rep_fin +. (data *. !price) in
+      if
+        not
+          (!best_u >= 0
+          && (!best_key > key || (!best_key = key && !best_u <= u)))
+      then begin
+        best_key := key;
+        best_u := u
+      end
+    end
+  done;
+  !best_u
 
-(* Evaluate [v] on [q], then greedily duplicate up to [limit] critical
-   remote predecessors onto [q] while each copy strictly lowers v's EFT.
-   Kept duplications stay committed (the caller rewinds to its own mark
-   when merely exploring); a failed attempt is rewound here. *)
-let explore engine sched plat g limit v q =
-  let ev = ref (Engine.evaluate engine ~task:v ~proc:q) in
+(* Price [v] on [q] with [price], then greedily duplicate up to [limit]
+   critical remote predecessors onto [q] while each copy strictly lowers
+   v's EFT ([eft] reads it from a priced result).  Kept duplications stay
+   committed (the caller rewinds to its own mark when merely exploring);
+   a failed attempt is rewound here.  The state left behind is the one
+   the returned result was priced in. *)
+let explore ~price ~eft engine sched plat g limit v q =
+  let ev = ref (price v q) in
   (try
      for _ = 1 to limit do
-       match critical_remote_pred sched plat g v ~proc:q with
-       | None -> raise Exit
-       | Some (_, u) ->
-           let mark = Engine.n_commits engine in
-           let evu = Engine.evaluate engine ~task:u ~proc:q in
-           Engine.commit_copy engine ~task:u evu;
-           let ev' = Engine.evaluate engine ~task:v ~proc:q in
-           if ev'.Engine.eft < !ev.Engine.eft then ev := ev'
-           else begin
-             Engine.rewind engine ~to_:mark;
-             raise Exit
-           end
+       let u = critical_remote_pred sched plat g v ~proc:q in
+       if u < 0 then raise Exit;
+       let mark = Engine.n_commits engine in
+       Engine.schedule_copy_on engine ~task:u ~proc:q;
+       let ev' = price v q in
+       if eft ev' < eft !ev then ev := ev'
+       else begin
+         Engine.rewind engine ~to_:mark;
+         raise Exit
+       end
      done
    with Exit -> ());
   !ev
@@ -82,24 +98,31 @@ let schedule ?(params = Params.default) plat g =
           let order = List_loop.decision_order ~priority g in
           let p = Platform.p plat in
           Obs.Span.with_ "map" (fun () ->
+              (* the exploration rounds only compare finish times; the
+                 replay builds the winner's evaluation to commit it *)
+              let eft_on v q = Engine.evaluate_eft engine ~task:v ~proc:q in
+              let eval_on v q = Engine.evaluate engine ~task:v ~proc:q in
               Array.iter
                 (fun v ->
-                  let best = ref None in
+                  let best_eft = ref infinity and bq = ref (-1) in
                   for q = 0 to p - 1 do
                     let mark = Engine.n_commits engine in
-                    let ev = explore engine sched plat g limit v q in
+                    let eft =
+                      explore ~price:eft_on ~eft:Fun.id engine sched plat g
+                        limit v q
+                    in
                     Engine.rewind engine ~to_:mark;
-                    match !best with
-                    | Some (b : Engine.eval) when b.eft <= ev.Engine.eft -> ()
-                    | _ -> best := Some ev
+                    if !bq < 0 || not (!best_eft <= eft) then begin
+                      best_eft := eft;
+                      bq := q
+                    end
                   done;
-                  let bq =
-                    match !best with
-                    | Some b -> b.Engine.proc
-                    | None -> assert false
-                  in
                   (* replay the winning exploration, keeping its copies *)
-                  let ev = explore engine sched plat g limit v bq in
+                  let ev =
+                    explore ~price:eval_on
+                      ~eft:(fun (e : Engine.eval) -> e.eft)
+                      engine sched plat g limit v !bq
+                  in
                   Engine.commit engine ~task:v ev)
                 order);
           (* duplication must never lose to plain single-copy HEFT *)

@@ -8,15 +8,23 @@ let default_b plat =
 
 let quota_eps = 1e-9
 
-(* The processor hosting every parent of [task], when unique; [None] for
-   entry tasks or scattered parents. *)
+(* The processor of the source of predecessor edge [i] (a CSR index). *)
+let parent_proc sched g i =
+  Schedule.proc_of_exn sched (Graph.edge_src g (Graph.pred_edge g i))
+
+(* The processor hosting every parent of [task], when unique; -1 for
+   entry tasks or scattered parents.  Walks the predecessor CSR range:
+   no list, no closure. *)
 let common_parent_proc sched g task =
-  match Graph.preds g task with
-  | [] -> None
-  | first :: rest ->
-      let q = Schedule.proc_of_exn sched first in
-      if List.for_all (fun u -> Schedule.proc_of_exn sched u = q) rest then Some q
-      else None
+  let first = Graph.pred_first g task and stop = Graph.pred_first g (task + 1) in
+  if first = stop then -1
+  else begin
+    let q = parent_proc sched g first and common = ref true in
+    for i = first + 1 to stop - 1 do
+      if parent_proc sched g i <> q then common := false
+    done;
+    if !common then q else -1
+  end
 
 (* Processors [q] reachable at the price of exactly one communication:
    parents span several processors but only one parent edge crosses when
@@ -57,11 +65,12 @@ let map_chunk ~scan engine g plat chunk =
   (* Step 1: zero-communication placements under quota. *)
   let rest =
     let placeable v =
-      match common_parent_proc sched g v with
-      | Some q when fits q (Graph.weight g v) ->
-          place v q;
-          true
-      | Some _ | None -> false
+      let q = common_parent_proc sched g v in
+      if q >= 0 && fits q (Graph.weight g v) then begin
+        place v q;
+        true
+      end
+      else false
     in
     sieve placeable chunk
   in
@@ -77,9 +86,8 @@ let map_chunk ~scan engine g plat chunk =
           match candidates with
           | [] -> false
           | cs ->
-              let ev = Engine.best_proc_among engine ~task:v cs in
-              Engine.commit engine ~task:v ev;
-              load.(ev.proc) <- load.(ev.proc) +. Graph.weight g v;
+              let q = Engine.schedule_best_among engine ~task:v cs in
+              load.(q) <- load.(q) +. Graph.weight g v;
               true
         in
         sieve placeable rest
@@ -87,14 +95,14 @@ let map_chunk ~scan engine g plat chunk =
   (* Step 2: HEFT rule for whatever remains. *)
   List.iter
     (fun v ->
-      let (_ : Engine.eval) = Engine.schedule_best engine ~task:v in
+      let (_ : int) = Engine.schedule_best engine ~task:v in
       ())
     rest
 
 (* Reschedule variant: run the two scans on a scratch copy to learn the
    allocation, then commit chunk tasks for real in order of globally
    smallest finish time on their allocated processor.  The pending set is
-   a flat (task, proc) table with alive flags — [Engine.best_pending]
+   a flat (task, proc) table with alive flags — [Engine.schedule_pending]
    scans it in chunk order, which keeps the earliest-row tie-break of
    the original list walk. *)
 let map_chunk_reschedule ~scan ~policy engine g plat chunk =
@@ -106,11 +114,8 @@ let map_chunk_reschedule ~scan ~policy engine g plat chunk =
   let procs = Array.map (Schedule.proc_of_exn scratch_sched) tasks in
   let alive = Array.make n true in
   for _ = 1 to n do
-    match Engine.best_pending engine ~tasks ~procs ~alive with
-    | None -> ()
-    | Some (i, ev) ->
-        Engine.commit engine ~task:tasks.(i) ev;
-        alive.(i) <- false
+    let i = Engine.schedule_pending engine ~tasks ~procs ~alive in
+    if i >= 0 then alive.(i) <- false
   done
 
 let schedule ?(params = Params.default) plat g =

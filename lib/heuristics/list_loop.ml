@@ -2,7 +2,7 @@ module Graph = Taskgraph.Graph
 module Schedule = Sched.Schedule
 
 let default_handle engine v =
-  let (_ : Engine.eval) = Engine.schedule_best engine ~task:v in
+  let (_ : int) = Engine.schedule_best engine ~task:v in
   ()
 
 (* The Kahn drain below visits tasks in an order that depends only on the

@@ -2,8 +2,12 @@ module Graph = Taskgraph.Graph
 
 (* How a task's weight becomes time in a rank: [Scaled k] is [w *. k],
    [Averaged (p, speed)] is [p *. w /. speed] — the same operations as
-   [Platform.avg_execution_time], so the ranks stay bit-identical. *)
-type task_cost = Scaled of float | Averaged of float * float
+   [Platform.avg_execution_time], so the ranks stay bit-identical — and
+   [Per_task cost] ignores the weight and reads [cost.(v)]. *)
+type task_cost =
+  | Scaled of float
+  | Averaged of float * float
+  | Per_task of float array
 
 (* Bottom levels, closure-free: the successor CSR range is walked in
    place and [best] is a local float ref, so nothing is allocated per
@@ -29,6 +33,7 @@ let bottom_up g ~task ~link =
       match task with
       | Scaled k -> w *. k
       | Averaged (p, speed) -> p *. w /. speed
+      | Per_task cost -> cost.(v)
     in
     rank.(v) <- task_cost +. !best
   done;
@@ -49,22 +54,30 @@ let upward ?(averaging = Balanced) g plat =
   in
   bottom_up g ~task ~link:(Some (Platform.avg_link_cost plat))
 
+(* Top levels, closure-free like [bottom_up]: the predecessor CSR range
+   is walked in place, and a predecessor's averaged execution time is
+   [Platform.avg_execution_time]'s [p *. w /. speed] with [p] and
+   [speed] read once. *)
 let downward g plat =
   let avg_link = Platform.avg_link_cost plat in
+  let p = float_of_int (Platform.p plat)
+  and speed = Platform.aggregate_speed plat in
   let n = Graph.n_tasks g in
   let rank = Array.make n 0. in
   let order = Graph.topological_order g in
-  Array.iter
-    (fun v ->
-      Graph.iter_pred_edges g v ~f:(fun e ->
-          let u = Graph.edge_src g e in
-          let c =
-            rank.(u)
-            +. Platform.avg_execution_time plat (Graph.weight g u)
-            +. (Graph.edge_data g e *. avg_link)
-          in
-          if c > rank.(v) then rank.(v) <- c))
-    order;
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    for k = Graph.pred_first g v to Graph.pred_first g (v + 1) - 1 do
+      let e = Graph.pred_edge g k in
+      let u = Graph.edge_src g e in
+      let c =
+        rank.(u)
+        +. (p *. Graph.weight g u /. speed)
+        +. (Graph.edge_data g e *. avg_link)
+      in
+      if c > rank.(v) then rank.(v) <- c
+    done
+  done;
   rank
 
 let upward_min g plat =

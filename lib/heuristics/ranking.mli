@@ -18,6 +18,21 @@ type averaging =
   | Arithmetic  (** mean of [w * t_i] — classic HEFT *)
   | Optimistic  (** [w * min t_i] *)
 
+(** How a rank prices a task: [Scaled k] is [w(v) * k], [Averaged (p, s)]
+    is [p * w(v) / s] (the {!Balanced} rule with [p] processors of
+    aggregate speed [s]), [Per_task c] is [c.(v)]. *)
+type task_cost =
+  | Scaled of float
+  | Averaged of float * float
+  | Per_task of float array
+
+(** [bottom_up g ~task ~link] — the one bottom-level loop every upward
+    rank runs: [bl(v) = cost(v) + max over (v,u) of (c(v,u) + bl(u))],
+    where an edge costs [data * l] under [~link:(Some l)] and nothing
+    under [~link:None].  Allocates only the result. *)
+val bottom_up :
+  Taskgraph.Graph.t -> task:task_cost -> link:float option -> float array
+
 (** [upward ?averaging g plat] — bottom levels: [bl(v) = w̄(v) + max over
     (v,u) of (c̄(v,u) + bl(u))], 0-based at exit tasks' own weight.  The
     HEFT/ILHA priority. *)

@@ -39,8 +39,7 @@ let schedule_suffix ?(params = Params.default) ~floor ~candidates engine ~todo =
   let remapped = ref [] in
   while not (Prelude.Pqueue.Int_heap.is_empty ready) do
     let task = Prelude.Pqueue.Int_heap.pop_exn ready in
-    let ev = Engine.best_proc_among ~floor engine ~task candidates in
-    Engine.commit engine ~task ev;
+    let (_ : int) = Engine.schedule_best_among ~floor engine ~task candidates in
     Obs.Counters.(bump repairs);
     remapped := task :: !remapped;
     Graph.iter_succ_edges g task ~f:(fun e ->

@@ -10,21 +10,9 @@ let check_shape costs g plat =
 let ranks costs g plat =
   check_shape costs g plat;
   let p = float_of_int (Platform.p plat) in
-  let avg_link = Platform.avg_link_cost plat in
-  let mean v = Array.fold_left ( +. ) 0. costs.(v) /. p in
-  let n = Graph.n_tasks g in
-  let rank = Array.make n 0. in
-  let order = Graph.topological_order g in
-  for i = n - 1 downto 0 do
-    let v = order.(i) in
-    let best = ref 0. in
-    Graph.iter_succ_edges g v ~f:(fun e ->
-        let u = Graph.edge_dst g e in
-        let c = (Graph.edge_data g e *. avg_link) +. rank.(u) in
-        if c > !best then best := c);
-    rank.(v) <- mean v +. !best
-  done;
-  rank
+  let mean = Array.map (fun row -> Array.fold_left ( +. ) 0. row /. p) costs in
+  Ranking.bottom_up g ~task:(Ranking.Per_task mean)
+    ~link:(Some (Platform.avg_link_cost plat))
 
 let heft ?(params = Params.default) ~costs plat g =
   Obs.Span.with_ "heft-unrelated" @@ fun () ->
@@ -38,7 +26,7 @@ let heft ?(params = Params.default) ~costs plat g =
   let priority = ranks costs g plat in
   Array.iter
     (fun v ->
-      let (_ : Engine.eval) = Engine.schedule_best engine ~task:v in
+      let (_ : int) = Engine.schedule_best engine ~task:v in
       ())
     (List_loop.decision_order ~priority g);
   sched

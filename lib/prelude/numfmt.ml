@@ -80,17 +80,21 @@ let add_int w n =
     add_digits w (-n)
   end
 
+let add_g_slow w x = add_string w (format_float "%.6g" x)
+
 (* "%g" keeps six significant digits, so every integer below 1e6 in
    magnitude prints exactly as its decimal digits; -0. prints "-0".
    Below 1e6 (which also rules out NaN and infinities) [x] is an integer
-   iff truncating it loses nothing. *)
-let add_g w x =
+   iff truncating it loses nothing.  Inlined, so that a float read from
+   an array reaches the integer path without being boxed; only the
+   runtime path takes a boxed one. *)
+let[@inline] add_g w x =
   if
     Float.abs x < 1e6
     && Float.of_int (Float.to_int x) = x
     && not (x = 0. && Float.sign_bit x)
   then add_int w (Float.to_int x)
-  else add_string w (format_float "%.6g" x)
+  else add_g_slow w x
 
 let hex_digits = "0123456789abcdef"
 
@@ -104,30 +108,39 @@ let mantissa_mask = (1 lsl 52) - 1
    is not zero, then ["p"] and the signed binary exponent (-1022 for
    subnormals, 0 for zeros).  Infinities and NaNs keep the runtime
    path. *)
-let add_h w x =
+let add_h_finite w ~negative ~biased ~mantissa =
+  if negative then add_char w '-';
+  let m = ref mantissa in
+  let exp =
+    if biased > 0 then biased - 1023 else if !m = 0 then 0 else -1022
+  in
+  add_char w '0';
+  add_char w 'x';
+  add_char w (if biased > 0 then '1' else '0');
+  if !m <> 0 then begin
+    add_char w '.';
+    while !m <> 0 do
+      add_char w (String.unsafe_get hex_digits (!m lsr 48));
+      m := (!m lsl 4) land mantissa_mask
+    done
+  end;
+  add_char w 'p';
+  if exp >= 0 then add_char w '+';
+  add_int w exp
+
+let add_h_special w x = add_string w (hexstring_of_float x (-6) '-')
+
+(* Inlined, like [add_g]: the float is split into its sign, exponent and
+   mantissa here, and only ints cross the call. *)
+let[@inline] add_h w x =
   let bits = Int64.bits_of_float x in
   let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7FF in
-  if biased = 0x7FF then add_string w (hexstring_of_float x (-6) '-')
-  else begin
-    if Int64.compare bits 0L < 0 then add_char w '-';
-    let m = ref (Int64.to_int bits land mantissa_mask) in
-    let exp =
-      if biased > 0 then biased - 1023 else if !m = 0 then 0 else -1022
-    in
-    add_char w '0';
-    add_char w 'x';
-    add_char w (if biased > 0 then '1' else '0');
-    if !m <> 0 then begin
-      add_char w '.';
-      while !m <> 0 do
-        add_char w (String.unsafe_get hex_digits (!m lsr 48));
-        m := (!m lsl 4) land mantissa_mask
-      done
-    end;
-    add_char w 'p';
-    if exp >= 0 then add_char w '+';
-    add_int w exp
-  end
+  if biased = 0x7FF then add_h_special w x
+  else
+    add_h_finite w
+      ~negative:(Int64.compare bits 0L < 0)
+      ~biased
+      ~mantissa:(Int64.to_int bits land mantissa_mask)
 
 let buffer_add_int buf n =
   let w = create int_width in

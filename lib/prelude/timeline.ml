@@ -52,8 +52,9 @@ let grow t =
    end), so the search gallops back from the last interval, doubling its
    step, and bisects only the bracket it lands in: O(log d) for an
    answer [d] intervals from the tail.  Finishes are sorted, so the
-   answer is the same index a bisection of the whole timeline finds. *)
-let first_relevant t x =
+   answer is the same index a bisection of the whole timeline finds.
+   Inlined, so that [x] is not boxed to cross a call. *)
+let[@inline] first_relevant t x =
   let fin = t.finishes in
   let hi = ref (t.len - 1) in
   if !hi < 0 || fin.(!hi) <= x then t.len
@@ -153,18 +154,45 @@ let remove t ~start ~finish =
     t.j_len <- t.j_len - 1
   end
 
+(* The earliest slot of [duration] at or after [after] on [t] alone,
+   the probe the bound and most compute slots make: one cursor, no
+   extras, no pass structure.  [first_relevant] lands on the first
+   interval finishing after [after]; each blocker pushes the candidate
+   to its finish, and the next interval (sorted, disjoint, non-empty)
+   finishes later still, so no skip loop is needed. *)
+let earliest_gap t ~q =
+  Obs.Counters.(bump joint_gap_probes);
+  let after = q.(0) and duration = q.(1) in
+  if duration > 0. then begin
+    let ss = t.starts and fs = t.finishes in
+    let i = ref (first_relevant t after) in
+    let candidate = ref after in
+    while !i < t.len && ss.(!i) < !candidate +. duration do
+      candidate := fs.(!i);
+      incr i
+    done;
+    q.(0) <- !candidate
+  end
+
 (* The non-allocating core of the joint search: timelines come as a
    caller-owned array prefix [ts.(0 .. k-1)], tentative blockers as flat
    parallel arrays [extra_s]/[extra_f] (prefix [extra_len], sorted by
    start, no zero-length intervals), and [idx] is caller-provided cursor
-   scratch of length >= k.  The engine's arena calls this once per probe
-   without building a single intermediate value; the only allocation is
-   the boxed float it returns. *)
-let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
-    ~duration =
+   scratch of length >= k.  The query travels in [q] ([after] and
+   [duration] in, the answer out), so the engine's arena calls this once
+   per probe without allocating anything.
+
+   Push until it fits: each source in turn — every timeline, then the
+   extras — pushes the candidate past {e all} of its intervals that
+   overlap it before the walk moves on, and the passes repeat until one
+   full pass moves nothing.  The candidate only ever takes the value
+   [after] or the finish of an interval overlapping it, and every start
+   it skips is infeasible, so the fixpoint is the earliest feasible
+   start: the same float however the pushes are ordered. *)
+let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~q =
   Obs.Counters.(bump joint_gap_probes);
-  if duration <= 0. then after
-  else begin
+  let after = q.(0) and duration = q.(1) in
+  if duration > 0. then begin
     for j = 0 to k - 1 do
       idx.(j) <- first_relevant ts.(j) after
     done;
@@ -175,19 +203,20 @@ let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
       progress := false;
       for j = 0 to k - 1 do
         let t = ts.(j) in
+        let ss = t.starts and fs = t.finishes and len = t.len in
+        let i = ref idx.(j) in
         (* Skip intervals that end at or before the candidate. *)
-        while idx.(j) < t.len && t.finishes.(idx.(j)) <= !candidate do
-          idx.(j) <- idx.(j) + 1
+        while !i < len && fs.(!i) <= !candidate do
+          incr i
         done;
-        if
-          idx.(j) < t.len
-          && t.starts.(idx.(j)) < !candidate +. duration
-          && t.finishes.(idx.(j)) > !candidate
-        then begin
-          candidate := t.finishes.(idx.(j));
-          idx.(j) <- idx.(j) + 1;
+        (* Push past every blocker; each one's successor finishes later,
+           so it cannot end at or before the new candidate. *)
+        while !i < len && ss.(!i) < !candidate +. duration do
+          candidate := fs.(!i);
+          incr i;
           progress := true
-        end
+        done;
+        idx.(j) <- !i
       done;
       (* Tentative blockers, in start order.  A plain loop rather than
          a local recursive function: a closure capturing [candidate]
@@ -203,7 +232,7 @@ let earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
         else eating := false
       done
     done;
-    !candidate
+    q.(0) <- !candidate
   end
 
 let free_at t ~start ~finish =

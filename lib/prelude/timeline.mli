@@ -12,6 +12,13 @@
     needs a common free interval of [Pq]'s send port and [Pr]'s receive
     port.
 
+    The walk pushes the candidate start past every interval of one
+    source that overlaps it before it moves to the next source, and
+    repeats until a full pass moves nothing.  The candidate only ever
+    takes [after] or an interval's finish, so the answer does not depend
+    on the order of the pushes.  A probe of one timeline with no extra
+    intervals ({!earliest_gap}) needs no pass structure at all.
+
     The query accepts [extra] busy intervals so that a heuristic can
     evaluate a candidate placement (including the communications it would
     trigger) without mutating any committed state.
@@ -71,24 +78,27 @@ val last_finish : t -> float
 (** Total busy time. *)
 val total_busy : t -> float
 
-(** [earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~after
-    ~duration] is the earliest [s >= after] such that [[s, s + duration)]
-    meets no busy interval of the joint busy set (a non-positive
-    [duration] yields [after]).  The joint busy set is the first [k]
-    timelines of [ts] plus the tentative intervals
-    [[extra_s.(i), extra_f.(i))] for [i < extra_len].  The caller owns
-    every array; [idx] is cursor scratch of length at least [k] whose
-    contents are overwritten.  The walk allocates nothing but its boxed
-    result.  The result is the
+(** [earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len ~idx ~q]
+    answers the query held in [q]: on entry [q.(0)] is [after] and
+    [q.(1)] is [duration]; on return [q.(0)] is the earliest
+    [s >= after] such that [[s, s + duration)] meets no busy interval of
+    the joint busy set (a non-positive [duration] leaves [after]).  The
+    joint busy set is the first [k] timelines of [ts] plus the tentative
+    intervals [[extra_s.(i), extra_f.(i))] for [i < extra_len].  The
+    caller owns every array; [idx] is cursor scratch of length at least
+    [k] whose contents are overwritten.  Passing the query through a
+    float array rather than as arguments and a result keeps every float
+    unboxed: the walk allocates nothing.  The result is the
     {e earliest} feasible start at or after [after], so it is monotone
     in [after] and can only grow when blockers are added.
 
     Preconditions (unchecked — this is the hot path): extras are sorted
-    by start and contain no zero-length intervals, [Array.length ts >= k].
-    The scheduling engine's arena satisfies both by construction.  Extras
-    are a union of half-open intervals: cutting one into abutting pieces
-    or joining abutting ones into a run does not change the result, so
-    the arena keeps each resource's tentative intervals coalesced. *)
+    by start and contain no zero-length intervals, [Array.length ts >= k],
+    [Array.length q >= 2].  The scheduling engine's arena satisfies them
+    by construction.  Extras are a union of half-open intervals: cutting
+    one into abutting pieces or joining abutting ones into a run does
+    not change the result, so the arena keeps each resource's tentative
+    intervals coalesced. *)
 val earliest_gap_joint_arr :
   t array ->
   k:int ->
@@ -96,9 +106,14 @@ val earliest_gap_joint_arr :
   extra_f:float array ->
   extra_len:int ->
   idx:int array ->
-  after:float ->
-  duration:float ->
-  float
+  q:float array ->
+  unit
+
+(** [earliest_gap t ~q] is
+    [earliest_gap_joint_arr [|t|] ~k:1 ~extra_len:0 ~q]: the earliest
+    slot of [t] alone, walked with one cursor and no extras.  It counts
+    as a joint gap probe. *)
+val earliest_gap : t -> q:float array -> unit
 
 (** [free_at t ~start ~finish] is [true] when [[start, finish)] intersects
     no busy interval — an independent check used by the validator. *)

@@ -4,16 +4,19 @@ module Numfmt = Prelude.Numfmt
 
 (* [put w s n] writes the literal [s], then [n] as "%d"; [put_g] and
    [put_h] do the same with a float as "%g" and "%h".  All of them write
-   unchecked, into room the caller reserved for its whole row or entry. *)
+   unchecked, into room the caller reserved for its whole row or entry.
+   The float writers are inlined, like {!Numfmt.add_g} and
+   {!Numfmt.add_h}, so that a time read from the schedule's arrays is
+   written without being boxed. *)
 let put w s n =
   Numfmt.add_string w s;
   Numfmt.add_int w n
 
-let put_g w s x =
+let[@inline] put_g w s x =
   Numfmt.add_string w s;
   Numfmt.add_g w x
 
-let put_h w s x =
+let[@inline] put_h w s x =
   Numfmt.add_string w s;
   Numfmt.add_h w x
 
@@ -53,7 +56,7 @@ let to_chrome_trace ?(time_unit = 1.0) s =
   let ts_of tag =
     if tag < n then (Schedule.placement_exn s tag).Schedule.start
     else if tag < n + (2 * nc) then
-      (Schedule.comm_at s ((tag - n) / 2)).Schedule.start
+      Schedule.comm_start s ((tag - n) / 2)
     else (snd dups.(tag - n - (2 * nc))).Schedule.start
   in
   let starts = Array.init total ts_of in
@@ -126,20 +129,22 @@ let to_chrome_trace ?(time_unit = 1.0) s =
             str w {|,"copy":true|})
       end
       else begin
-        let c = Schedule.comm_at s ((tag - n) / 2) in
+        let i = (tag - n) / 2 in
+        let edge = Schedule.comm_edge s i in
+        let src = Schedule.comm_src s i and dst = Schedule.comm_dst s i in
         let recv = (tag - n) land 1 = 1 in
         event
           ~name:(fun () ->
-            put w "e" c.edge;
-            put w ":" c.src_proc;
-            put w "->" c.dst_proc)
-          ~pid:(if recv then c.dst_proc else c.src_proc)
+            put w "e" edge;
+            put w ":" src;
+            put w "->" dst)
+          ~pid:(if recv then dst else src)
           ~tid:(if recv then tid_recv else tid_send)
-          ~start:c.start ~finish:c.finish
+          ~start:(Schedule.comm_start s i) ~finish:(Schedule.comm_finish s i)
           ~args:(fun () ->
-            put w {|"edge":|} c.edge;
-            put w {|,"src":|} c.src_proc;
-            put w {|,"dst":|} c.dst_proc)
+            put w {|"edge":|} edge;
+            put w {|,"src":|} src;
+            put w {|,"dst":|} dst)
       end)
     order;
   Numfmt.reserve w 2;
@@ -152,35 +157,39 @@ let csv_header = "kind,name,processor,resource,start,finish,duration\n"
    floats, five commas and the newline. *)
 let csv_row_width = 6 + (2 * int_w) + 4 + (3 * g_w) + 6
 
+(* One CSV row; [prefix] is "kind,x" and [id] completes the name
+   "x<id>".  Inlined, so its floats stay unboxed. *)
+let[@inline] csv_row w prefix id proc resource start finish =
+  Numfmt.reserve w csv_row_width;
+  put w prefix id;
+  put w "," proc;
+  str w ",";
+  str w resource;
+  put_g w "," start;
+  put_g w "," finish;
+  put_g w "," (finish -. start);
+  str w "\n"
+
 let to_csv s =
   let g = Schedule.graph s in
   let rows = Graph.n_tasks g + (2 * Schedule.n_comms s) in
   let w = Numfmt.create (String.length csv_header + (rows * 48)) in
   Numfmt.reserve w (String.length csv_header);
   str w csv_header;
-  (* [prefix] is "kind,x" and [id] completes the name "x<id>" *)
-  let row prefix id proc resource start finish =
-    Numfmt.reserve w csv_row_width;
-    put w prefix id;
-    put w "," proc;
-    str w ",";
-    str w resource;
-    put_g w "," start;
-    put_g w "," finish;
-    put_g w "," (finish -. start);
-    str w "\n"
-  in
   for v = 0 to Graph.n_tasks g - 1 do
-    let pl = Schedule.placement_exn s v in
-    row "task,v" v pl.Schedule.proc "cpu" pl.Schedule.start pl.Schedule.finish;
+    csv_row w "task,v" v (Schedule.proc_of_exn s v) "cpu"
+      (Schedule.start_of_exn s v) (Schedule.finish_of_exn s v);
     List.iter
       (fun (c : Schedule.placement) ->
-        row "copy,v" v c.proc "cpu" c.start c.finish)
+        csv_row w "copy,v" v c.proc "cpu" c.start c.finish)
       (Schedule.dup_copies s v)
   done;
-  Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
-      row "comm,e" c.edge c.src_proc "send" c.start c.finish;
-      row "comm,e" c.edge c.dst_proc "recv" c.start c.finish);
+  for i = 0 to Schedule.n_comms s - 1 do
+    let edge = Schedule.comm_edge s i in
+    let start = Schedule.comm_start s i and finish = Schedule.comm_finish s i in
+    csv_row w "comm,e" edge (Schedule.comm_src s i) "send" start finish;
+    csv_row w "comm,e" edge (Schedule.comm_dst s i) "recv" start finish
+  done;
   Numfmt.contents w
 
 let write_file path contents =
@@ -193,6 +202,10 @@ let write_file path contents =
    ints, two floats and six literal bytes. *)
 let fingerprint_entry_width = 6 + (3 * int_w) + (2 * h_w)
 
+let[@inline] put_times w start finish =
+  put_h w ":" start;
+  put_h w ":" finish
+
 let fingerprint s =
   let g = Schedule.graph s in
   let w =
@@ -203,10 +216,6 @@ let fingerprint s =
      per hop and ";p=<start>:<finish>" per BSP phase; each entry reserves
      its room first *)
   let entry () = Numfmt.reserve w fingerprint_entry_width in
-  let times start finish =
-    put_h w ":" start;
-    put_h w ":" finish
-  in
   entry ();
   if Schedule.all_placed s then put_h w "m=" (Schedule.makespan s)
   else str w "m=-";
@@ -215,7 +224,7 @@ let fingerprint s =
     put w ";t" v;
     if Schedule.is_placed s v then begin
       put w "=" (Schedule.proc_of_exn s v);
-      times (Schedule.start_of_exn s v) (Schedule.finish_of_exn s v)
+      put_times w (Schedule.start_of_exn s v) (Schedule.finish_of_exn s v)
     end
     else str w "=-"
   done;
@@ -228,15 +237,16 @@ let fingerprint s =
           entry ();
           put w ";d" v;
           put w "=" c.Schedule.proc;
-          times c.Schedule.start c.Schedule.finish)
+          put_times w c.Schedule.start c.Schedule.finish)
         (Schedule.dup_copies s v)
     done;
-  Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
-      entry ();
-      put w ";c" c.Schedule.edge;
-      put w "=" c.Schedule.src_proc;
-      put w ">" c.Schedule.dst_proc;
-      times c.Schedule.start c.Schedule.finish);
+  for i = 0 to Schedule.n_comms s - 1 do
+    entry ();
+    put w ";c" (Schedule.comm_edge s i);
+    put w "=" (Schedule.comm_src s i);
+    put w ">" (Schedule.comm_dst s i);
+    put_times w (Schedule.comm_start s i) (Schedule.comm_finish s i)
+  done;
   Schedule.iter_phases s ~f:(fun start finish ->
       entry ();
       put_h w ";p=" start;

@@ -22,9 +22,22 @@ type t = {
   procs : int array; (* -1 = unplaced *)
   starts : float array;
   finishes : float array;
-  comms : comm Vec.t;
-  heads : bool Vec.t; (* parallel to [comms]: chain-head flags *)
-  edge_comms : int list array; (* comm indices per edge, reverse order *)
+  (* The comm store: one event per index [i < n_comms], in commit
+     order, as parallel unboxed arrays — its edge, endpoints, window,
+     whether it heads a provenance chain, and the index of the edge's
+     previous event (-1 for its first).  [edge_last] holds each edge's
+     newest event (-1: none), so the [c_prev] links walk an edge's
+     events newest first.  Committing an event writes ints and floats
+     into these arrays and builds nothing. *)
+  mutable c_edge : int array;
+  mutable c_src : int array;
+  mutable c_dst : int array;
+  mutable c_start : float array;
+  mutable c_finish : float array;
+  mutable c_head : bool array;
+  mutable c_prev : int array;
+  mutable n_comms : int;
+  edge_last : int array;
   phases : (float * float) Vec.t; (* BSP comm phases, commit order *)
   mutable n_placed : int;
   dups : placement list array; (* duplicate copies beyond the primary, newest first *)
@@ -42,22 +55,32 @@ let create ?exec_time ~graph ~platform ~model () =
     procs = Array.make n (-1);
     starts = Array.make n 0.;
     finishes = Array.make n 0.;
-    comms = Vec.create ();
-    heads = Vec.create ();
-    edge_comms = Array.make (max (Graph.n_edges graph) 1) [];
+    c_edge = [||];
+    c_src = [||];
+    c_dst = [||];
+    c_start = [||];
+    c_finish = [||];
+    c_head = [||];
+    c_prev = [||];
+    n_comms = 0;
+    edge_last = Array.make (max (Graph.n_edges graph) 1) (-1);
     phases = Vec.create ();
     n_placed = 0;
     dups = Array.make n [];
     n_dups = 0;
   }
 
-let exec_duration t ~task ~proc =
+let custom_duration f ~task ~proc =
+  let d = f task proc in
+  if d < 0. || Float.is_nan d then
+    invalid_arg "Schedule.exec_duration: negative execution time";
+  d
+
+(* Inlined: the engine asks it for every candidate it prices or bounds,
+   and a float returned from a call is boxed. *)
+let[@inline] exec_duration t ~task ~proc =
   match t.exec_time with
-  | Some f ->
-      let d = f task proc in
-      if d < 0. || Float.is_nan d then
-        invalid_arg "Schedule.exec_duration: negative execution time";
-      d
+  | Some f -> custom_duration f ~task ~proc
   | None -> Graph.weight t.graph task *. Platform.cycle_time t.platform proc
 
 let graph t = t.graph
@@ -79,6 +102,43 @@ let place_task t ~task ~proc ~start =
   t.finishes.(task) <- finish;
   t.n_placed <- t.n_placed + 1
 
+let grow_comms t =
+  let cap = Array.length t.c_edge in
+  let cap' = if cap = 0 then 16 else 2 * cap in
+  let n = t.n_comms in
+  let ints a =
+    let a' = Array.make cap' 0 in
+    Array.blit a 0 a' 0 n;
+    a'
+  and floats a =
+    let a' = Array.create_float cap' in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  t.c_edge <- ints t.c_edge;
+  t.c_src <- ints t.c_src;
+  t.c_dst <- ints t.c_dst;
+  t.c_start <- floats t.c_start;
+  t.c_finish <- floats t.c_finish;
+  t.c_prev <- ints t.c_prev;
+  let h = Array.make cap' false in
+  Array.blit t.c_head 0 h 0 n;
+  t.c_head <- h
+
+(* Append an event to the store, linking it behind its edge's newest. *)
+let push_comm t ~edge ~src_proc ~dst_proc ~start ~finish ~head =
+  if t.n_comms = Array.length t.c_edge then grow_comms t;
+  let i = t.n_comms in
+  t.c_edge.(i) <- edge;
+  t.c_src.(i) <- src_proc;
+  t.c_dst.(i) <- dst_proc;
+  t.c_start.(i) <- start;
+  t.c_finish.(i) <- finish;
+  t.c_head.(i) <- head;
+  t.c_prev.(i) <- t.edge_last.(edge);
+  t.edge_last.(edge) <- i;
+  t.n_comms <- i + 1
+
 let add_comm_in_window ?head t ~edge ~src_proc ~dst_proc ~start ~finish =
   if src_proc = dst_proc then invalid_arg "Schedule.add_comm: src = dst";
   (* A hop starts a new provenance chain unless it extends the edge's
@@ -87,15 +147,12 @@ let add_comm_in_window ?head t ~edge ~src_proc ~dst_proc ~start ~finish =
   let head =
     match head with
     | Some h -> h
-    | None -> (
-        match t.edge_comms.(edge) with
-        | [] -> true
-        | i :: _ -> (Vec.get t.comms i).dst_proc <> src_proc)
+    | None ->
+        let i = t.edge_last.(edge) in
+        i < 0 || t.c_dst.(i) <> src_proc
   in
   Resource.commit_comm t.resource ~src:src_proc ~dst:dst_proc ~start ~finish;
-  Vec.push t.comms { edge; src_proc; dst_proc; start; finish };
-  Vec.push t.heads head;
-  t.edge_comms.(edge) <- (Vec.length t.comms - 1) :: t.edge_comms.(edge);
+  push_comm t ~edge ~src_proc ~dst_proc ~start ~finish ~head;
   finish
 
 let add_comm ?head t ~edge ~src_proc ~dst_proc ~start =
@@ -125,15 +182,16 @@ let check_placed t task =
   if task < 0 || task >= Graph.n_tasks t.graph || t.procs.(task) < 0 then
     invalid_arg (Printf.sprintf "Schedule: task %d not placed" task)
 
-let proc_of_exn t task =
+(* Inlined, so that a caller's float read stays unboxed. *)
+let[@inline] proc_of_exn t task =
   check_placed t task;
   t.procs.(task)
 
-let start_of_exn t task =
+let[@inline] start_of_exn t task =
   check_placed t task;
   t.starts.(task)
 
-let finish_of_exn t task =
+let[@inline] finish_of_exn t task =
   check_placed t task;
   t.finishes.(task)
 
@@ -172,6 +230,15 @@ let copies t task =
   match placement t task with
   | None -> []
   | Some pl -> pl :: dup_copies t task
+
+let copy_finish_on t ~task ~proc =
+  if t.procs.(task) = proc then t.finishes.(task)
+  else
+    let rec find = function
+      | [] -> neg_infinity
+      | (c : placement) :: rest -> if c.proc = proc then c.finish else find rest
+    in
+    find t.dups.(task)
 
 let copy_on t ~task ~proc =
   if t.procs.(task) = proc then placement t task
@@ -225,22 +292,68 @@ let unplace_copy t ~task ~proc =
 
 let n_placed t = t.n_placed
 let all_placed t = t.n_placed = Graph.n_tasks t.graph
-let comms t = Vec.to_list t.comms
+let n_comm_events t = t.n_comms
+let n_comms = n_comm_events
+
+(* Index reads of the store, inlined so that a float read stays
+   unboxed in the caller. *)
+let[@inline] check_comm t i =
+  if i < 0 || i >= t.n_comms then invalid_arg "Schedule: no such comm event"
+
+let[@inline] comm_edge t i =
+  check_comm t i;
+  Array.unsafe_get t.c_edge i
+
+let[@inline] comm_src t i =
+  check_comm t i;
+  Array.unsafe_get t.c_src i
+
+let[@inline] comm_dst t i =
+  check_comm t i;
+  Array.unsafe_get t.c_dst i
+
+let[@inline] comm_start t i =
+  check_comm t i;
+  Array.unsafe_get t.c_start i
+
+let[@inline] comm_finish t i =
+  check_comm t i;
+  Array.unsafe_get t.c_finish i
+
+let[@inline] comm_head_at t i =
+  check_comm t i;
+  Array.unsafe_get t.c_head i
+
+let comm_at t i =
+  check_comm t i;
+  {
+    edge = t.c_edge.(i);
+    src_proc = t.c_src.(i);
+    dst_proc = t.c_dst.(i);
+    start = t.c_start.(i);
+    finish = t.c_finish.(i);
+  }
+
+let comms t = List.init t.n_comms (comm_at t)
 
 let comms_of_edge t edge =
-  List.rev_map (fun i -> Vec.get t.comms i) t.edge_comms.(edge)
+  let rec walk i acc = if i < 0 then acc else walk t.c_prev.(i) (comm_at t i :: acc) in
+  walk t.edge_last.(edge) []
 
-let n_comm_events t = Vec.length t.comms
-let n_comms = n_comm_events
-let comm_at t i = Vec.get t.comms i
-let comm_head_at t i = Vec.get t.heads i
-let iter_comms t ~f = Vec.iter f t.comms
+let iter_comms t ~f =
+  for i = 0 to t.n_comms - 1 do
+    f (comm_at t i)
+  done
 
 let phase_at t i = Vec.get t.phases i
 let iter_phases t ~f = Vec.iter (fun (s, fin) -> f s fin) t.phases
 
 let total_comm_time t =
-  Vec.fold (fun acc (c : comm) -> acc +. (c.finish -. c.start)) 0. t.comms
+  let acc = ref 0. in
+  for i = 0 to t.n_comms - 1 do
+    acc := !acc +. (t.c_finish.(i) -. t.c_start.(i))
+  done;
+  !acc
 
 let phases t = Vec.to_list t.phases
 let n_phases t = Vec.length t.phases
@@ -262,10 +375,9 @@ let makespan t =
   end
 
 let edge_available_at t ~edge =
-  let src = Graph.edge_src t.graph edge in
-  match comms_of_edge t edge with
-  | [] -> finish_of_exn t src
-  | hops -> (List.nth hops (List.length hops - 1)).finish
+  let i = t.edge_last.(edge) in
+  if i < 0 then finish_of_exn t (Graph.edge_src t.graph edge)
+  else t.c_finish.(i)
 
 let unplace_task t task =
   if task < 0 || task >= Graph.n_tasks t.graph then
@@ -280,22 +392,19 @@ let unplace_task t task =
   t.procs.(task) <- -1;
   t.n_placed <- t.n_placed - 1
 
-(* Drop the most recent comm.  Its index is necessarily the head of its
-   edge's (reverse-order) index list. *)
+(* Drop the most recent comm.  It is necessarily its edge's newest. *)
 let pop_comm t ~retract =
-  let c = Vec.pop t.comms in
-  let (_ : bool) = Vec.pop t.heads in
+  let i = t.n_comms - 1 in
   if retract then
-    Resource.retract_comm t.resource ~src:c.src_proc ~dst:c.dst_proc
-      ~start:c.start ~finish:c.finish;
-  match t.edge_comms.(c.edge) with
-  | _ :: rest -> t.edge_comms.(c.edge) <- rest
-  | [] -> assert false
+    Resource.retract_comm t.resource ~src:t.c_src.(i) ~dst:t.c_dst.(i)
+      ~start:t.c_start.(i) ~finish:t.c_finish.(i);
+  t.edge_last.(t.c_edge.(i)) <- t.c_prev.(i);
+  t.n_comms <- i
 
 let truncate_comms t ~down_to =
-  if down_to < 0 || down_to > Vec.length t.comms then
+  if down_to < 0 || down_to > t.n_comms then
     invalid_arg "Schedule.truncate_comms: bad length";
-  while Vec.length t.comms > down_to do
+  while t.n_comms > down_to do
     pop_comm t ~retract:true
   done
 
@@ -310,24 +419,26 @@ let truncate_phases t ~down_to =
     pop_phase t ~retract:true
   done
 
+(* [keep] is asked newest first, and the dropped events are retracted
+   in that order; the kept ones are then compacted in place and their
+   edge links rebuilt. *)
 let filter_commsi t ~keep =
-  let kept = ref [] in
-  for i = Vec.length t.comms - 1 downto 0 do
-    let c = Vec.get t.comms i in
-    if keep i c then kept := (c, Vec.get t.heads i) :: !kept
+  let n = t.n_comms in
+  let kept = Array.make n false in
+  for i = n - 1 downto 0 do
+    if keep i (comm_at t i) then kept.(i) <- true
     else
-      Resource.retract_comm t.resource ~src:c.src_proc ~dst:c.dst_proc
-        ~start:c.start ~finish:c.finish
+      Resource.retract_comm t.resource ~src:t.c_src.(i) ~dst:t.c_dst.(i)
+        ~start:t.c_start.(i) ~finish:t.c_finish.(i)
   done;
-  Vec.clear t.comms;
-  Vec.clear t.heads;
-  Array.fill t.edge_comms 0 (Array.length t.edge_comms) [];
-  List.iter
-    (fun ((c : comm), head) ->
-      Vec.push t.comms c;
-      Vec.push t.heads head;
-      t.edge_comms.(c.edge) <- (Vec.length t.comms - 1) :: t.edge_comms.(c.edge))
-    !kept
+  Array.fill t.edge_last 0 (Array.length t.edge_last) (-1);
+  t.n_comms <- 0;
+  for i = 0 to n - 1 do
+    if kept.(i) then
+      push_comm t ~edge:t.c_edge.(i) ~src_proc:t.c_src.(i)
+        ~dst_proc:t.c_dst.(i) ~start:t.c_start.(i) ~finish:t.c_finish.(i)
+        ~head:t.c_head.(i)
+  done
 
 let filter_comms t ~keep = filter_commsi t ~keep:(fun _ c -> keep c)
 
@@ -350,14 +461,14 @@ let snapshot t =
     s_starts = Array.copy t.starts;
     s_finishes = Array.copy t.finishes;
     s_n_placed = t.n_placed;
-    s_n_comms = Vec.length t.comms;
+    s_n_comms = t.n_comms;
     s_n_phases = Vec.length t.phases;
     s_dups = Array.copy t.dups;
     s_n_dups = t.n_dups;
   }
 
 let restore t s =
-  if Vec.length t.comms < s.s_n_comms then
+  if t.n_comms < s.s_n_comms then
     invalid_arg "Schedule.restore: comms were truncated past the snapshot";
   if Vec.length t.phases < s.s_n_phases then
     invalid_arg "Schedule.restore: phases were truncated past the snapshot";
@@ -371,7 +482,7 @@ let restore t s =
   Array.blit s.s_dups 0 t.dups 0 (Array.length t.dups);
   t.n_dups <- s.s_n_dups;
   t.n_placed <- s.s_n_placed;
-  while Vec.length t.comms > s.s_n_comms do
+  while t.n_comms > s.s_n_comms do
     pop_comm t ~retract:false
   done;
   while Vec.length t.phases > s.s_n_phases do
@@ -386,9 +497,14 @@ let copy t =
     procs = Array.copy t.procs;
     starts = Array.copy t.starts;
     finishes = Array.copy t.finishes;
-    comms = Vec.copy t.comms;
-    heads = Vec.copy t.heads;
-    edge_comms = Array.copy t.edge_comms;
+    c_edge = Array.copy t.c_edge;
+    c_src = Array.copy t.c_src;
+    c_dst = Array.copy t.c_dst;
+    c_start = Array.copy t.c_start;
+    c_finish = Array.copy t.c_finish;
+    c_head = Array.copy t.c_head;
+    c_prev = Array.copy t.c_prev;
+    edge_last = Array.copy t.edge_last;
     phases = Vec.copy t.phases;
     dups = Array.copy t.dups;
   }
@@ -396,4 +512,4 @@ let copy t =
 let pp fmt t =
   Format.fprintf fmt "@[<v>schedule of %s on %s (%s): %d/%d tasks placed, %d comms@]"
     (Graph.name t.graph) (Platform.name t.platform) (Comm_model.name t.model)
-    t.n_placed (Graph.n_tasks t.graph) (Vec.length t.comms)
+    t.n_placed (Graph.n_tasks t.graph) t.n_comms

@@ -126,6 +126,10 @@ val dup_copies : t -> int -> placement list
 (** The copy of [task] running on [proc], if any. *)
 val copy_on : t -> task:int -> proc:int -> placement option
 
+(** The finish of [task]'s copy on [proc], or [neg_infinity] when no
+    copy runs there (or the task is unplaced); builds nothing. *)
+val copy_finish_on : t -> task:int -> proc:int -> float
+
 (** Earliest finish over the task's copies — the task's completion time.
     Equals [finish_of_exn] for single-copy tasks.
     @raise Invalid_argument when the task is not placed. *)
@@ -146,14 +150,36 @@ val finish_of_exn : t -> int -> float
 val n_placed : t -> int
 val all_placed : t -> bool
 
-(** All communication events in commit order.  O(events) allocation —
-    million-task consumers should stream with {!iter_comms} /
-    {!comm_at} instead. *)
+(** {2 Communication events}
+
+    The schedule stores its communication events as parallel unboxed
+    arrays indexed by commit order — edge, source, destination, start,
+    finish and chain-head flag — with a per-edge link to the edge's
+    previous event.  Committing an event writes into them and allocates
+    nothing once they have grown.  Hot readers (the validator, CSV and
+    fingerprint export) use the index accessors below, which build
+    nothing; {!comm_at}, {!comms}, {!iter_comms} and {!comms_of_edge}
+    are views that build one {!comm} record per event, for cold
+    callers. *)
+
+(** The fields of the [i]-th event in commit order.
+    @raise Invalid_argument unless [0 <= i < n_comms t]. *)
+val comm_edge : t -> int -> int
+
+val comm_src : t -> int -> int
+val comm_dst : t -> int -> int
+val comm_start : t -> int -> float
+val comm_finish : t -> int -> float
+
+(** All communication events in commit order, as records (allocates). *)
 val comms : t -> comm list
 
-(** [comm_at t i] is the [i]-th communication event in commit order,
-    [0 <= i < n_comms t]. *)
+(** [comm_at t i] is the [i]-th communication event in commit order, as
+    a fresh record, [0 <= i < n_comms t]. *)
 val comm_at : t -> int -> comm
+
+(** The events of one edge, in commit order, as records (allocates). *)
+val comms_of_edge : t -> int -> comm list
 
 (** Whether the [i]-th communication event starts a provenance chain
     (see {!add_comm}).  Chain structure only matters to copy-aware
@@ -161,7 +187,7 @@ val comm_at : t -> int -> comm
 val comm_head_at : t -> int -> bool
 
 (** [iter_comms t ~f] applies [f] to every communication event in commit
-    order without materializing the list. *)
+    order without materializing the list (one record per event). *)
 val iter_comms : t -> f:(comm -> unit) -> unit
 
 val n_comm_events : t -> int

@@ -169,9 +169,8 @@ let check s =
     (* 2. processor exclusivity (every copy; comms join under no-overlap;
        BSP phases exclude computation on every processor) *)
     for i = 0 to nc - 1 do
-      let c = Schedule.comm_at s i in
-      start_of.(nt + i) <- c.Schedule.start;
-      finish_of.(nt + i) <- c.Schedule.finish
+      start_of.(nt + i) <- Schedule.comm_start s i;
+      finish_of.(nt + i) <- Schedule.comm_finish s i
     done;
     for i = 0 to nph - 1 do
       let ps, pf = Schedule.phase_at s i in
@@ -182,7 +181,7 @@ let check s =
       if tag < nt then
         Printf.sprintf "task %d" (if tag < n then tag else dup_task.(tag - n))
       else if tag < nt + nc then
-        Printf.sprintf "comm e%d" (Schedule.comm_at s (tag - nt)).Schedule.edge
+        Printf.sprintf "comm e%d" (Schedule.comm_edge s (tag - nt))
       else Printf.sprintf "comm phase %d" (tag - nt - nc)
     in
     let emit yield =
@@ -191,10 +190,9 @@ let check s =
       done;
       if not model.Comm_model.overlap then
         for i = 0 to nc - 1 do
-          let c = Schedule.comm_at s i in
-          if c.Schedule.finish > c.Schedule.start then begin
-            yield c.Schedule.src_proc (nt + i);
-            yield c.Schedule.dst_proc (nt + i)
+          if finish_of.(nt + i) > start_of.(nt + i) then begin
+            yield (Schedule.comm_src s i) (nt + i);
+            yield (Schedule.comm_dst s i) (nt + i)
           end
         done;
       for i = 0 to nph - 1 do
@@ -232,11 +230,13 @@ let check s =
         incr k
       done
     in
-    let in_phase (c : Schedule.comm) =
+    (* whether comm event [i] spans a recorded phase *)
+    let in_phase i =
+      let cs = start_of.(nt + i) and cf = finish_of.(nt + i) in
       let found = ref false in
-      iter_phases_matching c.start ~f:(fun i ->
-          let ps, pf = Schedule.phase_at s i in
-          if feq ps c.start && feq pf c.finish then found := true);
+      iter_phases_matching cs ~f:(fun k ->
+          let ps, pf = Schedule.phase_at s k in
+          if feq ps cs && feq pf cf then found := true);
       !found
     in
     (* 3. precedence and communication chains.  Each edge's hops, in
@@ -245,7 +245,7 @@ let check s =
     let n_edges = Graph.n_edges g in
     let hop_off = Array.make (n_edges + 1) 0 in
     for i = 0 to nc - 1 do
-      let e = (Schedule.comm_at s i).Schedule.edge in
+      let e = Schedule.comm_edge s i in
       hop_off.(e + 1) <- hop_off.(e + 1) + 1
     done;
     for e = 0 to n_edges - 1 do
@@ -254,7 +254,7 @@ let check s =
     let hops = Array.make nc 0 in
     let cursor = Array.sub hop_off 0 n_edges in
     for i = 0 to nc - 1 do
-      let e = (Schedule.comm_at s i).Schedule.edge in
+      let e = Schedule.comm_edge s i in
       hops.(cursor.(e)) <- i;
       cursor.(e) <- cursor.(e) + 1
     done;
@@ -272,9 +272,8 @@ let check s =
        first one once the source copy finishes.  Hop lists are formatted
        only on error. *)
     let check_chain e u v a b =
-      let c0 = Schedule.comm_at s hops.(a) in
-      let src = c0.src_proc in
-      let dst = (Schedule.comm_at s hops.(b)).dst_proc in
+      let src = Schedule.comm_src s hops.(a) in
+      let dst = Schedule.comm_dst s hops.(b) in
       let data = Graph.edge_data g e in
       let tu = copy_on u src in
       if tu < 0 then
@@ -284,33 +283,34 @@ let check s =
         err "edge %d: chain ends on processor %d where task %d has no copy" e
           dst v;
       let at = ref src and follows = ref true in
-      let ready = ref (if tu < 0 then c0.start else finish_of.(tu)) in
+      let ready =
+        ref (if tu < 0 then start_of.(nt + hops.(a)) else finish_of.(tu))
+      in
       for k = a to b do
-        let c = Schedule.comm_at s hops.(k) in
-        if
-          c.src_proc <> !at
-          || c.dst_proc <> Platform.next_hop plat ~src:c.src_proc ~dst
-        then follows := false;
-        at := c.dst_proc;
-        let cost = Platform.hop_cost plat ~src:c.src_proc ~dst:c.dst_proc in
+        let i = hops.(k) in
+        let cs = start_of.(nt + i) and cf = finish_of.(nt + i) in
+        let c_src = Schedule.comm_src s i and c_dst = Schedule.comm_dst s i in
+        if c_src <> !at || c_dst <> Platform.next_hop plat ~src:c_src ~dst then
+          follows := false;
+        at := c_dst;
+        let cost = Platform.hop_cost plat ~src:c_src ~dst:c_dst in
         let expect =
           if lat then (2. *. lat_o) +. (data *. cost) +. lat_l
           else data *. cost
         in
-        if not (feq (c.finish -. c.start) expect) then
+        if not (feq (cf -. cs) expect) then
           err "edge %d: hop %d->%d has duration %g over [%g,%g), expected %g"
-            e c.src_proc c.dst_proc (c.finish -. c.start) c.start c.finish
-            expect;
-        if not (fle !ready c.start) then
+            e c_src c_dst (cf -. cs) cs cf expect;
+        if not (fle !ready cs) then
           err "edge %d: hop %d->%d starts at %g before data is ready at %g" e
-            c.src_proc c.dst_proc c.start !ready;
-        ready := c.finish
+            c_src c_dst cs !ready;
+        ready := cf
       done;
       if not !follows then begin
         let hop_pairs =
-          List.init (b - a + 1) (fun i ->
-              let c = Schedule.comm_at s hops.(a + i) in
-              (c.src_proc, c.dst_proc))
+          List.init (b - a + 1) (fun k ->
+              let i = hops.(a + k) in
+              (Schedule.comm_src s i, Schedule.comm_dst s i))
         in
         err "edge %d: communication hops [%s] do not follow the platform \
              route %d->%d [%s]"
@@ -352,16 +352,17 @@ let check s =
           err "edge %d: remote edge has %d events, BSP expects exactly one" e
             hop_count
         else begin
-          let c = Schedule.comm_at s hops.(first) in
-          if not (in_phase c) then
-            err "edge %d: event [%g,%g) matches no recorded comm phase" e
-              c.start c.finish;
-          if not (fle ufin c.start) then
+          let i = hops.(first) in
+          let cs = start_of.(nt + i) and cf = finish_of.(nt + i) in
+          if not (in_phase i) then
+            err "edge %d: event [%g,%g) matches no recorded comm phase" e cs
+              cf;
+          if not (fle ufin cs) then
             err "edge %d: phase starts at %g before source finishes at %g" e
-              c.start ufin;
-          if not (fle c.finish vstart) then
+              cs ufin;
+          if not (fle cf vstart) then
             err "edge %d: task %d starts at %g before its phase ends at %g" e
-              v vstart c.finish
+              v vstart cf
         end
       end
       else begin
@@ -385,10 +386,10 @@ let check s =
           let n_in = ref 0 and arrival = ref 0. in
           for k = first to last do
             if k = last || Schedule.comm_head_at s hops.(k + 1) then begin
-              let c = Schedule.comm_at s hops.(k) in
-              if c.dst_proc = vp then begin
+              let i = hops.(k) in
+              if Schedule.comm_dst s i = vp then begin
                 incr n_in;
-                arrival := c.finish
+                arrival := finish_of.(nt + i)
               end
             end
           done;
@@ -423,11 +424,13 @@ let check s =
     (match model.Comm_model.regime with
     | Comm_model.Bsp { g = gp; l = lp } ->
         let h = Array.make (max 1 nph) 0. in
-        Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
-            iter_phases_matching c.start ~f:(fun i ->
-                let ps, pf = Schedule.phase_at s i in
-                if feq ps c.start && feq pf c.finish then
-                  h.(i) <- h.(i) +. Graph.edge_data g c.edge));
+        for i = 0 to nc - 1 do
+          let cs = start_of.(nt + i) and cf = finish_of.(nt + i) in
+          let data = Graph.edge_data g (Schedule.comm_edge s i) in
+          iter_phases_matching cs ~f:(fun k ->
+              let ps, pf = Schedule.phase_at s k in
+              if feq ps cs && feq pf cf then h.(k) <- h.(k) +. data)
+        done;
         for i = 0 to nph - 1 do
           let ps, pf = Schedule.phase_at s i in
           let need = (gp *. h.(i)) +. lp in
@@ -454,26 +457,22 @@ let check s =
             Prelude.Vec.push link_pairs (min a b, max a b);
             id
       in
-      Schedule.iter_comms s ~f:(fun (c : Schedule.comm) ->
-          if c.finish > c.start then
-            ignore (id_of c.src_proc c.dst_proc : int));
-      let cstart =
-        Array.init nc (fun i -> (Schedule.comm_at s i).Schedule.start)
-      in
-      let cfinish =
-        Array.init nc (fun i -> (Schedule.comm_at s i).Schedule.finish)
-      in
-      let clabel tag =
-        let c = Schedule.comm_at s tag in
-        Printf.sprintf "e%d %d->%d" c.edge c.src_proc c.dst_proc
+      let cstart = Array.sub start_of nt nc in
+      let cfinish = Array.sub finish_of nt nc in
+      for i = 0 to nc - 1 do
+        if cfinish.(i) > cstart.(i) then
+          ignore (id_of (Schedule.comm_src s i) (Schedule.comm_dst s i) : int)
+      done;
+      let clabel i =
+        Printf.sprintf "e%d %d->%d" (Schedule.comm_edge s i)
+          (Schedule.comm_src s i) (Schedule.comm_dst s i)
       in
       sweep
         ~n_res:(Prelude.Vec.length link_pairs)
         ~emit:(fun yield ->
           for i = 0 to nc - 1 do
-            let c = Schedule.comm_at s i in
-            if c.Schedule.finish > c.Schedule.start then
-              yield (id_of c.Schedule.src_proc c.Schedule.dst_proc) i
+            if cfinish.(i) > cstart.(i) then
+              yield (id_of (Schedule.comm_src s i) (Schedule.comm_dst s i)) i
           done)
         ~start:cstart ~finish:cfinish
         ~on_overlap:(fun r t1 t2 ->
@@ -496,8 +495,7 @@ let check s =
         let wstart = Array.make (2 * nc) 0. in
         let wfinish = Array.make (2 * nc) 0. in
         for i = 0 to nc - 1 do
-          let c = Schedule.comm_at s i in
-          let cs = c.Schedule.start and cf = c.Schedule.finish in
+          let cs = start_of.(nt + i) and cf = finish_of.(nt + i) in
           match model.Comm_model.regime with
           | Comm_model.Latency_overhead { o; _ } ->
               wstart.(2 * i) <- cs;
@@ -511,22 +509,20 @@ let check s =
               wfinish.((2 * i) + 1) <- cf
         done;
         let wlabel tag =
-          let c = Schedule.comm_at s (tag / 2) in
-          Printf.sprintf "e%d %d->%d" c.Schedule.edge c.Schedule.src_proc
-            c.Schedule.dst_proc
+          let i = tag / 2 in
+          Printf.sprintf "e%d %d->%d" (Schedule.comm_edge s i)
+            (Schedule.comm_src s i) (Schedule.comm_dst s i)
         in
         sweep
           ~n_res:(if bidir then 2 * p_count else p_count)
           ~emit:(fun yield ->
             for i = 0 to nc - 1 do
-              let c = Schedule.comm_at s i in
               if wfinish.(2 * i) > wstart.(2 * i) then
-                yield c.Schedule.src_proc (2 * i);
-              if wfinish.((2 * i) + 1) > wstart.((2 * i) + 1) then
-                yield
-                  (if bidir then p_count + c.Schedule.dst_proc
-                   else c.Schedule.dst_proc)
-                  ((2 * i) + 1)
+                yield (Schedule.comm_src s i) (2 * i);
+              if wfinish.((2 * i) + 1) > wstart.((2 * i) + 1) then begin
+                let dst = Schedule.comm_dst s i in
+                yield (if bidir then p_count + dst else dst) ((2 * i) + 1)
+              end
             done)
           ~start:wstart ~finish:wfinish
           ~on_overlap:(fun r t1 t2 ->

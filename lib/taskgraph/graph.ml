@@ -56,6 +56,8 @@ let iter_succ_edges g v ~f =
 
 let succ_first g v = g.succ_off.(v)
 let succ_edge g i = g.succ_ids.(i)
+let pred_first g v = g.pred_off.(v)
+let pred_edge g i = g.pred_ids.(i)
 
 let preds g v =
   List.rev (fold_pred_edges g v ~init:[] ~f:(fun acc e -> g.edge_srcs.(e) :: acc))

@@ -68,6 +68,13 @@ val succ_first : t -> int -> int
 
 val succ_edge : t -> int -> int
 
+(** The predecessor CSR range, likewise: the predecessor edges of [v]
+    are [pred_edge g i] for [i] from [pred_first g v] to
+    [pred_first g (v + 1) - 1], in the order of {!iter_pred_edges}. *)
+val pred_first : t -> int -> int
+
+val pred_edge : t -> int -> int
+
 (** Predecessor/successor task lists (allocating; for tests and tools). *)
 val preds : t -> int -> int list
 

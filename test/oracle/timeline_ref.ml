@@ -28,5 +28,7 @@ let earliest_gap_joint ?(extra = []) ts ~after ~duration =
       extra_s.(i) <- s;
       extra_f.(i) <- f)
     extra;
+  let q = [| after; duration |] in
   Timeline.earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len
-    ~idx:(Array.make (max k 1) 0) ~after ~duration
+    ~idx:(Array.make (max k 1) 0) ~q;
+  q.(0)

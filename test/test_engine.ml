@@ -395,7 +395,7 @@ let bound_holds ~g ~plat ~model ~policy ~floor ~dups ~seed =
         done)
       !ready;
     let v = O.Rng.pick rng (Array.of_list !ready) in
-    ignore (O.Engine.schedule_best ~floor engine ~task:v : O.Engine.eval);
+    ignore (O.Engine.schedule_best ~floor engine ~task:v : int);
     (if dups && O.Rng.bool rng then
        let u = O.Rng.int rng n and q = O.Rng.int rng p in
        if
@@ -510,9 +510,10 @@ let pruning_stage_tests =
         check_float "eft" 22. ev.O.Engine.eft;
         check_float "P1's bound sees the send port" 24.
           (O.Engine.lower_bound engine ~task:2 ~proc:1);
-        (* probes: P0's compute slot, the stage-2 compute probe of P1 and
-           P2, and one send-port probe shared by both through the cache *)
-        check_counts "stage 3" ~evaluations:1 ~pruned:2 ~aborted:0 ~probes:4 c);
+        (* probes: P0's compute slot and one send-port probe shared by
+           P1 and P2 through the cache.  Stage 3 runs before stage 2, so
+           once it prunes, neither compute timeline is probed. *)
+        check_counts "stage 3" ~evaluations:1 ~pruned:2 ~aborted:0 ~probes:2 c);
     Alcotest.test_case "an exact tie goes to the lowest index" `Quick
       (fun () ->
         (* Task 0 runs on P2 over [0, 1) and feeds task 1 over a zero-data
@@ -647,7 +648,7 @@ let rewind_tests =
         List.iteri
           (fun i task ->
             marks.(i) <- O.Engine.n_commits engine;
-            procs.(i) <- (O.Engine.schedule_best engine ~task).O.Engine.proc)
+            procs.(i) <- O.Engine.schedule_best engine ~task)
           order;
         let full = fingerprint sched in
         (* Rewind to several prefixes; replaying the same decisions must
@@ -664,7 +665,87 @@ let rewind_tests =
           [ n / 2; 0; n - 1 ]);
   ]
 
+(* ---------------- words per commit and per place step ---------------- *)
+
+(* Minor words only: every allocation measured here is small. *)
+let minor_words_of f =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let words_tests =
+  [
+    Alcotest.test_case "a pre-grown comm store commits without allocating"
+      `Quick (fun () ->
+        let g =
+          O.Graph.create ~name:"pair" ~weights:[| 1.; 1. |]
+            ~edges:[ (0, 1, 2.) ] ()
+        in
+        let sched =
+          O.Schedule.create ~graph:g
+            ~platform:(O.Platform.homogeneous ~p:2 ~link_cost:1.)
+            ~model:O.Comm_model.macro_dataflow ()
+        in
+        let start = Sys.opaque_identity 1. and finish = Sys.opaque_identity 3. in
+        let in_window () =
+          for _ = 1 to 100 do
+            ignore
+              (O.Schedule.add_comm_in_window sched ~edge:0 ~src_proc:0
+                 ~dst_proc:1 ~start ~finish
+                : float)
+          done
+        in
+        let priced () =
+          for _ = 1 to 100 do
+            ignore
+              (O.Schedule.add_comm sched ~edge:0 ~src_proc:0 ~dst_proc:1
+                 ~start
+                : float)
+          done
+        in
+        (* grow the store, then empty it: the arrays stay *)
+        in_window ();
+        priced ();
+        O.Schedule.truncate_comms sched ~down_to:0;
+        (* the store itself writes ints and unboxed floats *)
+        check_float "add_comm_in_window: words per event" 0.
+          (minor_words_of in_window /. 100.);
+        (* [add_comm] prices the hop first: the data, hop cost, span and
+           finish it computes are boxed floats where they cross a module
+           boundary in a build without cross-module inlining (4, that is
+           8 words), and the finish alone in a release build *)
+        let w = minor_words_of priced /. 100. in
+        if w > 8. then
+          Alcotest.failf "add_comm: %.1f words per event (bound 8)" w);
+    Alcotest.test_case "warm HEFT place steps on LU n = 36 stay under 200 words"
+      `Quick (fun () ->
+        let g = (O.Suite.find "lu").O.Suite.build ~n:36 ~ccr:10. in
+        let plat = O.Platform.paper_platform () in
+        let priority = O.Ranking.upward g plat in
+        let order = Heuristics.List_loop.decision_order ~priority g in
+        let place () =
+          let sched =
+            O.Schedule.create ~graph:g ~platform:plat
+              ~model:O.Comm_model.one_port ()
+          in
+          let engine = O.Engine.create sched in
+          Array.iter
+            (fun v -> ignore (O.Engine.schedule_best engine ~task:v : int))
+            order
+        in
+        place ();
+        (* measured: 141 words per task in a build without cross-module
+           inlining, where each float crossing a module is boxed; fewer
+           in a release build *)
+        let per_task =
+          minor_words_of place /. float_of_int (O.Graph.n_tasks g)
+        in
+        if per_task > 200. then
+          Alcotest.failf "%.1f words per task (bound 200)" per_task);
+  ]
+
 let suite =
   basic_tests @ serialization_tests @ routing_tests @ equivalence_tests
   @ equivalence_property_tests @ reference_mode_tests @ rewind_tests
-  @ bound_tests @ pruning_stage_tests
+  @ bound_tests @ pruning_stage_tests @ words_tests

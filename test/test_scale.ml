@@ -49,6 +49,9 @@ let int_heap_tests =
           Sys.opaque_identity (Heuristics.List_loop.decision_order ~priority g)
         in
         ignore (run ());
+        (* settle the collector first, so that no cycle left over by an
+           earlier test lands in the window *)
+        Gc.full_major ();
         (* minor plus direct-to-major words: the arrays are large *)
         let words () =
           let minor, promoted, major = Gc.counters () in

@@ -280,6 +280,187 @@ let snapshot_tests =
           (fun () -> O.Schedule.restore s snap));
   ]
 
+(* ---------------- the flat comm store against a list model -------- *)
+
+(* One step of the model run.  Under macro-dataflow no event occupies a
+   port, so any sequence of adds is legal and the store alone is under
+   test. *)
+type store_op =
+  | Add of int * int * int * int * bool option
+      (** edge, src, dst, start, explicit head *)
+  | Add_window of int * int * int * int * int
+      (** edge, src, dst, start, duration *)
+  | Truncate of int  (** keep this share, in 1/8ths *)
+  | Filter of int  (** keep bit mask over indices mod 16 *)
+  | Snapshot
+  | Restore
+  | Copy
+
+let store_op_gen =
+  QCheck2.Gen.(
+    let proc_pair =
+      let* src = int_bound 2 in
+      let* d = int_range 1 2 in
+      return (src, (src + d) mod 3)
+    in
+    frequency
+      [
+        ( 6,
+          let* e = int_bound 3 and* src, dst = proc_pair in
+          let* start = int_bound 50 in
+          let* head = opt bool in
+          return (Add (e, src, dst, start, head)) );
+        ( 2,
+          let* e = int_bound 3 and* src, dst = proc_pair in
+          let* start = int_bound 50 and* dur = int_bound 5 in
+          return (Add_window (e, src, dst, start, dur)) );
+        (1, map (fun k -> Truncate k) (int_bound 8));
+        (1, map (fun m -> Filter m) (int_bound 0xffff));
+        (1, return Snapshot);
+        (1, return Restore);
+        (1, return Copy);
+      ])
+
+let print_store_op = function
+  | Add (e, a, b, st, h) ->
+      Printf.sprintf "Add(e%d %d->%d @%d %s)" e a b st
+        (match h with None -> "-" | Some h -> string_of_bool h)
+  | Add_window (e, a, b, st, d) ->
+      Printf.sprintf "Window(e%d %d->%d @%d +%d)" e a b st d
+  | Truncate k -> Printf.sprintf "Truncate(%d/8)" k
+  | Filter m -> Printf.sprintf "Filter(%x)" m
+  | Snapshot -> "Snapshot"
+  | Restore -> "Restore"
+  | Copy -> "Copy"
+
+(* Every view of the store — index accessors, records, per-edge lists,
+   chain heads, edge availability — equals the model (events with their
+   head flags, in commit order). *)
+let store_agrees s (model : (O.Schedule.comm * bool) list) =
+  let arr = Array.of_list model in
+  let n = Array.length arr in
+  O.Schedule.n_comms s = n
+  && O.Schedule.comms s = List.map fst model
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i ((c : O.Schedule.comm), head) ->
+            O.Schedule.comm_at s i = c
+            && O.Schedule.comm_head_at s i = head
+            && O.Schedule.comm_edge s i = c.edge
+            && O.Schedule.comm_src s i = c.src_proc
+            && O.Schedule.comm_dst s i = c.dst_proc
+            && O.Schedule.comm_start s i = c.start
+            && O.Schedule.comm_finish s i = c.finish)
+          arr)
+  && List.for_all
+       (fun e ->
+         let of_e =
+           List.filter (fun ((c : O.Schedule.comm), _) -> c.edge = e) model
+         in
+         O.Schedule.comms_of_edge s e = List.map fst of_e
+         &&
+         match List.rev of_e with
+         | [] -> true
+         | (last, _) :: _ ->
+             O.Schedule.edge_available_at s ~edge:e = last.finish)
+       [ 0; 1; 2; 3 ]
+
+let store_model_tests =
+  [
+    qtest ~count:300
+      ~print:(fun ops -> String.concat "; " (List.map print_store_op ops))
+      "flat comm store matches a list model"
+      QCheck2.Gen.(list_size (int_range 1 40) store_op_gen)
+      (fun ops ->
+        let g =
+          O.Graph.create ~name:"store" ~weights:[| 1.; 1.; 1.; 1. |]
+            ~edges:[ (0, 1, 2.); (0, 2, 3.); (1, 3, 1.); (2, 3, 4.) ]
+            ()
+        in
+        let plat = O.Platform.homogeneous ~p:3 ~link_cost:1. in
+        let s =
+          ref
+            (O.Schedule.create ~graph:g ~platform:plat
+               ~model:O.Comm_model.macro_dataflow ())
+        in
+        let model = ref [] and snap = ref None in
+        let push e src dst start finish head =
+          let head =
+            match head with
+            | Some h -> h
+            | None -> (
+                match
+                  List.rev
+                    (List.filter
+                       (fun ((c : O.Schedule.comm), _) -> c.edge = e)
+                       !model)
+                with
+                | [] -> true
+                | (c, _) :: _ -> c.dst_proc <> src)
+          in
+          model :=
+            !model
+            @ [ ({ O.Schedule.edge = e; src_proc = src; dst_proc = dst; start;
+                   finish }, head) ]
+        in
+        let truncate k = model := List.filteri (fun i _ -> i < k) !model in
+        List.for_all
+          (fun op ->
+            (match op with
+            | Add (e, src, dst, st, head) ->
+                let start = float_of_int st in
+                let finish =
+                  match head with
+                  | None ->
+                      O.Schedule.add_comm !s ~edge:e ~src_proc:src
+                        ~dst_proc:dst ~start
+                  | Some head ->
+                      O.Schedule.add_comm ~head !s ~edge:e ~src_proc:src
+                        ~dst_proc:dst ~start
+                in
+                push e src dst start
+                  (start +. O.Graph.edge_data g e)
+                  head;
+                ignore (finish : float)
+            | Add_window (e, src, dst, st, d) ->
+                let start = float_of_int st in
+                let finish = start +. float_of_int d in
+                ignore
+                  (O.Schedule.add_comm_in_window !s ~edge:e ~src_proc:src
+                     ~dst_proc:dst ~start ~finish
+                    : float);
+                push e src dst start finish None
+            | Truncate k ->
+                let down_to = List.length !model * k / 8 in
+                O.Schedule.truncate_comms !s ~down_to;
+                truncate down_to
+            | Filter m ->
+                let keep i = m land (1 lsl (i mod 16)) <> 0 in
+                O.Schedule.filter_commsi !s ~keep:(fun i _ -> keep i);
+                model := List.filteri (fun i _ -> keep i) !model;
+                snap := None
+            | Snapshot -> snap := Some (O.Schedule.snapshot !s, List.length !model)
+            | Restore -> (
+                match !snap with
+                | Some (sn, k) when List.length !model >= k ->
+                    O.Schedule.restore !s sn;
+                    truncate k
+                | Some _ | None -> ())
+            | Copy ->
+                let c = O.Schedule.copy !s in
+                let before = !model in
+                ignore
+                  (O.Schedule.add_comm !s ~edge:0 ~src_proc:0 ~dst_proc:1
+                     ~start:0.
+                    : float);
+                if not (store_agrees c before) then
+                  Alcotest.fail "a copy saw its original's commit";
+                s := c;
+                snap := None);
+            store_agrees !s !model)
+          ops);
+  ]
+
 let suite =
   builder_tests @ validator_tests @ port_tests @ metrics_tests
-  @ snapshot_tests
+  @ snapshot_tests @ store_model_tests

@@ -86,8 +86,10 @@ let joint_arr ts ~extra ~after ~duration =
       extra_f.(i) <- f)
     extra;
   let k = Array.length ts in
+  let q = [| after; duration |] in
   O.Timeline.earliest_gap_joint_arr ts ~k ~extra_s ~extra_f ~extra_len:n
-    ~idx:(Array.make (max k 1) 0) ~after ~duration
+    ~idx:(Array.make (max k 1) 0) ~q;
+  q.(0)
 
 (* The short busy sets of the original properties, with [after] in
    [0, 20] and an integer duration. *)
