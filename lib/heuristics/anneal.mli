@@ -39,7 +39,7 @@ type result = {
     than the better of the input and its rebuild).
 
     Proposals are priced incrementally on a {!Prefix_replay} driver (one
-    rollback + suffix replay per step instead of a full rebuild);
+    rewind + suffix replay per step instead of a full rebuild);
     results are bit-identical to the from-scratch annealer (one full
     rebuild per proposal) that the test-only [onesched_oracle] library
     keeps as [Anneal_ref]. *)

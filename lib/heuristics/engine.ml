@@ -1073,24 +1073,10 @@ let scan_candidates ~floor t ~task procs =
    always handed over sorted (processor ranges, filtered survivor
    lists); only re-sort when not. *)
 let candidate_array = function
-  | [] -> invalid_arg "Engine.best_proc_among: no candidates"
+  | [] -> invalid_arg "Engine.schedule_best_among: no candidates"
   | procs ->
       Array.of_list
         (if is_sorted_strict procs then procs else List.sort_uniq compare procs)
-
-let best_proc_among ?(floor = 0.) t ~task procs =
-  match !oracle with
-  | Some o -> o.best_proc_among ~floor t ~task procs
-  | None ->
-      scan_candidates ~floor t ~task (candidate_array procs);
-      materialize t.best
-
-let best_proc ?(floor = 0.) t ~task =
-  match !oracle with
-  | Some o -> o.best_proc ~floor t ~task
-  | None ->
-      scan_candidates ~floor t ~task t.all_procs;
-      materialize t.best
 
 (* Earliest-best scan over the alive rows of a pending (task, proc)
    table — ILHA's reschedule step — with the same pruning and early
@@ -1106,15 +1092,7 @@ let scan_pending ~floor t ~tasks ~procs ~alive =
 let check_pending ~tasks ~procs ~alive =
   let n = Array.length tasks in
   if Array.length procs <> n || Array.length alive <> n then
-    invalid_arg "Engine.best_pending: array length mismatch"
-
-let best_pending ?(floor = 0.) t ~tasks ~procs ~alive =
-  check_pending ~tasks ~procs ~alive;
-  match !oracle with
-  | Some o -> o.best_pending ~floor t ~tasks ~procs ~alive
-  | None ->
-      scan_pending ~floor t ~tasks ~procs ~alive;
-      if t.best_idx < 0 then None else Some (t.best_idx, materialize t.best)
+    invalid_arg "Engine.schedule_pending: array length mismatch"
 
 let log_push t ~task ~proc ~comms_before ~phases_before =
   if t.log_len = Array.length t.log_task then begin
@@ -1236,7 +1214,6 @@ let rewind t ~to_ =
   if to_ < 0 || to_ > t.log_len then invalid_arg "Engine.rewind: bad index";
   if to_ < t.log_len then begin
     Obs.Counters.(bump rollbacks);
-    let had_dups = Schedule.has_dups t.sched in
     while t.log_len > to_ do
       let i = t.log_len - 1 in
       if t.log_proc.(i) >= 0 then
@@ -1249,8 +1226,7 @@ let rewind t ~to_ =
     done;
     (* The incoming table depends on predecessor placements, which the
        rewind may just have retracted. *)
-    t.inc_task <- -1;
-    if had_dups then invalidate_incoming t
+    invalidate_incoming t
   end
 
 let schedule_on ?(floor = 0.) t ~task ~proc =

@@ -16,13 +16,13 @@
     reusable arena of tentative busy intervals keyed by stable resource
     ids, caches platform routes per processor pair and the incoming-edge
     table per task, prices losing candidates into flat scratch buffers,
-    prunes candidates in {!best_proc_among} and {!best_pending} whose
-    finish-time lower bound ({!lower_bound}) cannot beat the incumbent,
+    prunes candidates in {!schedule_best_among} and {!schedule_pending}
+    whose finish-time lower bound ({!lower_bound}) cannot beat the incumbent,
     and stops pricing a candidate as soon as its inputs alone put it out
     of the running ({!Obs.Counters} reports [pruned evaluations],
     [aborted evaluations] and [route-cache hits]).  So that the incumbent
-    is strong early, {!best_proc} and {!best_proc_among} price one
-    {e seed} first — the processor holding the input estimated to arrive
+    is strong early, {!schedule_best} and {!schedule_best_among} price
+    one {e seed} first — the processor holding the input estimated to arrive
     last — and then the rest in index order; ties still go to the lowest
     index.  The original list-based evaluator lives in the test-only
     [onesched_oracle] library ([Engine_ref]), which installs it through
@@ -70,41 +70,8 @@ val evaluate : ?floor:float -> t -> task:int -> proc:int -> eval
     that only compare finish times. *)
 val evaluate_eft : ?floor:float -> t -> task:int -> proc:int -> float
 
-(** [best_proc t ~task] — minimum [eft] over all processors, ties to the
-    lowest processor index (the paper's tie-break in §4.4's toy example).
-    The scan is {!best_proc_among}'s over every processor, seed first. *)
-val best_proc : ?floor:float -> t -> task:int -> eval
-
-(** [best_proc_among t ~task procs] — same restricted to a candidate list.
-    Candidates that are already strictly sorted (every current caller)
-    are used as-is; otherwise the list is sorted and de-duplicated
-    first.  The {e seed} is priced first: of the task's inputs in §4.3
-    order, take the first with the latest estimated arrival, its
-    source's finish plus its data over the costliest route out of the
-    source's processor; the seed is that processor, if it is a
-    candidate.  The other candidates follow in index order (all of them
-    in index order when there is no seed).  A candidate whose
-    {!lower_bound} reaches the incumbent's finish time is pruned without
-    a full evaluation, and, under the port regime, one whose inputs
-    priced so far already do is abandoned mid-pricing.  A candidate of
-    lower index than the incumbent wins a tie, so for it both figures
-    must exceed the incumbent's finish time.  Neither ever changes the
-    result: both figures are at most the true finish time, and ties go
-    to the lowest index.  The bound runs its stages in the order
-    input arrival (stage 1), committed send-port wait (stage 3), then
-    the compute-timeline probe (stage 2), each only while the ones
-    before it stay below the incumbent: stage 3's probe is cached per
-    input, so it usually costs nothing, and a candidate it prunes saves
-    the compute probe.  Stage 3 runs only when a cheap ceiling on it
-    reaches the incumbent.  Each stage is a lower bound, so the order
-    does not change which candidates are pruned.  Losing candidates are
-    priced into the engine's scratch space: only the winner is built as
-    an {!eval}.
-    @raise Invalid_argument on an empty list. *)
-val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
-
 (** [lower_bound t ~task ~proc] — the finish-time lower bound
-    {!best_proc_among} prunes with, exposed as a test hook; all
+    {!schedule_best_among} prunes with, exposed as a test hook; all
     predecessors of [task] must be placed.  Under the port regime it is
     the larger of two figures: the earliest slot of [task] on [proc]'s
     committed compute timeline after every input's earliest possible
@@ -118,22 +85,6 @@ val best_proc_among : ?floor:float -> t -> task:int -> int list -> eval
     (or [floor]) plus the execution time.  Never above
     [(evaluate ?floor t ~task ~proc).eft]. *)
 val lower_bound : ?floor:float -> t -> task:int -> proc:int -> float
-
-(** [best_pending t ~tasks ~procs ~alive] — the earliest alive row [i]
-    minimising [evaluate ~task:tasks.(i) ~proc:procs.(i)].eft] (ties to
-    the lowest index), or [None] when no row is alive.  ILHA's
-    reschedule step calls this once per commit over its whole ready
-    chunk.  Rows are pruned and aborted exactly as in
-    {!best_proc_among} (ties go to the lowest row) and priced into the
-    engine's scratch space: only the winner is built as an {!eval}.
-    @raise Invalid_argument on mismatched array lengths. *)
-val best_pending :
-  ?floor:float ->
-  t ->
-  tasks:int array ->
-  procs:int array ->
-  alive:bool array ->
-  (int * eval) option
 
 (** [commit t ~task ev] places the task and its communications, and
     appends an entry to the engine's {e commit log}, enabling
@@ -174,9 +125,11 @@ val rewind : t -> to_:int -> unit
 
 (** {2 Place steps}
 
-    Price and commit in one call.  The winner is committed straight
-    from the engine's flat scratch form: no {!eval} record and no hop
-    list is built. *)
+    Price and commit in one call.  Losing candidates are priced into the
+    engine's scratch space, and the winner is committed straight from
+    it: no {!eval} record and no hop list is built.  To read a choice
+    without keeping it, place the task, read the schedule, then
+    {!rewind}. *)
 
 (** [schedule_on t ~task ~proc] = evaluate + commit on a forced processor. *)
 val schedule_on : ?floor:float -> t -> task:int -> proc:int -> unit
@@ -185,18 +138,45 @@ val schedule_on : ?floor:float -> t -> task:int -> proc:int -> unit
     [proc]. *)
 val schedule_copy_on : ?floor:float -> t -> task:int -> proc:int -> unit
 
-(** [schedule_best t ~task] = {!best_proc} + commit; returns the chosen
-    processor. *)
+(** [schedule_best t ~task] commits [task] on the processor of minimum
+    [eft] over all processors, ties to the lowest processor index (the
+    paper's tie-break in §4.4's toy example), and returns it.  The scan
+    is {!schedule_best_among}'s over every processor, seed first. *)
 val schedule_best : ?floor:float -> t -> task:int -> int
 
-(** [schedule_best_among t ~task procs] = {!best_proc_among} + commit;
-    returns the chosen processor.
+(** [schedule_best_among t ~task procs] is {!schedule_best} restricted to
+    a candidate list.  Candidates that are already strictly sorted
+    (every current caller) are used as-is; otherwise the list is sorted
+    and de-duplicated first.  The {e seed} is priced first: of the
+    task's inputs in §4.3 order, take the first with the latest
+    estimated arrival, its source's finish plus its data over the
+    costliest route out of the source's processor; the seed is that
+    processor, if it is a candidate.  The other candidates follow in
+    index order (all of them in index order when there is no seed).  A
+    candidate whose {!lower_bound} reaches the incumbent's finish time
+    is pruned without a full evaluation, and, under the port regime,
+    one whose inputs priced so far already do is abandoned mid-pricing.
+    A candidate of lower index than the incumbent wins a tie, so for it
+    both figures must exceed the incumbent's finish time.  Neither ever
+    changes the result: both figures are at most the true finish time,
+    and ties go to the lowest index.  The bound runs its stages in the
+    order input arrival (stage 1), committed send-port wait (stage 3),
+    then the compute-timeline probe (stage 2), each only while the ones
+    before it stay below the incumbent: stage 3's probe is cached per
+    input, so it usually costs nothing, and a candidate it prunes saves
+    the compute probe.  Stage 3 runs only when a cheap ceiling on it
+    reaches the incumbent.  Each stage is a lower bound, so the order
+    does not change which candidates are pruned.
     @raise Invalid_argument on an empty list. *)
 val schedule_best_among : ?floor:float -> t -> task:int -> int list -> int
 
-(** [schedule_pending t ~tasks ~procs ~alive] = {!best_pending} + commit
-    of the winning row; returns that row, or [-1] when no row is alive
-    (nothing is committed then).
+(** [schedule_pending t ~tasks ~procs ~alive] commits the earliest alive
+    row [i] minimising [(evaluate ~task:tasks.(i) ~proc:procs.(i)).eft]
+    (ties to the lowest row) and returns [i], or returns [-1] and
+    commits nothing when no row is alive.  ILHA's reschedule step calls
+    this once per commit over its whole ready chunk.  Rows are pruned
+    and aborted exactly as in {!schedule_best_among}, ties going to the
+    lowest row.
     @raise Invalid_argument on mismatched array lengths. *)
 val schedule_pending :
   ?floor:float ->
@@ -209,9 +189,11 @@ val schedule_pending :
 (** {2 Test seam} *)
 
 (** A substitute pricing and argmin: while {!oracle} holds one,
-    {!evaluate}, {!best_proc}, {!best_proc_among} and {!best_pending}
-    call the matching field (with [floor] defaulted to 0) instead of the
-    arena engine; {!lower_bound}, the commits and {!rewind} are
+    {!evaluate} and the place steps call the matching field (with
+    [floor] defaulted to 0) instead of the arena engine and commit the
+    {!eval} it returns ([best_proc] for {!schedule_best},
+    [best_proc_among] for {!schedule_best_among}, [best_pending] for
+    {!schedule_pending}); {!lower_bound}, the commits and {!rewind} are
     unaffected.  The test suite installs an executable specification
     here to prove the engine bit-identical to it.  The library never
     sets it: it is [None] unless a test installs one. *)

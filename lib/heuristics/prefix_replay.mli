@@ -12,7 +12,7 @@
     [onesched_oracle] library's [Refine_ref] and [Anneal_ref].
 
     A move at decision position [k] therefore costs O(n - k) decisions
-    instead of O(n), plus the rollback's O(work undone); on average half
+    instead of O(n), plus the rewind's O(work undone); on average half
     the schedule, and much less when the improver touches sink-side
     tasks.  The [rollbacks] / [replayed tasks] counters make the saving
     observable. *)

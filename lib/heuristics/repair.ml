@@ -117,7 +117,7 @@ let crash ?(params = Params.default) ?(dead = []) ~proc ~at sched =
       | Some c -> copy_lost c
       | None -> true
     in
-    let m = Schedule.n_comms fresh in
+    let m = Schedule.n_comm_events fresh in
     let keep = Array.make m true in
     let i = ref 0 in
     while !i < m do

@@ -32,8 +32,8 @@ type counter
 val evaluations : counter
 
 (** Candidates a scan skipped without pricing because a lower bound on
-    their finish time already met the incumbent ([Engine.best_proc_among],
-    [Engine.best_pending]). *)
+    their finish time already met the incumbent
+    ([Engine.schedule_best_among], [Engine.schedule_pending]). *)
 val pruned_evaluations : counter
 
 (** Per-(source, destination) route/busy-set lookups served from the
@@ -73,7 +73,7 @@ val repairs : counter
 (* [backoff_s] is registered here, between [repairs] and [rollbacks];
    it is bumped by {!backoff} and read by {!backoff_s}. *)
 
-(** Whole-schedule rewinds ([Schedule.restore], [Engine.rewind]). *)
+(** Whole-schedule rewinds ([Engine.rewind]). *)
 val rollbacks : counter
 
 (** Tasks re-committed by a prefix-replay rebuild (the suffix work an

@@ -226,7 +226,7 @@ let freeze st ~kills =
       (* provenance chains, assigned to the consumer copy they feed;
          chains are contiguous runs in commit order *)
       let hops_tbl : (int * int, Engine.hop) Hashtbl.t = Hashtbl.create 64 in
-      let nc = Schedule.n_comms s in
+      let nc = Schedule.n_comm_events s in
       let i = ref 0 in
       while !i < nc do
         let first = !i in

@@ -1,23 +1,12 @@
 (* Flat growable float arrays keep intervals unboxed; [starts] and
-   [finishes] are parallel and sorted (disjointness makes both sorted).
-
-   [j_starts] is the add journal: the start of every interval ever added
-   and not yet removed, in insertion order.  Disjointness makes a start a
-   unique key, so the journal is all {!rollback} needs to undo a suffix
-   of adds, and one float per add keeps the journal out of the way of the
-   hot path. *)
+   [finishes] are parallel and sorted (disjointness makes both sorted). *)
 type t = {
   mutable starts : float array;
   mutable finishes : float array;
   mutable len : int;
-  mutable j_starts : float array;
-  mutable j_len : int;
 }
 
-type mark = int
-
-let create () =
-  { starts = [||]; finishes = [||]; len = 0; j_starts = [||]; j_len = 0 }
+let create () = { starts = [||]; finishes = [||]; len = 0 }
 
 let n_intervals t = t.len
 
@@ -81,17 +70,6 @@ let[@inline] first_relevant t x =
     !lo
   end
 
-let journal_push t start =
-  if t.j_len = Array.length t.j_starts then begin
-    let cap = Array.length t.j_starts in
-    let cap' = if cap = 0 then 16 else 2 * cap in
-    let j = Array.make cap' 0. in
-    Array.blit t.j_starts 0 j 0 t.j_len;
-    t.j_starts <- j
-  end;
-  t.j_starts.(t.j_len) <- start;
-  t.j_len <- t.j_len + 1
-
 let add t ~start ~finish =
   if finish < start then invalid_arg "Timeline.add: finish < start";
   if finish > start then begin
@@ -108,50 +86,22 @@ let add t ~start ~finish =
     done;
     t.starts.(i) <- start;
     t.finishes.(i) <- finish;
-    t.len <- t.len + 1;
-    journal_push t start
+    t.len <- t.len + 1
   end
 
-(* Delete the interval at index [i] (blit the tail left). *)
-let delete_at t i =
-  Array.blit t.starts (i + 1) t.starts i (t.len - i - 1);
-  Array.blit t.finishes (i + 1) t.finishes i (t.len - i - 1);
-  t.len <- t.len - 1
-
-(* Index of the (unique) interval starting at [start], or raise.  Because
-   intervals are disjoint half-open and sorted, [first_relevant t start]
-   lands exactly on it when it exists. *)
-let find_start t start =
-  let i = first_relevant t start in
-  if i >= t.len || t.starts.(i) <> start then
-    invalid_arg "Timeline: no busy interval with that start";
-  i
-
-let checkpoint t = t.j_len
-let origin = 0
-
-let rollback t mark =
-  if mark < 0 || mark > t.j_len then invalid_arg "Timeline.rollback: bad mark";
-  for k = t.j_len - 1 downto mark do
-    delete_at t (find_start t t.j_starts.(k))
-  done;
-  t.j_len <- mark
-
+(* Intervals are disjoint half-open and sorted, so [first_relevant t
+   start] lands exactly on the interval starting at [start] when there
+   is one. *)
 let remove t ~start ~finish =
   if finish > start then begin
-    let i = find_start t start in
+    let i = first_relevant t start in
+    if i >= t.len || t.starts.(i) <> start then
+      invalid_arg "Timeline.remove: no busy interval with that start";
     if t.finishes.(i) <> finish then
       invalid_arg "Timeline.remove: finish does not match the busy interval";
-    delete_at t i;
-    (* Drop the matching journal entry; retractions almost always undo the
-       most recent adds, so scan backward. *)
-    let k = ref (t.j_len - 1) in
-    while !k >= 0 && t.j_starts.(!k) <> start do
-      decr k
-    done;
-    if !k < 0 then invalid_arg "Timeline.remove: interval not journaled";
-    Array.blit t.j_starts (!k + 1) t.j_starts !k (t.j_len - !k - 1);
-    t.j_len <- t.j_len - 1
+    Array.blit t.starts (i + 1) t.starts i (t.len - i - 1);
+    Array.blit t.finishes (i + 1) t.finishes i (t.len - i - 1);
+    t.len <- t.len - 1
   end
 
 (* The earliest slot of [duration] at or after [after] on [t] alone,
@@ -247,6 +197,4 @@ let copy t =
     starts = Array.copy t.starts;
     finishes = Array.copy t.finishes;
     len = t.len;
-    j_starts = Array.copy t.j_starts;
-    j_len = t.j_len;
   }

@@ -23,12 +23,12 @@
     evaluate a candidate placement (including the communications it would
     trigger) without mutating any committed state.
 
-    Cursor search: every query, and {!add}, {!remove}, {!rollback} and
-    {!free_at}, locates the first interval finishing after a time by
-    galloping back from the last interval and bisecting the bracket it
-    lands in.  The cost is O(log d) for an answer [d] intervals from the
-    tail, and list schedulers ask a few intervals from the tail; the
-    index found is the one a bisection of the whole timeline finds. *)
+    Cursor search: every query, and {!add}, {!remove} and {!free_at},
+    locates the first interval finishing after a time by galloping back
+    from the last interval and bisecting the bracket it lands in.  The
+    cost is O(log d) for an answer [d] intervals from the tail, and list
+    schedulers ask a few intervals from the tail; the index found is the
+    one a bisection of the whole timeline finds. *)
 
 type t
 
@@ -45,26 +45,6 @@ val add : t -> start:float -> finish:float -> unit
     {!add}).
     @raise Invalid_argument if no busy interval equals [[start, finish)]. *)
 val remove : t -> start:float -> finish:float -> unit
-
-(** A position in the add journal, as returned by {!checkpoint}. *)
-type mark
-
-(** [checkpoint t] records the current state so a later {!rollback} can
-    undo every {!add} performed after this point.  Checkpoints nest; the
-    cost is O(1). *)
-val checkpoint : t -> mark
-
-(** The mark a freshly created timeline starts from: rolling back to
-    [origin] empties a timeline that has only ever been {!add}ed to. *)
-val origin : mark
-
-(** [rollback t m] removes every interval added since [checkpoint] returned
-    [m], in O(adds-since-mark · log n).  Marks taken after [m] are
-    invalidated.  Intervals {!remove}d since the mark are {e not}
-    resurrected — rollback undoes adds only.
-    @raise Invalid_argument if [m] was invalidated by an earlier rollback
-    to a point before it. *)
-val rollback : t -> mark -> unit
 
 val n_intervals : t -> int
 

@@ -40,7 +40,7 @@ let tid_recv = 2
 let to_chrome_trace ?(time_unit = 1.0) s =
   let g = Schedule.graph s in
   let n = Graph.n_tasks g in
-  let nc = Schedule.n_comms s in
+  let nc = Schedule.n_comm_events s in
   (* duplicate copies (if any) pack after the task and comm tags *)
   let dups =
     Array.of_list
@@ -172,7 +172,7 @@ let[@inline] csv_row w prefix id proc resource start finish =
 
 let to_csv s =
   let g = Schedule.graph s in
-  let rows = Graph.n_tasks g + (2 * Schedule.n_comms s) in
+  let rows = Graph.n_tasks g + (2 * Schedule.n_comm_events s) in
   let w = Numfmt.create (String.length csv_header + (rows * 48)) in
   Numfmt.reserve w (String.length csv_header);
   str w csv_header;
@@ -184,7 +184,7 @@ let to_csv s =
         csv_row w "copy,v" v c.proc "cpu" c.start c.finish)
       (Schedule.dup_copies s v)
   done;
-  for i = 0 to Schedule.n_comms s - 1 do
+  for i = 0 to Schedule.n_comm_events s - 1 do
     let edge = Schedule.comm_edge s i in
     let start = Schedule.comm_start s i and finish = Schedule.comm_finish s i in
     csv_row w "comm,e" edge (Schedule.comm_src s i) "send" start finish;
@@ -209,7 +209,7 @@ let[@inline] put_times w start finish =
 let fingerprint s =
   let g = Schedule.graph s in
   let w =
-    Numfmt.create (64 + ((Graph.n_tasks g + Schedule.n_comms s) * 48))
+    Numfmt.create (64 + ((Graph.n_tasks g + Schedule.n_comm_events s) * 48))
   in
   (* entries: ";t<task>=<proc>:<start>:<finish>" (or ";t<task>=-"),
      ";d<task>=..." per extra copy, ";c<edge>=<src>><dst>:<start>:<finish>"
@@ -240,7 +240,7 @@ let fingerprint s =
           put_times w c.Schedule.start c.Schedule.finish)
         (Schedule.dup_copies s v)
     done;
-  for i = 0 to Schedule.n_comms s - 1 do
+  for i = 0 to Schedule.n_comm_events s - 1 do
     entry ();
     put w ";c" (Schedule.comm_edge s i);
     put w "=" (Schedule.comm_src s i);

@@ -80,7 +80,7 @@ let render ?(width = 72) ?show_ports s =
 
 let listing s =
   let n = Graph.n_tasks (Schedule.graph s) in
-  let nc = Schedule.n_comms s in
+  let nc = Schedule.n_comm_events s in
   let dups =
     List.concat_map
       (fun v ->

@@ -208,57 +208,6 @@ let retract_comm t ~src ~dst ~start ~finish =
 let retract_task t ~proc ~start ~finish =
   Timeline.remove t.procs.(proc).compute ~start ~finish
 
-(* A snapshot is one Timeline mark per distinct timeline alive at capture
-   time: 3 slots per processor (recv slot unused when it shares the send
-   port) plus one per existing link.  Links created after the snapshot are
-   rolled back to empty on restore; their hash-table entries and ids stay,
-   which is harmless — ids only need to remain stable. *)
-type snapshot = {
-  proc_marks : Timeline.mark array;
-  barrier_mark : Timeline.mark;
-  link_marks : ((int * int) * Timeline.mark) list;
-}
-
-let snapshot t =
-  let p = Array.length t.procs in
-  let proc_marks = Array.make (3 * p) Timeline.origin in
-  Array.iteri
-    (fun i ps ->
-      proc_marks.((3 * i) + 0) <- Timeline.checkpoint ps.compute;
-      proc_marks.((3 * i) + 1) <- Timeline.checkpoint ps.send;
-      if ps.recv != ps.send then
-        proc_marks.((3 * i) + 2) <- Timeline.checkpoint ps.recv)
-    t.procs;
-  let barrier_mark =
-    match t.barrier with
-    | Some (tl, _) -> Timeline.checkpoint tl
-    | None -> Timeline.origin
-  in
-  let link_marks =
-    Hashtbl.fold
-      (fun key (tl, _id) acc -> (key, Timeline.checkpoint tl) :: acc)
-      t.links []
-  in
-  { proc_marks; barrier_mark; link_marks }
-
-let restore t s =
-  Array.iteri
-    (fun i ps ->
-      Timeline.rollback ps.compute s.proc_marks.((3 * i) + 0);
-      Timeline.rollback ps.send s.proc_marks.((3 * i) + 1);
-      if ps.recv != ps.send then
-        Timeline.rollback ps.recv s.proc_marks.((3 * i) + 2))
-    t.procs;
-  (match t.barrier with
-  | Some (tl, _) -> Timeline.rollback tl s.barrier_mark
-  | None -> ());
-  Hashtbl.iter
-    (fun key (tl, _id) ->
-      match List.assoc_opt key s.link_marks with
-      | Some m -> Timeline.rollback tl m
-      | None -> Timeline.rollback tl Timeline.origin)
-    t.links
-
 let copy t =
   let copy_proc ps =
     let send = Timeline.copy ps.send in

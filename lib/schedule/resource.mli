@@ -116,19 +116,6 @@ val retract_comm :
     {!commit_task}. *)
 val retract_task : t -> proc:int -> start:float -> finish:float -> unit
 
-(** A whole-resource-set checkpoint: one {!Prelude.Timeline.checkpoint}
-    per distinct timeline.  O(p) to take, independent of how many
-    intervals are committed. *)
-type snapshot
-
-val snapshot : t -> snapshot
-
-(** [restore t s] rolls every timeline back to its state at [snapshot];
-    the cost is proportional to the number of intervals committed since.
-    Timeline ids (and lazily created link entries) are preserved, so
-    id-keyed caches stay valid across a restore. *)
-val restore : t -> snapshot -> unit
-
 (** Deep copy (preserving the send/recv port sharing of uni-directional
     models); mutating the copy leaves the original untouched. *)
 val copy : t -> t

@@ -293,7 +293,6 @@ let unplace_copy t ~task ~proc =
 let n_placed t = t.n_placed
 let all_placed t = t.n_placed = Graph.n_tasks t.graph
 let n_comm_events t = t.n_comms
-let n_comms = n_comm_events
 
 (* Index reads of the store, inlined so that a float read stays
    unboxed in the caller. *)
@@ -392,31 +391,24 @@ let unplace_task t task =
   t.procs.(task) <- -1;
   t.n_placed <- t.n_placed - 1
 
-(* Drop the most recent comm.  It is necessarily its edge's newest. *)
-let pop_comm t ~retract =
-  let i = t.n_comms - 1 in
-  if retract then
-    Resource.retract_comm t.resource ~src:t.c_src.(i) ~dst:t.c_dst.(i)
-      ~start:t.c_start.(i) ~finish:t.c_finish.(i);
-  t.edge_last.(t.c_edge.(i)) <- t.c_prev.(i);
-  t.n_comms <- i
-
 let truncate_comms t ~down_to =
   if down_to < 0 || down_to > t.n_comms then
     invalid_arg "Schedule.truncate_comms: bad length";
+  (* Drop the most recent comm: it is necessarily its edge's newest. *)
   while t.n_comms > down_to do
-    pop_comm t ~retract:true
+    let i = t.n_comms - 1 in
+    Resource.retract_comm t.resource ~src:t.c_src.(i) ~dst:t.c_dst.(i)
+      ~start:t.c_start.(i) ~finish:t.c_finish.(i);
+    t.edge_last.(t.c_edge.(i)) <- t.c_prev.(i);
+    t.n_comms <- i
   done
-
-let pop_phase t ~retract =
-  let start, finish = Vec.pop t.phases in
-  if retract then Resource.retract_phase t.resource ~start ~finish
 
 let truncate_phases t ~down_to =
   if down_to < 0 || down_to > Vec.length t.phases then
     invalid_arg "Schedule.truncate_phases: bad length";
   while Vec.length t.phases > down_to do
-    pop_phase t ~retract:true
+    let start, finish = Vec.pop t.phases in
+    Resource.retract_phase t.resource ~start ~finish
   done
 
 (* [keep] is asked newest first, and the dropped events are retracted
@@ -441,53 +433,6 @@ let filter_commsi t ~keep =
   done
 
 let filter_comms t ~keep = filter_commsi t ~keep:(fun _ c -> keep c)
-
-type snapshot = {
-  res : Resource.snapshot;
-  s_procs : int array;
-  s_starts : float array;
-  s_finishes : float array;
-  s_n_placed : int;
-  s_n_comms : int;
-  s_n_phases : int;
-  s_dups : placement list array;
-  s_n_dups : int;
-}
-
-let snapshot t =
-  {
-    res = Resource.snapshot t.resource;
-    s_procs = Array.copy t.procs;
-    s_starts = Array.copy t.starts;
-    s_finishes = Array.copy t.finishes;
-    s_n_placed = t.n_placed;
-    s_n_comms = t.n_comms;
-    s_n_phases = Vec.length t.phases;
-    s_dups = Array.copy t.dups;
-    s_n_dups = t.n_dups;
-  }
-
-let restore t s =
-  if t.n_comms < s.s_n_comms then
-    invalid_arg "Schedule.restore: comms were truncated past the snapshot";
-  if Vec.length t.phases < s.s_n_phases then
-    invalid_arg "Schedule.restore: phases were truncated past the snapshot";
-  Obs.Counters.(bump rollbacks);
-  (* The resource restore already removes every post-snapshot interval, so
-     the comm events are popped without retracting them a second time. *)
-  Resource.restore t.resource s.res;
-  Array.blit s.s_procs 0 t.procs 0 (Array.length t.procs);
-  Array.blit s.s_starts 0 t.starts 0 (Array.length t.starts);
-  Array.blit s.s_finishes 0 t.finishes 0 (Array.length t.finishes);
-  Array.blit s.s_dups 0 t.dups 0 (Array.length t.dups);
-  t.n_dups <- s.s_n_dups;
-  t.n_placed <- s.s_n_placed;
-  while t.n_comms > s.s_n_comms do
-    pop_comm t ~retract:false
-  done;
-  while Vec.length t.phases > s.s_n_phases do
-    pop_phase t ~retract:false
-  done
 
 let copy t =
   Obs.Counters.(bump copies);

@@ -163,7 +163,7 @@ val all_placed : t -> bool
     callers. *)
 
 (** The fields of the [i]-th event in commit order.
-    @raise Invalid_argument unless [0 <= i < n_comms t]. *)
+    @raise Invalid_argument unless [0 <= i < n_comm_events t]. *)
 val comm_edge : t -> int -> int
 
 val comm_src : t -> int -> int
@@ -175,7 +175,7 @@ val comm_finish : t -> int -> float
 val comms : t -> comm list
 
 (** [comm_at t i] is the [i]-th communication event in commit order, as
-    a fresh record, [0 <= i < n_comms t]. *)
+    a fresh record, [0 <= i < n_comm_events t]. *)
 val comm_at : t -> int -> comm
 
 (** The events of one edge, in commit order, as records (allocates). *)
@@ -191,9 +191,6 @@ val comm_head_at : t -> int -> bool
 val iter_comms : t -> f:(comm -> unit) -> unit
 
 val n_comm_events : t -> int
-
-(** Alias of {!n_comm_events}. *)
-val n_comms : t -> int
 
 (** Total time during which at least the given edge hop occupies a port
     (sum of hop durations over all events). *)
@@ -252,21 +249,6 @@ val filter_commsi : t -> keep:(int -> comm -> bool) -> unit
 (** [truncate_phases t ~down_to] retracts BSP phases newest-first until
     only the first [down_to] remain. *)
 val truncate_phases : t -> down_to:int -> unit
-
-(** A whole-schedule checkpoint: placement arrays plus one
-    {!Resource.snapshot}.  O(n_tasks + p) to take — no timeline contents
-    are copied, unlike {!copy}. *)
-type snapshot
-
-val snapshot : t -> snapshot
-
-(** [restore t s] rewinds the schedule to its state at [snapshot]: every
-    placement and communication committed since is retracted, in time
-    proportional to the amount of work being undone.  Only additions are
-    undone — restoring across an intervening {!unplace_task} /
-    {!truncate_comms} of {e pre-snapshot} state is unsupported.  Bumps the
-    [rollbacks] counter. *)
-val restore : t -> snapshot -> unit
 
 (** Deep copy: committing to the copy leaves the original untouched (the
     immutable graph and platform are shared). *)

@@ -95,7 +95,7 @@ let check s =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let n = Graph.n_tasks g in
-  let nc = Schedule.n_comms s in
+  let nc = Schedule.n_comm_events s in
   let nph = Schedule.n_phases s in
   (* Tag encoding: [0, n) the primary copies, [n, nt) the extra copies
      grouped by task (task [v]'s are [dup_off.(v) .. dup_off.(v+1) - 1]),

@@ -1,7 +1,8 @@
 (* The straightforward list-based evaluator the arena engine replaced,
-   kept as the executable specification of [Engine.evaluate],
-   [best_proc], [best_proc_among] and [best_pending]: no caches, no
-   pruning, one tentative-interval list per probe.  [with_reference]
+   kept as the executable specification of [Engine.evaluate] and of the
+   scans behind [Engine.schedule_best], [schedule_best_among] and
+   [schedule_pending]: no caches, no pruning, one tentative-interval
+   list per probe.  [with_reference]
    installs it through the [Engine.oracle] seam, and the test suite
    proves both produce bit-identical schedules. *)
 
@@ -300,9 +301,9 @@ let oracle =
     best_pending = (fun ~floor -> best_pending ~floor);
   }
 
-(* [with_reference f] runs [f] with [Engine.evaluate], [best_proc],
-   [best_proc_among] and [best_pending] re-routed through this evaluator,
-   restoring the previous mode on exit, including on exceptions. *)
+(* [with_reference f] runs [f] with [Engine.evaluate] and the place
+   steps' scans re-routed through this evaluator, restoring the previous
+   mode on exit, including on exceptions. *)
 let with_reference f =
   let prev = !Engine.oracle in
   Engine.oracle := Some oracle;

@@ -44,7 +44,7 @@ let tid_recv = 2
 let to_chrome_trace ?(time_unit = 1.0) s =
   let g = Schedule.graph s in
   let n = Graph.n_tasks g in
-  let nc = Schedule.n_comms s in
+  let nc = Schedule.n_comm_events s in
   (* duplicate copies (if any) pack after the task and comm tags *)
   let dups =
     Array.of_list
@@ -131,7 +131,9 @@ let to_chrome_trace ?(time_unit = 1.0) s =
 
 let to_csv s =
   let g = Schedule.graph s in
-  let buf = Buffer.create (1024 + ((Graph.n_tasks g + Schedule.n_comms s) * 48)) in
+  let buf =
+    Buffer.create (1024 + ((Graph.n_tasks g + Schedule.n_comm_events s) * 48))
+  in
   Buffer.add_string buf "kind,name,processor,resource,start,finish,duration\n";
   let row kind name proc resource start finish =
     Buffer.add_string buf
@@ -155,7 +157,9 @@ let to_csv s =
 
 let fingerprint s =
   let g = Schedule.graph s in
-  let buf = Buffer.create (64 + ((Graph.n_tasks g + Schedule.n_comms s) * 32)) in
+  let buf =
+    Buffer.create (64 + ((Graph.n_tasks g + Schedule.n_comm_events s) * 32))
+  in
   (if Schedule.all_placed s then
      Buffer.add_string buf (Printf.sprintf "m=%h" (Schedule.makespan s))
    else Buffer.add_string buf "m=-");

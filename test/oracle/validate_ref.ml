@@ -130,7 +130,7 @@ let check s =
     in
     (* each edge's events in commit order, with their chain-head flags *)
     let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    for i = Schedule.n_comms s - 1 downto 0 do
+    for i = Schedule.n_comm_events s - 1 downto 0 do
       let c = Schedule.comm_at s i in
       per_edge.(c.Schedule.edge) <-
         (Schedule.comm_head_at s i, c) :: per_edge.(c.Schedule.edge)

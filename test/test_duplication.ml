@@ -13,7 +13,7 @@ open Util
 let eps = 1e-9
 
 (* ---- round-trip: every heuristic x testbed x model stays single-copy
-   and survives copy/snapshot/place_copy/unplace_copy unchanged ---- *)
+   and survives copy/place_copy/unplace_copy unchanged ---- *)
 
 let roundtrip_models = [ O.Comm_model.one_port; O.Comm_model.macro_dataflow ]
 

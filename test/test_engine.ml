@@ -38,22 +38,21 @@ let basic_tests =
         check_float "same est twice" ev1.O.Engine.est ev2.O.Engine.est;
         check_int "no comm committed" 0
           (O.Schedule.n_comm_events (O.Engine.schedule engine)));
-    Alcotest.test_case "best_proc prefers local, ties to lowest index" `Quick
-      (fun () ->
+    Alcotest.test_case "schedule_best prefers local, ties to lowest index"
+      `Quick (fun () ->
         let engine = engine_for (chain_graph ()) in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
-        let ev = O.Engine.best_proc engine ~task:1 in
-        check_int "local wins (eft 3 vs 6)" 0 ev.O.Engine.proc;
+        check_int "local wins (eft 3 vs 6)" 0
+          (O.Engine.schedule_best engine ~task:1);
         (* On a fresh engine, every processor gives the same EFT for the
            entry task: the tie must go to processor 0. *)
         let engine2 = engine_for ~p:4 (chain_graph ()) in
-        let ev2 = O.Engine.best_proc engine2 ~task:0 in
-        check_int "tie to lowest" 0 ev2.O.Engine.proc);
-    Alcotest.test_case "best_proc_among respects the candidate list" `Quick
-      (fun () ->
+        check_int "tie to lowest" 0 (O.Engine.schedule_best engine2 ~task:0));
+    Alcotest.test_case "schedule_best_among respects the candidate list"
+      `Quick (fun () ->
         let engine = engine_for ~p:4 (chain_graph ()) in
-        let ev = O.Engine.best_proc_among engine ~task:0 [ 2; 3 ] in
-        check_int "restricted" 2 ev.O.Engine.proc);
+        check_int "restricted" 2
+          (O.Engine.schedule_best_among engine ~task:0 [ 2; 3 ]));
   ]
 
 (* Two tasks feeding one sink from different processors: the sink's
@@ -173,7 +172,7 @@ let equivalence_tests =
       ("logp", O.Comm_model.latency_overhead ~o:1. ~l:2.) ]
   in
   (* The registry runs ILHA without its reschedule step, so both scans
-     with reschedule ride along: they exercise [Engine.best_pending]. *)
+     with reschedule ride along: they exercise [Engine.schedule_pending]. *)
   let resched scan params =
     O.Ilha.schedule
       ~params:(O.Params.with_scan (O.Params.with_reschedule params true) scan)
@@ -310,7 +309,7 @@ let reference_mode_tests =
         let g = chain_graph () in
         let engine = engine_for ~p:4 g in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
-        ignore (O.Engine.best_proc engine ~task:1));
+        ignore (O.Engine.schedule_best engine ~task:1 : int));
     Alcotest.test_case "pruning is counted and exact" `Quick (fun () ->
         let plat = O.Platform.paper_platform () in
         let count f =
@@ -459,11 +458,45 @@ let check_counts what ~evaluations ~pruned ~aborted ~probes
   check_int (what ^ ": joint gap probes") probes
     O.Obs_counters.(get c joint_gap_probes)
 
+(* The choice [schedule_best] makes for [task], read back from the
+   schedule and then rewound: the processor, start and finish, and the
+   comm events committed, in commit order. *)
+type choice = {
+  proc : int;
+  est : float;
+  eft : float;
+  hops : (int * int * int * float * float) list;
+}
+
+let place_best engine ~task =
+  let s = O.Engine.schedule engine in
+  let k = O.Engine.n_commits engine and c0 = O.Schedule.n_comm_events s in
+  let proc = O.Engine.schedule_best engine ~task in
+  let hops =
+    List.init
+      (O.Schedule.n_comm_events s - c0)
+      (fun i ->
+        let i = c0 + i in
+        O.Schedule.
+          (comm_edge s i, comm_src s i, comm_dst s i, comm_start s i,
+           comm_finish s i))
+  in
+  let choice =
+    {
+      proc;
+      est = O.Schedule.start_of_exn s task;
+      eft = O.Schedule.finish_of_exn s task;
+      hops;
+    }
+  in
+  O.Engine.rewind engine ~to_:k;
+  choice
+
 (* Best processor for [task] from both engines, the fast one counted. *)
 let best_both engine ~task =
-  let fast, c = counted (fun () -> O.Engine.best_proc engine ~task) in
-  let slow = Engine_ref.with_reference (fun () -> O.Engine.best_proc engine ~task) in
-  check_bool "eval = reference eval" true (fast = slow);
+  let fast, c = counted (fun () -> place_best engine ~task) in
+  let slow = Engine_ref.with_reference (fun () -> place_best engine ~task) in
+  check_bool "choice = reference choice" true (fast = slow);
   (fast, c)
 
 (* [schedule] on HEFT's STENCIL at n = 10, ccr 10, where the send port
@@ -506,8 +539,8 @@ let pruning_stage_tests =
         O.Engine.schedule_on engine ~task:3 ~proc:0;
         O.Engine.schedule_on engine ~task:1 ~proc:1;
         let ev, c = best_both engine ~task:2 in
-        check_int "local wins" 0 ev.O.Engine.proc;
-        check_float "eft" 22. ev.O.Engine.eft;
+        check_int "local wins" 0 ev.proc;
+        check_float "eft" 22. ev.eft;
         check_float "P1's bound sees the send port" 24.
           (O.Engine.lower_bound engine ~task:2 ~proc:1);
         (* probes: P0's compute slot and one send-port probe shared by
@@ -530,8 +563,8 @@ let pruning_stage_tests =
         let engine = engine_for ~p:3 g in
         O.Engine.schedule_on engine ~task:0 ~proc:2;
         let ev, c = best_both engine ~task:1 in
-        check_int "tie to P0" 0 ev.O.Engine.proc;
-        check_float "eft" 2. ev.O.Engine.eft;
+        check_int "tie to P0" 0 ev.proc;
+        check_float "eft" 2. ev.eft;
         (* probes: P2's compute slot, P0's stage-2 compute probe (its
            stage 1 only reaches the cutoff) and compute slot *)
         check_counts "tie" ~evaluations:2 ~pruned:1 ~aborted:0 ~probes:3 c);
@@ -555,21 +588,21 @@ let pruning_stage_tests =
         O.Engine.schedule_on engine ~task:3 ~proc:0;
         O.Engine.schedule_on engine ~task:4 ~proc:1;
         let ev, c = best_both engine ~task:2 in
-        check_int "P0 wins" 0 ev.O.Engine.proc;
-        check_float "eft" 10. ev.O.Engine.eft;
+        check_int "P0 wins" 0 ev.proc;
+        check_float "eft" 10. ev.eft;
         check_float "P2 really finishes at 12" 12.
           (O.Engine.evaluate engine ~task:2 ~proc:2).O.Engine.eft;
         (* probes: P0's hop and compute slot, P1's and P2's stage-2
            compute probes, P2's two hops — and no compute probe for P2 *)
         check_counts "abort" ~evaluations:2 ~pruned:1 ~aborted:1 ~probes:6 c);
-    Alcotest.test_case "best_proc prunes and aborts, exactly" `Quick (fun () ->
+    Alcotest.test_case "schedule_best prunes and aborts, exactly" `Quick (fun () ->
         scan_is_exact (fun plat g ->
             O.Heft.schedule ~params:O.Params.default plat g));
     Alcotest.test_case "the pending scan prunes and aborts, exactly" `Quick
       (fun () ->
         let params = O.Params.with_reschedule O.Params.default true in
         scan_is_exact (fun plat g -> O.Ilha.schedule ~params plat g));
-    qtest ~count:100 "best_pending = reference under --reschedule"
+    qtest ~count:100 "schedule_pending = reference under --reschedule"
       ~print:(fun (gspec, _, _, (b, one_comm)) ->
         Printf.sprintf "%s b=%d scan=%s" (print_graph gspec) b
           (if one_comm then "1comm" else "0comm"))

@@ -173,7 +173,9 @@ let export_tests =
         check_bool "has copies" true (copies > 0);
         check_int "copy rows" copies (count "copy");
         check_int "task rows" (O.Graph.n_tasks g) (count "task");
-        check_int "comm rows" (2 * O.Schedule.n_comms sched) (count "comm"));
+        check_int "comm rows"
+          (2 * O.Schedule.n_comm_events sched)
+          (count "comm"));
   ]
 
 let utilization_tests =

@@ -135,7 +135,7 @@ let hops_feeding_duplicates sched =
       List.exists
         (fun (d : O.Schedule.placement) -> d.proc = c.O.Schedule.dst_proc)
         (O.Schedule.dup_copies sched (O.Graph.edge_dst g c.O.Schedule.edge)))
-    (List.init (O.Schedule.n_comms sched) Fun.id)
+    (List.init (O.Schedule.n_comm_events sched) Fun.id)
 
 let port_models =
   List.filter
@@ -205,7 +205,7 @@ let validate_case (seed, layers, width, model_i, kind, fork_join, limit, mutatio
       (* drop one communication event (when any): a hop of a chain that
          feeds a duplicate if there is one, else any hop, or a BSP
          phase's event *)
-      let nc = O.Schedule.n_comms sched in
+      let nc = O.Schedule.n_comm_events sched in
       if nc = 0 then true
       else begin
         let victim =

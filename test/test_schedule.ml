@@ -208,29 +208,9 @@ let metrics_tests =
         check_bool "listing comm" true (contains listing "comm e0"));
   ]
 
-(* Snapshot / restore and in-place retraction — the schedule half of the
-   incremental kernel. *)
-let snapshot_tests =
+(* In-place retraction — the schedule half of the engine's rewind. *)
+let retract_tests =
   [
-    Alcotest.test_case "snapshot/restore undoes placements and comms" `Quick
-      (fun () ->
-        let g = chain_graph () in
-        let s = make_sched g in
-        O.Schedule.place_task s ~task:0 ~proc:0 ~start:0.;
-        let snap = O.Schedule.snapshot s in
-        let a = O.Schedule.add_comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
-        O.Schedule.place_task s ~task:1 ~proc:1 ~start:a;
-        check_int "two placed" 2 (O.Schedule.n_placed s);
-        O.Schedule.restore s snap;
-        check_int "one placed" 1 (O.Schedule.n_placed s);
-        check_int "comm gone" 0 (O.Schedule.n_comm_events s);
-        check_bool "task 1 unplaced" false (O.Schedule.is_placed s 1);
-        (* the undone work can be redone — ports and procs are free again *)
-        let a = O.Schedule.add_comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
-        O.Schedule.place_task s ~task:1 ~proc:1 ~start:a;
-        (match O.Validate.check s with
-        | Ok () -> ()
-        | Error es -> Alcotest.fail (String.concat "; " es)));
     Alcotest.test_case "unplace_task frees the compute slot" `Quick (fun () ->
         let g = chain_graph () in
         let s = make_sched g in
@@ -266,18 +246,6 @@ let snapshot_tests =
         (* ... and the port is free again *)
         let _ = O.Schedule.add_comm s ~edge:1 ~src_proc:0 ~dst_proc:2 ~start:2. in
         check_int "second send accepted" 1 (O.Schedule.n_comm_events s));
-    Alcotest.test_case "restore rejects a snapshot whose comms were truncated"
-      `Quick (fun () ->
-        let g = chain_graph () in
-        let s = make_sched g in
-        O.Schedule.place_task s ~task:0 ~proc:0 ~start:0.;
-        let _ = O.Schedule.add_comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
-        let snap = O.Schedule.snapshot s in
-        O.Schedule.truncate_comms s ~down_to:0;
-        Alcotest.check_raises "stale snapshot"
-          (Invalid_argument
-             "Schedule.restore: comms were truncated past the snapshot")
-          (fun () -> O.Schedule.restore s snap));
   ]
 
 (* ---------------- the flat comm store against a list model -------- *)
@@ -292,8 +260,6 @@ type store_op =
       (** edge, src, dst, start, duration *)
   | Truncate of int  (** keep this share, in 1/8ths *)
   | Filter of int  (** keep bit mask over indices mod 16 *)
-  | Snapshot
-  | Restore
   | Copy
 
 let store_op_gen =
@@ -316,8 +282,6 @@ let store_op_gen =
           return (Add_window (e, src, dst, start, dur)) );
         (1, map (fun k -> Truncate k) (int_bound 8));
         (1, map (fun m -> Filter m) (int_bound 0xffff));
-        (1, return Snapshot);
-        (1, return Restore);
         (1, return Copy);
       ])
 
@@ -329,8 +293,6 @@ let print_store_op = function
       Printf.sprintf "Window(e%d %d->%d @%d +%d)" e a b st d
   | Truncate k -> Printf.sprintf "Truncate(%d/8)" k
   | Filter m -> Printf.sprintf "Filter(%x)" m
-  | Snapshot -> "Snapshot"
-  | Restore -> "Restore"
   | Copy -> "Copy"
 
 (* Every view of the store — index accessors, records, per-edge lists,
@@ -339,7 +301,7 @@ let print_store_op = function
 let store_agrees s (model : (O.Schedule.comm * bool) list) =
   let arr = Array.of_list model in
   let n = Array.length arr in
-  O.Schedule.n_comms s = n
+  O.Schedule.n_comm_events s = n
   && O.Schedule.comms s = List.map fst model
   && Array.for_all Fun.id
        (Array.mapi
@@ -383,7 +345,7 @@ let store_model_tests =
             (O.Schedule.create ~graph:g ~platform:plat
                ~model:O.Comm_model.macro_dataflow ())
         in
-        let model = ref [] and snap = ref None in
+        let model = ref [] in
         let push e src dst start finish head =
           let head =
             match head with
@@ -437,15 +399,7 @@ let store_model_tests =
             | Filter m ->
                 let keep i = m land (1 lsl (i mod 16)) <> 0 in
                 O.Schedule.filter_commsi !s ~keep:(fun i _ -> keep i);
-                model := List.filteri (fun i _ -> keep i) !model;
-                snap := None
-            | Snapshot -> snap := Some (O.Schedule.snapshot !s, List.length !model)
-            | Restore -> (
-                match !snap with
-                | Some (sn, k) when List.length !model >= k ->
-                    O.Schedule.restore !s sn;
-                    truncate k
-                | Some _ | None -> ())
+                model := List.filteri (fun i _ -> keep i) !model
             | Copy ->
                 let c = O.Schedule.copy !s in
                 let before = !model in
@@ -455,12 +409,11 @@ let store_model_tests =
                     : float);
                 if not (store_agrees c before) then
                   Alcotest.fail "a copy saw its original's commit";
-                s := c;
-                snap := None);
+                s := c);
             store_agrees !s !model)
           ops);
   ]
 
 let suite =
   builder_tests @ validator_tests @ port_tests @ metrics_tests
-  @ snapshot_tests @ store_model_tests
+  @ retract_tests @ store_model_tests

@@ -366,171 +366,53 @@ let coalescing_tests =
         && base = ref_earliest_gap (busy @ extra) ~after ~duration);
   ]
 
-(* Checkpoint / rollback: unit cases plus a random-interleaving harness
-   comparing the journaled timeline against a twin rebuilt from scratch. *)
-
-let checkpoint_tests =
+let remove_tests =
   [
-    Alcotest.test_case "rollback drops journaled adds" `Quick (fun () ->
-        let t = timeline_of [ (0., 2.) ] in
-        let m = O.Timeline.checkpoint t in
-        O.Timeline.add t ~start:4. ~finish:6.;
-        O.Timeline.add t ~start:2. ~finish:3.;
-        check_int "three intervals" 3 (O.Timeline.n_intervals t);
-        O.Timeline.rollback t m;
-        check_int "back to one" 1 (O.Timeline.n_intervals t);
-        check_float "busy" 2. (O.Timeline.total_busy t);
-        (* the freed space is genuinely reusable *)
-        O.Timeline.add t ~start:2. ~finish:6.;
-        check_float "busy again" 6. (O.Timeline.total_busy t));
-    Alcotest.test_case "rollback to origin empties" `Quick (fun () ->
-        let t = timeline_of [ (0., 2.); (5., 7.) ] in
-        O.Timeline.rollback t O.Timeline.origin;
-        check_int "empty" 0 (O.Timeline.n_intervals t);
-        check_float "last finish" 0. (O.Timeline.last_finish t));
-    Alcotest.test_case "checkpoints nest" `Quick (fun () ->
-        let t = O.Timeline.create () in
-        let m0 = O.Timeline.checkpoint t in
-        O.Timeline.add t ~start:0. ~finish:1.;
-        let m1 = O.Timeline.checkpoint t in
-        O.Timeline.add t ~start:2. ~finish:3.;
-        O.Timeline.rollback t m1;
-        check_int "inner undone" 1 (O.Timeline.n_intervals t);
-        O.Timeline.rollback t m0;
-        check_int "outer undone" 0 (O.Timeline.n_intervals t));
-    Alcotest.test_case "remove composes with rollback" `Quick (fun () ->
-        let t = O.Timeline.create () in
-        let m = O.Timeline.checkpoint t in
-        O.Timeline.add t ~start:0. ~finish:2.;
-        O.Timeline.add t ~start:4. ~finish:6.;
-        O.Timeline.remove t ~start:0. ~finish:2.;
-        check_int "one left" 1 (O.Timeline.n_intervals t);
-        (* rollback must undo the surviving add but not resurrect the
-           removed interval *)
-        O.Timeline.rollback t m;
-        check_int "empty" 0 (O.Timeline.n_intervals t));
     Alcotest.test_case "remove rejects partial matches" `Quick (fun () ->
         let t = timeline_of [ (0., 4.) ] in
         Alcotest.check_raises "wrong finish"
           (Invalid_argument
              "Timeline.remove: finish does not match the busy interval")
           (fun () -> O.Timeline.remove t ~start:0. ~finish:3.));
-    Alcotest.test_case "stale mark rejected" `Quick (fun () ->
-        let t = O.Timeline.create () in
-        O.Timeline.add t ~start:0. ~finish:1.;
-        let stale = O.Timeline.checkpoint t in
-        O.Timeline.rollback t O.Timeline.origin;
-        Alcotest.check_raises "invalidated mark"
-          (Invalid_argument "Timeline.rollback: bad mark") (fun () ->
-            O.Timeline.rollback t stale));
   ]
 
-(* Random interleavings of add / checkpoint / rollback, checked against a
-   twin rebuilt from scratch out of the model's surviving intervals.  The
-   model mirrors the LIFO mark discipline: a rollback pops the most recent
-   checkpoint and restores the interval set saved with it. *)
-let checkpoint_property_tests =
+(* Adds in a random order, then removals drawn from every interval, on
+   timelines of up to a few hundred intervals: [add] and [remove] each
+   locate their index through the same cursor search as the gap walk. *)
+let long_remove_tests =
   [
-    qtest ~count:400 "random add/checkpoint/rollback matches rebuilt twin"
-      QCheck2.Gen.(
-        list_size (int_bound 40)
-          (tup3 (int_bound 6) (int_bound 40) (int_range 1 5)))
-      (fun ops ->
-        let t = O.Timeline.create () in
-        let current = ref [] in
-        let stack = ref [] in
-        List.iter
-          (fun (tag, s, len) ->
-            match tag with
-            | 5 -> stack := (O.Timeline.checkpoint t, !current) :: !stack
-            | 6 -> (
-                match !stack with
-                | [] -> ()
-                | (m, saved) :: rest ->
-                    O.Timeline.rollback t m;
-                    current := saved;
-                    stack := rest)
-            | _ ->
-                let start = float_of_int s in
-                let finish = float_of_int (s + len) in
-                let blocked =
-                  List.exists
-                    (fun (b0, b1) -> b0 < finish && b1 > start)
-                    !current
-                in
-                if not blocked then begin
-                  O.Timeline.add t ~start ~finish;
-                  current := (start, finish) :: !current
-                end)
-          ops;
-        let twin =
-          timeline_of
-            (List.sort (fun (s1, _) (s2, _) -> compare s1 s2) !current)
-        in
-        O.Timeline.intervals t = O.Timeline.intervals twin
-        && O.Timeline.total_busy t = O.Timeline.total_busy twin
-        && O.Timeline.last_finish t = O.Timeline.last_finish twin
-        && List.for_all
-             (fun (after, duration) ->
-               earliest_gap t ~after ~duration
-               = earliest_gap twin ~after ~duration)
-             [ (0., 1.); (0., 4.); (7., 2.); (20., 3.) ]);
-  ]
-
-(* Adds in a random order, a checkpoint part-way, removals, then a
-   rollback, on timelines of up to a few hundred intervals: [add],
-   [remove] and [rollback] each locate their index through the same
-   cursor search as the gap walk. *)
-let long_checkpoint_tests =
-  [
-    qtest ~count:200 "long timelines: add/remove/rollback match a twin"
+    qtest ~count:200 "long timelines: add/remove match a twin"
       QCheck2.Gen.(
         let* busy = long_intervals_gen in
         let n = List.length busy in
         let* keys = list_size (return n) (int_bound 1_000_000) in
-        let* m = int_bound n in
         let* drops = list_size (return n) (int_bound 3) in
-        return (busy, keys, m, drops))
-      (fun (busy, keys, m, drops) ->
+        return (busy, keys, drops))
+      (fun (busy, keys, drops) ->
         let order =
           List.map snd
             (List.sort compare (List.combine keys busy))
         in
-        let before = List.filteri (fun i _ -> i < m) order in
-        let after_mark = List.filteri (fun i _ -> i >= m) order in
-        (* only intervals added since the mark are removed: removing an
-           older one drops its journal entry from under the mark *)
-        let dropped =
-          List.filteri (fun i _ -> List.nth drops i = 0) after_mark
-        in
+        let dropped = List.filteri (fun i _ -> List.nth drops i = 0) order in
         let t = O.Timeline.create () in
-        let add (s, f) = O.Timeline.add t ~start:s ~finish:f in
-        List.iter add before;
-        let mark = O.Timeline.checkpoint t in
-        List.iter add after_mark;
-        List.iter (fun (s, f) -> O.Timeline.remove t ~start:s ~finish:f) dropped;
-        let agrees expect =
-          let twin = timeline_of expect in
-          O.Timeline.intervals t = expect
-          && O.Timeline.last_finish t = O.Timeline.last_finish twin
-          && List.for_all
-               (fun (s, f) ->
-                 not (O.Timeline.free_at t ~start:s ~finish:f))
-               expect
-          && List.for_all
-               (fun (after, duration) ->
-                 earliest_gap t ~after ~duration
-                 = ref_earliest_gap expect ~after ~duration)
-               [ (-3., 1.); (0., 4.); (17., 2.); (250., 3.); (900., 5.) ]
-        in
-        let removed_ok =
-          agrees (List.filter (fun iv -> not (List.mem iv dropped)) busy)
-        in
-        O.Timeline.rollback t mark;
-        removed_ok && agrees (List.sort compare before));
+        List.iter (fun (s, f) -> O.Timeline.add t ~start:s ~finish:f) order;
+        List.iter
+          (fun (s, f) -> O.Timeline.remove t ~start:s ~finish:f)
+          dropped;
+        let expect = List.filter (fun iv -> not (List.mem iv dropped)) busy in
+        let twin = timeline_of expect in
+        O.Timeline.intervals t = expect
+        && O.Timeline.last_finish t = O.Timeline.last_finish twin
+        && List.for_all
+             (fun (s, f) -> not (O.Timeline.free_at t ~start:s ~finish:f))
+             expect
+        && List.for_all
+             (fun (after, duration) ->
+               earliest_gap t ~after ~duration
+               = ref_earliest_gap expect ~after ~duration)
+             [ (-3., 1.); (0., 4.); (17., 2.); (250., 3.); (900., 5.) ]);
   ]
 
 let suite =
   unit_tests @ edge_case_tests @ property_tests @ long_property_tests
-  @ coalescing_tests @ checkpoint_tests @ checkpoint_property_tests
-  @ long_checkpoint_tests
+  @ coalescing_tests @ remove_tests @ long_remove_tests
