@@ -668,6 +668,60 @@ let rewind_tests =
                 (O.Schedule.is_placed sched)
                 (List.init (O.Graph.n_tasks g) Fun.id)));
         check_int "no comm left" 0 (O.Schedule.n_comm_events sched));
+    Alcotest.test_case "rewinds nest: inner mark, then outer mark" `Quick
+      (fun () ->
+        let g =
+          O.Graph.create ~name:"chain3" ~weights:[| 1.; 2.; 1. |]
+            ~edges:[ (0, 1, 3.); (1, 2, 1.) ]
+            ()
+        in
+        let engine = engine_for g in
+        let sched = O.Engine.schedule engine in
+        O.Engine.schedule_on engine ~task:0 ~proc:0;
+        let outer = O.Engine.n_commits engine in
+        O.Engine.schedule_on engine ~task:1 ~proc:1;
+        let inner = O.Engine.n_commits engine in
+        O.Engine.schedule_on engine ~task:2 ~proc:0;
+        check_int "three placed" 3 (O.Schedule.n_placed sched);
+        check_int "two comms" 2 (O.Schedule.n_comm_events sched);
+        O.Engine.rewind engine ~to_:inner;
+        check_int "inner undone" 2 (O.Schedule.n_placed sched);
+        check_int "one comm left" 1 (O.Schedule.n_comm_events sched);
+        check_bool "task 1 kept" true (O.Schedule.is_placed sched 1);
+        O.Engine.rewind engine ~to_:outer;
+        check_int "outer undone" 1 (O.Schedule.n_placed sched);
+        check_int "no comm left" 0 (O.Schedule.n_comm_events sched);
+        check_int "log cut to the mark" outer (O.Engine.n_commits engine));
+    Alcotest.test_case "rewind then a different replay validates" `Quick
+      (fun () ->
+        let engine = engine_for ~p:3 (join_graph ()) in
+        let sched = O.Engine.schedule engine in
+        O.Engine.schedule_on engine ~task:0 ~proc:0;
+        let mark = O.Engine.n_commits engine in
+        O.Engine.schedule_on engine ~task:1 ~proc:1;
+        O.Engine.schedule_on engine ~task:2 ~proc:2;
+        O.Engine.rewind engine ~to_:mark;
+        (* the freed ports and processors take a different plan *)
+        O.Engine.schedule_on engine ~task:1 ~proc:2;
+        O.Engine.schedule_on engine ~task:2 ~proc:0;
+        check_bool "fully placed" true (O.Schedule.all_placed sched);
+        check_int "one comm (task 1 -> P0)" 1 (O.Schedule.n_comm_events sched);
+        match O.Validate.check sched with
+        | Ok () -> ()
+        | Error es -> Alcotest.fail (String.concat "; " es));
+    Alcotest.test_case "rewind rejects an index outside the log" `Quick
+      (fun () ->
+        let engine = engine_for (chain_graph ()) in
+        O.Engine.schedule_on engine ~task:0 ~proc:0;
+        Alcotest.check_raises "past the log"
+          (Invalid_argument "Engine.rewind: bad index") (fun () ->
+            O.Engine.rewind engine ~to_:2);
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Engine.rewind: bad index") (fun () ->
+            O.Engine.rewind engine ~to_:(-1));
+        check_int "log untouched" 1 (O.Engine.n_commits engine);
+        check_bool "placement kept" true
+          (O.Schedule.is_placed (O.Engine.schedule engine) 0));
     qtest ~count:120 "rewind + identical replay = original, bit for bit"
       QCheck2.Gen.(tup3 graph_gen platform_gen model_gen)
       (fun (gspec, plat, model) ->

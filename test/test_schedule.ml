@@ -211,6 +211,26 @@ let metrics_tests =
 (* In-place retraction — the schedule half of the engine's rewind. *)
 let retract_tests =
   [
+    Alcotest.test_case "retraction undoes placements and comms" `Quick
+      (fun () ->
+        let g = chain_graph () in
+        let s = make_sched g in
+        O.Schedule.place_task s ~task:0 ~proc:0 ~start:0.;
+        let a = O.Schedule.add_comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
+        O.Schedule.place_task s ~task:1 ~proc:1 ~start:a;
+        check_int "two placed" 2 (O.Schedule.n_placed s);
+        (* undo in reverse order: the placement, then its comm *)
+        O.Schedule.unplace_task s 1;
+        O.Schedule.truncate_comms s ~down_to:0;
+        check_int "one placed" 1 (O.Schedule.n_placed s);
+        check_int "comm gone" 0 (O.Schedule.n_comm_events s);
+        check_bool "task 1 unplaced" false (O.Schedule.is_placed s 1);
+        (* the undone work can be redone — ports and procs are free again *)
+        let a = O.Schedule.add_comm s ~edge:0 ~src_proc:0 ~dst_proc:1 ~start:1. in
+        O.Schedule.place_task s ~task:1 ~proc:1 ~start:a;
+        match O.Validate.check s with
+        | Ok () -> ()
+        | Error es -> Alcotest.fail (String.concat "; " es));
     Alcotest.test_case "unplace_task frees the compute slot" `Quick (fun () ->
         let g = chain_graph () in
         let s = make_sched g in

@@ -368,12 +368,107 @@ let coalescing_tests =
 
 let remove_tests =
   [
+    Alcotest.test_case "remove frees the space for reuse" `Quick (fun () ->
+        let t = timeline_of [ (0., 2.); (2., 3.); (4., 6.) ] in
+        O.Timeline.remove t ~start:4. ~finish:6.;
+        O.Timeline.remove t ~start:2. ~finish:3.;
+        check_int "back to one" 1 (O.Timeline.n_intervals t);
+        check_float "busy" 2. (O.Timeline.total_busy t);
+        check_float "gap at the old finish" 2.
+          (earliest_gap t ~after:0. ~duration:4.);
+        (* the freed space is genuinely reusable *)
+        O.Timeline.add t ~start:2. ~finish:6.;
+        check_float "busy again" 6. (O.Timeline.total_busy t));
+    Alcotest.test_case "removing every interval empties" `Quick (fun () ->
+        let t = timeline_of [ (0., 2.); (5., 7.) ] in
+        O.Timeline.remove t ~start:5. ~finish:7.;
+        O.Timeline.remove t ~start:0. ~finish:2.;
+        check_int "empty" 0 (O.Timeline.n_intervals t);
+        check_float "last finish" 0. (O.Timeline.last_finish t);
+        check_float "no busy time" 0. (O.Timeline.total_busy t));
+    Alcotest.test_case "removes in reverse add order retrace every state"
+      `Quick (fun () ->
+        let adds = [ (3., 5.); (0., 1.); (8., 9.); (1., 3.); (6., 7.) ] in
+        let t = O.Timeline.create () in
+        let states =
+          List.map
+            (fun (s, f) ->
+              let before = O.Timeline.intervals t in
+              O.Timeline.add t ~start:s ~finish:f;
+              before)
+            adds
+        in
+        List.iter2
+          (fun (s, f) before ->
+            O.Timeline.remove t ~start:s ~finish:f;
+            check_bool "state restored" true (O.Timeline.intervals t = before))
+          (List.rev adds) (List.rev states));
+    Alcotest.test_case "remove rejects a start with no interval" `Quick
+      (fun () ->
+        let t = timeline_of [ (0., 4.); (6., 8.) ] in
+        Alcotest.check_raises "inside an interval"
+          (Invalid_argument "Timeline.remove: no busy interval with that start")
+          (fun () -> O.Timeline.remove t ~start:1. ~finish:4.);
+        Alcotest.check_raises "past the last"
+          (Invalid_argument "Timeline.remove: no busy interval with that start")
+          (fun () -> O.Timeline.remove t ~start:9. ~finish:10.);
+        check_int "nothing removed" 2 (O.Timeline.n_intervals t));
     Alcotest.test_case "remove rejects partial matches" `Quick (fun () ->
         let t = timeline_of [ (0., 4.) ] in
         Alcotest.check_raises "wrong finish"
           (Invalid_argument
              "Timeline.remove: finish does not match the busy interval")
           (fun () -> O.Timeline.remove t ~start:0. ~finish:3.));
+  ]
+
+(* Random interleavings of add and remove, checked against a twin
+   rebuilt from scratch out of the model's surviving intervals.  A
+   remove picks a live interval by index, so it may undo any earlier
+   add, not only the latest. *)
+let remove_property_tests =
+  [
+    qtest ~count:400 "random add/remove matches rebuilt twin"
+      QCheck2.Gen.(
+        list_size (int_bound 40)
+          (tup3 (int_bound 5) (int_bound 40) (int_range 1 5)))
+      (fun ops ->
+        let t = O.Timeline.create () in
+        let current = ref [] in
+        List.iter
+          (fun (tag, s, len) ->
+            match (tag, !current) with
+            | (4 | 5), [] -> ()
+            | (4 | 5), live ->
+                let ((start, finish) as iv) =
+                  List.nth live (s mod List.length live)
+                in
+                O.Timeline.remove t ~start ~finish;
+                current := List.filter (fun x -> x <> iv) live
+            | _ ->
+                let start = float_of_int s in
+                let finish = float_of_int (s + len) in
+                let blocked =
+                  List.exists
+                    (fun (b0, b1) -> b0 < finish && b1 > start)
+                    !current
+                in
+                if not blocked then begin
+                  O.Timeline.add t ~start ~finish;
+                  current := (start, finish) :: !current
+                end)
+          ops;
+        let twin =
+          timeline_of
+            (List.sort (fun (s1, _) (s2, _) -> compare s1 s2) !current)
+        in
+        O.Timeline.intervals t = O.Timeline.intervals twin
+        && O.Timeline.total_busy t = O.Timeline.total_busy twin
+        && O.Timeline.last_finish t = O.Timeline.last_finish twin
+        && List.for_all
+             (fun (after, duration) ->
+               earliest_gap t ~after ~duration
+               = earliest_gap twin ~after ~duration)
+             [ (0., 1.); (0., 4.); (7., 2.); (20., 3.) ]);
   ]
 
 (* Adds in a random order, then removals drawn from every interval, on
@@ -415,4 +510,5 @@ let long_remove_tests =
 
 let suite =
   unit_tests @ edge_case_tests @ property_tests @ long_property_tests
-  @ coalescing_tests @ remove_tests @ long_remove_tests
+  @ coalescing_tests @ remove_tests @ remove_property_tests
+  @ long_remove_tests
