@@ -143,15 +143,33 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:"Print engine counters and per-phase timings after scheduling.")
 
+(* [--jobs] of batch, robustness and serve: a domain count of at least 1,
+   so 0 is a usage error rather than an exception out of the pool. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some j when j >= 1 -> Ok j
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid job count %S (expected a positive integer)"
+                s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let jobs_cap_doc =
+  Printf.sprintf "Values above %d use %d domains." O.Pool.max_jobs
+    O.Pool.max_jobs
+
 let jobs_arg =
   Arg.(
     value
-    & opt int (O.Pool.default_jobs ())
+    & opt jobs_conv (O.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Shard the sweep over $(docv) domains (default: the machine's \
-           recommended domain count, capped at 8).  Output is byte-identical \
-           to --jobs 1.")
+          ("Shard the sweep over $(docv) domains (default: the machine's \
+            recommended domain count, capped at 8).  Output is \
+            byte-identical to --jobs 1.  " ^ jobs_cap_doc))
 
 let trace_arg =
   Arg.(
@@ -1061,10 +1079,11 @@ let serve_cmd =
   in
   let serve_jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt jobs_conv 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Schedule each batch's jobs across $(docv) domains \
-                (placements are byte-identical at any value).")
+          ~doc:
+            ("Schedule each batch's jobs across $(docv) domains \
+              (placements are byte-identical at any value).  " ^ jobs_cap_doc))
   in
   let action socket port heuristic params jobs queue_cap max_batch
       batch_window replan_budget stats =

@@ -8,7 +8,7 @@ module Params = Heuristics.Params
 module Registry = Heuristics.Registry
 module Suite = Testbeds.Suite
 module Event = Online.Event
-module Team = Prelude.Pool.Team
+module Pool = Prelude.Pool
 
 type config = {
   params : Params.t;
@@ -65,7 +65,7 @@ type t = {
   platform : Platform.t;
   clock : unit -> float;
   graphs : (string, Graph.t) Hashtbl.t;  (** warm testbed-graph cache *)
-  team : Team.t option;
+  pool : Pool.t;  (** domains for a batch flush *)
   clients : (int, client) Hashtbl.t;
   mutable next_client : int;
   mutable next_job : int;
@@ -103,9 +103,7 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) platform =
     platform;
     clock;
     graphs = Hashtbl.create 16;
-    team =
-      (if config.jobs > 1 then Some (Team.create ~helpers:(config.jobs - 1))
-       else None);
+    pool = Pool.create ~jobs:config.jobs;
     clients = Hashtbl.create 16;
     next_client = 0;
     next_job = 0;
@@ -410,13 +408,7 @@ let flush t =
         | Invalid_argument msg | Failure msg -> Error msg
         | exn -> Error (Printexc.to_string exn))
     in
-    (match t.team with
-    | Some team when n > 1 ->
-        Team.run team ~jobs:t.cfg.jobs ~n (fun ~worker:_ i -> run_one i)
-    | _ ->
-        for i = 0 to n - 1 do
-          run_one i
-        done);
+    Pool.run t.pool n run_one;
     Array.iteri
       (fun i j ->
         match results.(i) with
@@ -460,7 +452,7 @@ let flush t =
   maybe_finish t;
   n
 
-let shutdown t = match t.team with Some team -> Team.stop team | None -> ()
+let shutdown t = Pool.stop t.pool
 
 (* ------------------------------------------------------------------ *)
 (* the transport shell                                                 *)

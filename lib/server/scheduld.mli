@@ -20,10 +20,10 @@
       line buffering and the flush decision.  Single-threaded on
       purpose — requests are serialized into a deterministic order, and
       the parallelism lives inside a batch flush, where a persistent
-      {!Prelude.Pool.Team} schedules the batch's jobs across domains
-      (one whole job per worker, statically sharded, so placements are
-      byte-identical at any [jobs]; worker counters merge at the
-      barrier).
+      {!Prelude.Pool} schedules the batch's jobs across domains (one
+      whole job per claimed cell; each job's result lands in its own
+      slot, whichever domain runs it, so placements are byte-identical
+      at any [jobs]; worker counters merge at the barrier).
 
     {b Batching.}  Submissions are queued, not scheduled inline.  The
     shell flushes as soon as the backlog cannot grow right now: once
@@ -49,7 +49,9 @@
 type config = {
   params : Heuristics.Params.t;  (** default scheduling parameters *)
   heuristic : string;  (** registry default when a submit names none *)
-  jobs : int;  (** domains for a batch flush (1 = serial, no team) *)
+  jobs : int;
+      (** domains for a batch flush (1 = serial, no helper domain;
+          clamped to {!Prelude.Pool.max_jobs}) *)
   max_batch : int;  (** jobs coalesced into one re-plan *)
   queue_cap : int;  (** backlog bound; beyond it, shed or refuse *)
   replan_budget : int;  (** max batches before [Budget] errors *)
@@ -109,7 +111,7 @@ val take_outputs : t -> (int * string) list
 (** Current {!Proto.stats_view} (what a [Stats] request replies). *)
 val stats : t -> Proto.stats_view
 
-(** Stop the helper team (idempotent).  The core is unusable after. *)
+(** Stop the pool's helper domains (idempotent).  The core is unusable after. *)
 val shutdown : t -> unit
 
 (** {1 The transport shell} *)

@@ -1,7 +1,9 @@
 (* The determinism-proving harness for the domain-parallel sweeps.
 
-   The contract under test: for any job count, (1) Pool.map is a plain
-   order-preserving map that propagates worker exceptions, (2)
+   The contract under test: for any job count, (1) the one pool runs
+   every index of a range exactly once, merges every worker's counters
+   at its barrier and re-raises a worker's exception, on a fresh pool
+   ([Pool.iter]) and on one reused across runs ([Pool.run]), (2)
    Batch.run produces the very same rows in the very same order, (3)
    monte_carlo produces bit-identical statistics, and (4) the Obs
    counter totals merged at the pool barrier equal the serial totals.
@@ -13,7 +15,7 @@ open Util
 
 let jobs_axis = [ 2; 4; 8 ]
 
-(* ---------------- Pool.map / Pool.iter ---------------- *)
+(* ---------------- Pool.iter ---------------- *)
 
 let pool_unit_tests =
   [
@@ -52,30 +54,6 @@ let pool_unit_tests =
         let j = O.Pool.default_jobs () in
         check_bool "positive" true (j >= 1);
         check_bool "capped" true (j <= 8));
-  ]
-
-let pool_map_tests =
-  [
-    qtest ~count:50 "map preserves order and values for every jobs"
-      QCheck2.Gen.(list_size (int_bound 200) (int_bound 10_000))
-      (fun l ->
-        let expect = List.map (fun x -> (2 * x) + 1) l in
-        List.for_all
-          (fun jobs -> O.Pool.map ~jobs (fun x -> (2 * x) + 1) l = expect)
-          (1 :: jobs_axis));
-    qtest ~count:20 "map propagates the failing element's exception"
-      QCheck2.Gen.(int_range 0 99)
-      (fun bad ->
-        List.for_all
-          (fun jobs ->
-            match
-              O.Pool.map ~jobs
-                (fun i -> if i = bad then raise Exit else i)
-                (List.init 100 Fun.id)
-            with
-            | _ -> false
-            | exception Exit -> true)
-          jobs_axis);
   ]
 
 (* ---------------- Batch.run rows ---------------- *)
@@ -186,70 +164,99 @@ let obs_tests =
         check_int "commits" 777 O.Obs_counters.(get s commits));
   ]
 
-(* ---------------- Pool.Team ---------------- *)
+(* ---------------- one reused pool ---------------- *)
 
-let team_tests =
+(* Skewed cell costs, as in the evaluation grid: most cells are cheap,
+   one in [1 lsl skew] is a hundred times dearer. *)
+let spin k =
+  let x = ref 0 in
+  for j = 1 to k do
+    x := !x lxor (j * 7919)
+  done;
+  ignore (Sys.opaque_identity !x : int)
+
+let cell_cost ~seed ~skew i =
+  if Hashtbl.hash (seed, i) land ((1 lsl skew) - 1) = 0 then 20_000 else 200
+
+(* Run [n] cells on [pool]; workers only record, the caller checks. *)
+let run_counted pool n f =
+  O.Obs_counters.reset ();
+  let hits = Array.make n 0 in
+  O.Pool.run pool n (fun i ->
+      f i;
+      hits.(i) <- hits.(i) + 1;
+      O.Obs_counters.(bump commits));
+  let s = O.Obs_counters.snapshot () in
+  (hits, O.Obs_counters.(get s commits))
+
+let reused_pool_tests =
   [
-    Alcotest.test_case "team split is static, total and reusable" `Quick
-      (fun () ->
-        let team = O.Pool.Team.create ~helpers:3 in
+    qtest ~count:20 "a reused pool runs each index once across ranges"
+      QCheck2.Gen.(
+        let* jobs = int_range 2 8 in
+        let* seed = int_bound 10_000 in
+        let* skew = int_range 1 5 in
+        (* a range shorter than the pool, then ranges of random size *)
+        let* short = int_bound (jobs - 1) in
+        let* ns = list_size (int_range 1 4) (int_bound 2_000) in
+        return (jobs, seed, skew, short :: ns))
+      (fun (jobs, seed, skew, ns) ->
+        let pool = O.Pool.create ~jobs in
+        O.Obs_counters.enable ();
         Fun.protect
-          ~finally:(fun () -> O.Pool.Team.stop team)
+          ~finally:(fun () ->
+            O.Obs_counters.disable ();
+            O.Pool.stop pool)
+          (fun () ->
+            List.for_all
+              (fun n ->
+                let hits, commits =
+                  run_counted pool n (fun i -> spin (cell_cost ~seed ~skew i))
+                in
+                Array.for_all (( = ) 1) hits && commits = n)
+              ns));
+    Alcotest.test_case "pool runs every index once, merges counters, reuses"
+      `Quick (fun () ->
+        let pool = O.Pool.create ~jobs:4 in
+        Fun.protect
+          ~finally:(fun () -> O.Pool.stop pool)
           (fun () ->
             O.Obs_counters.enable ();
             List.iter
-              (fun (jobs, n) ->
-                O.Obs_counters.reset ();
-                (* Workers only record; Alcotest checks run on the caller. *)
-                let hits = Array.make n 0 and owner = Array.make n (-1) in
-                O.Pool.Team.run team ~jobs ~n (fun ~worker i ->
-                    hits.(i) <- hits.(i) + 1;
-                    owner.(i) <- worker;
-                    O.Obs_counters.(bump commits));
-                let s = O.Obs_counters.snapshot () in
-                let w = max 1 (min jobs (min n 4)) in
+              (fun n ->
+                let hits, commits = run_counted pool n ignore in
                 Array.iteri
-                  (fun i k ->
-                    let what = Printf.sprintf "jobs %d, n %d, index %d" jobs n i in
-                    check_int (what ^ " ran once") 1 hits.(i);
-                    check_bool (what ^ " static owner") true
-                      (k * n / w <= i && i < (k + 1) * n / w))
-                  owner;
-                check_int
-                  (Printf.sprintf "jobs %d, n %d: merged commits" jobs n)
-                  n O.Obs_counters.(get s commits))
-              [ (1, 37); (2, 37); (4, 1013); (8, 3); (4, 1) ];
+                  (fun i h ->
+                    check_int (Printf.sprintf "n %d, index %d ran once" n i) 1 h)
+                  hits;
+                check_int (Printf.sprintf "n %d: merged commits" n) n commits)
+              [ 37; 37; 1013; 3; 1 ];
             O.Obs_counters.disable ();
-            O.Pool.Team.run team ~jobs:4 ~n:0 (fun ~worker:_ _ ->
-                Alcotest.fail "called on empty")));
-    Alcotest.test_case "team re-raises worker failures and rejects misuse"
+            O.Pool.run pool 0 (fun _ -> Alcotest.fail "called on empty")));
+    Alcotest.test_case "pool re-raises worker failures and rejects misuse"
       `Quick (fun () ->
-        Alcotest.check_raises "negative helpers"
-          (Invalid_argument "Pool.Team.create: negative helpers") (fun () ->
-            ignore (O.Pool.Team.create ~helpers:(-1) : O.Pool.Team.t));
-        let team = O.Pool.Team.create ~helpers:2 in
-        (* Index 0 belongs to the caller, index 250 to the last helper. *)
+        Alcotest.check_raises "jobs = 0" (Invalid_argument "Pool.create: jobs < 1")
+          (fun () -> ignore (O.Pool.create ~jobs:0 : O.Pool.t));
+        let pool = O.Pool.create ~jobs:3 in
+        (* Index 0 is in the first chunk claimed, index 250 in one of the
+           last. *)
         List.iter
           (fun bad ->
-            match
-              O.Pool.Team.run team ~jobs:3 ~n:256 (fun ~worker:_ i ->
-                  if i = bad then failwith "boom")
+            match O.Pool.run pool 256 (fun i -> if i = bad then failwith "boom")
             with
             | () -> Alcotest.fail "exception swallowed"
             | exception Failure msg -> Alcotest.(check string) "msg" "boom" msg)
           [ 0; 250 ];
-        (* The team stays usable after a failed run. *)
+        (* The pool stays usable after a failed run. *)
         let hits = Array.make 64 0 in
-        O.Pool.Team.run team ~jobs:3 ~n:64 (fun ~worker:_ i ->
-            hits.(i) <- hits.(i) + 1);
+        O.Pool.run pool 64 (fun i -> hits.(i) <- hits.(i) + 1);
         check_bool "every index once" true (Array.for_all (( = ) 1) hits);
-        O.Pool.Team.stop team;
-        O.Pool.Team.stop team;
+        O.Pool.stop pool;
+        O.Pool.stop pool;
         Alcotest.check_raises "run after stop"
-          (Invalid_argument "Pool.Team.run: stopped team") (fun () ->
-            O.Pool.Team.run team ~jobs:3 ~n:8 (fun ~worker:_ _ -> ())));
+          (Invalid_argument "Pool.run: stopped pool") (fun () ->
+            O.Pool.run pool 8 (fun _ -> ())));
   ]
 
 let suite =
-  pool_unit_tests @ pool_map_tests @ batch_tests @ mc_tests @ obs_tests
-  @ team_tests
+  pool_unit_tests @ batch_tests @ mc_tests @ obs_tests @ reused_pool_tests

@@ -11,7 +11,7 @@
      registry heuristic x one-port + macro-dataflow;
    - concurrency determinism: a fixed multi-client job mix produces a
      byte-identical transcript and identical merged obs counters at
-     --jobs 1, 2 and 4 (the Pool.Team contract, same style as
+     --jobs 1, 2 and 4 (the one pool's contract, same style as
      test_pool/test_scale);
    - admission control: shedding, queue-full, budget, cancel, drain,
      watch, deadline misses and inline-DAG submissions. *)
