@@ -54,6 +54,27 @@ let pool_unit_tests =
         let j = O.Pool.default_jobs () in
         check_bool "positive" true (j >= 1);
         check_bool "capped" true (j <= 8));
+    qtest ~count:50 "iter fills cell-indexed results for every jobs"
+      QCheck2.Gen.(array_size (int_bound 200) (int_bound 10_000))
+      (fun a ->
+        let expect = Array.map (fun x -> (2 * x) + 1) a in
+        List.for_all
+          (fun jobs ->
+            let out = Array.make (Array.length a) (-1) in
+            O.Pool.iter ~jobs (Array.length a) (fun i ->
+                out.(i) <- (2 * a.(i)) + 1);
+            out = expect)
+          (1 :: jobs_axis));
+    qtest ~count:20 "iter propagates the failing index's exception"
+      QCheck2.Gen.(int_range 0 99)
+      (fun bad ->
+        List.for_all
+          (fun jobs ->
+            match O.Pool.iter ~jobs 100 (fun i -> if i = bad then raise Exit)
+            with
+            | () -> false
+            | exception Exit -> true)
+          jobs_axis);
   ]
 
 (* ---------------- Batch.run rows ---------------- *)
