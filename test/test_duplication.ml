@@ -180,6 +180,66 @@ let limits () =
           Alcotest.failf "dup_limit %d invalid: %s" limit (List.hd msgs))
     [ 0; 1; 2; 3 ]
 
+(* ---- pinned heft-dup schedules: the six testbeds x ccr {1, 10} x
+   dup limit {1, 2, 3}, paper platform, one-port, n = 30.  Each
+   [Export.fingerprint] covers makespan, every copy and every
+   communication event bit for bit; half of the rows keep duplicates,
+   so a change to the exploration or to the replay of its winner shows
+   here. ---- *)
+
+let dup_goldens =
+  [
+    ("lu", 1., 1, "e2b1e8241bcea6c5a652d84d5f2c3ecc");
+    ("lu", 1., 2, "e2b1e8241bcea6c5a652d84d5f2c3ecc");
+    ("lu", 1., 3, "e2b1e8241bcea6c5a652d84d5f2c3ecc");
+    ("lu", 10., 1, "13de14f76ab2539c1d6766afe913fcf0");
+    ("lu", 10., 2, "13de14f76ab2539c1d6766afe913fcf0");
+    ("lu", 10., 3, "13de14f76ab2539c1d6766afe913fcf0");
+    ("laplace", 1., 1, "19f230a44de9703516b0a771003b702c");
+    ("laplace", 1., 2, "19f230a44de9703516b0a771003b702c");
+    ("laplace", 1., 3, "19f230a44de9703516b0a771003b702c");
+    ("laplace", 10., 1, "7206910f35ff0a4ff200c4f3f59279a6");
+    ("laplace", 10., 2, "7206910f35ff0a4ff200c4f3f59279a6");
+    ("laplace", 10., 3, "7206910f35ff0a4ff200c4f3f59279a6");
+    ("stencil", 1., 1, "718dae046df0d3698373e88160244517");
+    ("stencil", 1., 2, "718dae046df0d3698373e88160244517");
+    ("stencil", 1., 3, "718dae046df0d3698373e88160244517");
+    ("stencil", 10., 1, "9c350ae15937092e7bbeb6b2132de13d");
+    ("stencil", 10., 2, "f9f8bd73cd64dc48d0de87c31fe4def6");
+    ("stencil", 10., 3, "f9f8bd73cd64dc48d0de87c31fe4def6");
+    ("fork-join", 1., 1, "b3b04352933d5d217309bfac6cea29fd");
+    ("fork-join", 1., 2, "b3b04352933d5d217309bfac6cea29fd");
+    ("fork-join", 1., 3, "b3b04352933d5d217309bfac6cea29fd");
+    ("fork-join", 10., 1, "e7b795941b1e0e12e6d923b47db5dcd3");
+    ("fork-join", 10., 2, "e7b795941b1e0e12e6d923b47db5dcd3");
+    ("fork-join", 10., 3, "e7b795941b1e0e12e6d923b47db5dcd3");
+    ("doolittle", 1., 1, "7243e61447fbcf302aec8352aa8b84a2");
+    ("doolittle", 1., 2, "7243e61447fbcf302aec8352aa8b84a2");
+    ("doolittle", 1., 3, "7243e61447fbcf302aec8352aa8b84a2");
+    ("doolittle", 10., 1, "2e8ed8e2896c10c8e6248f6930ad7b8d");
+    ("doolittle", 10., 2, "2e8ed8e2896c10c8e6248f6930ad7b8d");
+    ("doolittle", 10., 3, "2e8ed8e2896c10c8e6248f6930ad7b8d");
+    ("ldmt", 1., 1, "cef9dcdcd45beb4dc9e9621e01189f56");
+    ("ldmt", 1., 2, "cef9dcdcd45beb4dc9e9621e01189f56");
+    ("ldmt", 1., 3, "cef9dcdcd45beb4dc9e9621e01189f56");
+    ("ldmt", 10., 1, "e44739012d664b64f8ef3bb00e89cd44");
+    ("ldmt", 10., 2, "e44739012d664b64f8ef3bb00e89cd44");
+    ("ldmt", 10., 3, "e44739012d664b64f8ef3bb00e89cd44");
+  ]
+
+let pinned_dup_schedules () =
+  let plat = O.Platform.paper_platform () in
+  List.iter
+    (fun (tb_name, ccr, limit, expect) ->
+      let tb = O.Suite.find tb_name in
+      let g = tb.O.Suite.build ~n:(max 30 tb.O.Suite.min_n) ~ccr in
+      let params = O.Params.with_dup_limit O.Params.default limit in
+      Alcotest.(check string)
+        (Printf.sprintf "%s ccr %g limit %d" tb_name ccr limit)
+        expect
+        (O.Export.fingerprint (O.Heft_dup.schedule ~params plat g)))
+    dup_goldens
+
 (* ---- online: a crash replays surviving replicas instead of
    re-planning their tasks ---- *)
 
@@ -223,6 +283,8 @@ let suite =
       pinned_win;
     Alcotest.test_case "dup_limit knob: every setting stays valid" `Quick
       limits;
+    Alcotest.test_case "heft-dup schedules match their pinned fingerprints"
+      `Quick pinned_dup_schedules;
     Alcotest.test_case "online: a crash keeps surviving replicas" `Quick
       online_crash_keeps_replicas;
   ]

@@ -357,4 +357,70 @@ let ladder_tests =
           O.Suite.all);
   ]
 
-let suite = golden_tests @ name_tests @ constructor_tests @ ladder_tests
+(* (testbed, n, model, heuristic, [Export.fingerprint]) of the
+   compare-then-commit heuristics on the two rungs the [goldens] leave
+   out: under BSP every commit with remote inputs carries a comm-phase
+   window, under latency+overhead each hop's endpoint overheads.  Kept
+   apart from [goldens], which were fingerprinted before the ladder
+   existed. *)
+let off_port_goldens =
+  [
+    ("lu", 9, "bsp:g=1:L=5", "gdl", "408c96a652fa26c390d0ee61da787b86");
+    ("lu", 9, "bsp:g=1:L=5", "etf", "408c96a652fa26c390d0ee61da787b86");
+    ("lu", 9, "bsp:g=1:L=5", "bil", "408c96a652fa26c390d0ee61da787b86");
+    ("lu", 9, "logp:o=1:L=2", "gdl", "a7c1bb1c02a6f6d89775c0ac1bfeafd9");
+    ("lu", 9, "logp:o=1:L=2", "etf", "7aded2c2d9fd90de4468ae7f7a7ff791");
+    ("lu", 9, "logp:o=1:L=2", "bil", "2a5063e51f2cea4cdafb6877fa61f4c5");
+    ("laplace", 9, "bsp:g=1:L=5", "gdl", "c86b6de1b287b4c380b7c1810ce150d0");
+    ("laplace", 9, "bsp:g=1:L=5", "etf", "c86b6de1b287b4c380b7c1810ce150d0");
+    ("laplace", 9, "bsp:g=1:L=5", "bil", "c86b6de1b287b4c380b7c1810ce150d0");
+    ("laplace", 9, "logp:o=1:L=2", "gdl", "d7a410042e3f092d0717963004fd3361");
+    ("laplace", 9, "logp:o=1:L=2", "etf", "0ff0dc01f3e3a67d63f7569943412210");
+    ("laplace", 9, "logp:o=1:L=2", "bil", "0576c770c669136d4b13f618ec2bb5ba");
+    ("stencil", 9, "bsp:g=1:L=5", "gdl", "8951668dabe72032e41c2a3331b76f12");
+    ("stencil", 9, "bsp:g=1:L=5", "etf", "735b304387c5b563a67298bd7a3f46a9");
+    ("stencil", 9, "bsp:g=1:L=5", "bil", "1d12d5ec716abc9c9ba4734f0e8766b3");
+    ("stencil", 9, "logp:o=1:L=2", "gdl", "0fcb38711988c99efbf6b91d6a746b81");
+    ("stencil", 9, "logp:o=1:L=2", "etf", "96650639d3b6fa588b1275b8844f5616");
+    ("stencil", 9, "logp:o=1:L=2", "bil", "0fcb38711988c99efbf6b91d6a746b81");
+    ("fork-join", 9, "bsp:g=1:L=5", "gdl", "591213d60bf5fd633e036aec9b345cca");
+    ("fork-join", 9, "bsp:g=1:L=5", "etf", "591213d60bf5fd633e036aec9b345cca");
+    ("fork-join", 9, "bsp:g=1:L=5", "bil", "591213d60bf5fd633e036aec9b345cca");
+    ("fork-join", 9, "logp:o=1:L=2", "gdl", "9a37946dd43c54e57b80e5db11379c1d");
+    ("fork-join", 9, "logp:o=1:L=2", "etf", "5eb9c08f43051cd534b0392592df3037");
+    ("fork-join", 9, "logp:o=1:L=2", "bil", "9a37946dd43c54e57b80e5db11379c1d");
+    ("doolittle", 9, "bsp:g=1:L=5", "gdl", "999f17d41d4d40e73ebe0233ab042b3d");
+    ("doolittle", 9, "bsp:g=1:L=5", "etf", "6e7c47b01125913b63241c8732ddb55c");
+    ("doolittle", 9, "bsp:g=1:L=5", "bil", "53d517147bcc1b9ca4618d25f1746dd2");
+    ("doolittle", 9, "logp:o=1:L=2", "gdl", "e3ad8b3dfacdc9661e032748e90bdc39");
+    ("doolittle", 9, "logp:o=1:L=2", "etf", "8e6c1570bb6ee0bca5d1e3caa054f1ed");
+    ("doolittle", 9, "logp:o=1:L=2", "bil", "e68be0f7d5d1a98b519aa663fed6145c");
+    ("ldmt", 9, "bsp:g=1:L=5", "gdl", "94aae48406e9e2107d64ebd0b1a506c9");
+    ("ldmt", 9, "bsp:g=1:L=5", "etf", "2d62b37260e732a63ed47c06ff2486e9");
+    ("ldmt", 9, "bsp:g=1:L=5", "bil", "2d62b37260e732a63ed47c06ff2486e9");
+    ("ldmt", 9, "logp:o=1:L=2", "gdl", "76cb6dad6dfac4f3509329541f1d2fe1");
+    ("ldmt", 9, "logp:o=1:L=2", "etf", "c359ba482cff443b9c9881879d1e0535");
+    ("ldmt", 9, "logp:o=1:L=2", "bil", "09732758140e3f05ee95fb7a8693a03a");
+  ]
+
+let off_port_golden_tests =
+  [
+    Alcotest.test_case "BSP and LogP schedules of GDL, ETF, BIL are pinned"
+      `Quick (fun () ->
+        let plat = O.Platform.paper_platform () in
+        List.iter
+          (fun (tb_name, n, mname, hname, expect) ->
+            let g = (O.Suite.find tb_name).O.Suite.build ~n ~ccr:0.5 in
+            let params = O.Params.of_model (O.Comm_model.of_name mname) in
+            let sched =
+              (O.Registry.find hname).O.Registry.scheduler params plat g
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s n=%d %s %s" tb_name n mname hname)
+              expect (O.Export.fingerprint sched))
+          off_port_goldens);
+  ]
+
+let suite =
+  golden_tests @ off_port_golden_tests @ name_tests @ constructor_tests
+  @ ladder_tests

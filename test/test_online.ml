@@ -189,6 +189,44 @@ let acceptance () =
         O.Registry.all)
     O.Suite.all
 
+(* The frozen-copy replay, pinned: heft-dup (dup limit 1) on FORK-JOIN
+   at ccr 1, where the initial plan duplicates the fork root, under a
+   crash, a second arrival and two more crashes.  The arrivals rebuild
+   the engine and replay every frozen copy; the later crashes rewind the
+   commit log and replay the stragglers.  Incremental = from-scratch
+   alone would not notice a change to the replay both paths share, so
+   the final schedule's fingerprint is pinned. *)
+let copy_replay_pinned () =
+  let job = E.job ~ccr:1. "fork-join" 40 in
+  let params = O.Params.with_dup_limit O.Params.default 1 in
+  let config = { D.default_config with D.heuristic = "heft-dup"; params } in
+  let m = 53. (* the quiet trace's makespan *) in
+  let trace =
+    [
+      arrive 0. job;
+      ev (0.3 *. m) (E.Crash 1);
+      arrive (0.4 *. m) job;
+      ev (0.6 *. m) (E.Crash 2);
+      ev (0.9 *. m) (E.Crash 3);
+    ]
+  in
+  check_float "quiet makespan" m (D.run ~config (plat ()) [ arrive 0. job ]).D.makespan;
+  List.iter
+    (fun incremental ->
+      let o = D.run ~config:{ config with D.incremental } (plat ()) trace in
+      let what = if incremental then "incremental" else "from scratch" in
+      check_int (what ^ ": replans") 5 (List.length o.D.replans);
+      check_bool (what ^ ": a rewound re-plan") incremental
+        (List.exists (fun (r : D.replan_report) -> r.D.incremental) o.D.replans);
+      match o.D.schedule with
+      | Some s ->
+          check_int (what ^ ": duplicates") 4 (O.Schedule.n_dup_copies s);
+          Alcotest.(check string)
+            (what ^ ": fingerprint") "611ecc4b18dd50583815942aeefae530"
+            (O.Export.fingerprint s)
+      | None -> Alcotest.fail "no plan")
+    [ true; false ]
+
 let shedding_protects_deadlines () =
   let low = E.job ~priority:0 "lu" 12 in
   let high = E.job ~priority:5 ~deadline:1. "stencil" 12 in
@@ -309,6 +347,8 @@ let suite =
     Alcotest.test_case
       "acceptance: crash + arrival + rejoin on all testbeds x heuristics"
       `Slow acceptance;
+    Alcotest.test_case "the frozen-copy replay is pinned" `Quick
+      copy_replay_pinned;
     Alcotest.test_case "graceful degradation sheds by priority" `Quick
       shedding_protects_deadlines;
     Alcotest.test_case "shedding drops the newest among equal priorities"
