@@ -104,16 +104,18 @@ let averaging_arg =
 
 let duplication_arg =
   let limit_conv =
+    let error s expected =
+      Error
+        (`Msg
+           (Printf.sprintf "invalid duplication limit %S (expected a %s \
+                            integer)"
+              s expected))
+    in
     let parse s =
       match int_of_string_opt s with
-      | Some d when d >= 0 -> Ok d
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "invalid duplication limit %S (expected a non-negative \
-                   integer)"
-                  s))
+      | Some d when d >= 1 -> Ok d
+      | Some 0 -> error s "positive"
+      | _ -> error s "non-negative"
     in
     Arg.conv (parse, Format.pp_print_int)
   in
@@ -122,9 +124,11 @@ let duplication_arg =
     & opt ~vopt:(Some 1) (some limit_conv) None
     & info [ "duplication" ] ~docv:"LIMIT"
         ~doc:"Allow task duplication, with at most $(docv) extra copies per \
-              task (defaults to 1 when given without a value).  Only \
-              duplication-aware heuristics such as heft-dup use it; 0 \
-              disables duplication.")
+              task, a positive integer (1 when given without a value).  \
+              Only duplication-aware heuristics such as heft-dup use it, \
+              and heft-dup always tries at least one copy: to schedule \
+              without duplication, pick a heuristic that does not \
+              duplicate, such as heft.")
 
 (* One Params.t value assembled from the shared flags; every subcommand
    that schedules takes this single term. *)

@@ -25,7 +25,7 @@ type result = {
    driver — rewind to the moved task's decision position, replay the
    suffix.  The best-ever allocation is remembered as an array (the
    driver's working schedule keeps moving), and the result schedule is
-   materialized from it at the end.  Same RNG consumption, acceptance
+   rebuilt from it at the end.  Same RNG consumption, acceptance
    rule and epsilon as the from-scratch annealer the test oracle keeps
    ([Anneal_ref.improve]), so the move traces are bit-identical. *)
 let improve ?policy ?(params = default_params) sched0 =

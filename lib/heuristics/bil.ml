@@ -48,14 +48,14 @@ let schedule ?(params = Params.default) plat g =
   let handle engine v =
     let best = ref None in
     for q = 0 to p - 1 do
-      let ev = Engine.evaluate engine ~task:v ~proc:q in
-      let score = ev.Engine.est +. bil.(v).(q) in
+      Engine.price engine ~task:v ~proc:q;
+      let score = Engine.priced_est engine +. bil.(v).(q) in
       match !best with
-      | Some (s, _) when s <= score -> ()
-      | _ -> best := Some (score, ev)
+      | Some s when s <= score -> ()
+      | _ ->
+          Engine.keep engine;
+          best := Some score
     done;
-    match !best with
-    | Some (_, ev) -> Engine.commit engine ~task:v ev
-    | None -> assert false
+    Engine.commit_kept engine ~task:v
   in
   List_loop.run ~params ~priority ~handle plat g

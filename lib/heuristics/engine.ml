@@ -5,15 +5,6 @@ module Resource = Sched.Resource
 module Comm_model = Commmodel.Comm_model
 
 type policy = Insertion | Append
-type hop = { edge : int; src_proc : int; dst_proc : int; start : float }
-
-type eval = {
-  proc : int;
-  est : float;
-  eft : float;
-  hops : hop list;
-  phase : (float * float) option;
-}
 
 (* One direct hop of a cached route: endpoints, per-item cost, and the
    joint busy set as parallel timeline/resource-id arrays.  The separate
@@ -31,12 +22,12 @@ type hop_set = {
   h_recv_ids : int array;
 }
 
-(* A priced candidate in flat form, so that pricing a losing candidate
-   builds nothing: its hops as parallel arrays (prefix [p_n], in commit
-   order) and its times in [p_times] — est, eft and, when [p_phased], the
-   BSP phase window.  Floats live in float arrays because a mutable float
-   field of a mixed record is boxed on every write.  Only the winner of a
-   scan is turned into an [eval] ({!materialize}). *)
+(* A priced candidate in flat form, so that pricing builds nothing: its
+   hops as parallel arrays (prefix [p_n], in commit order) and its times
+   in [p_times] — est, eft and, when [p_phased], the BSP phase window.
+   Floats live in float arrays because a mutable float field of a mixed
+   record is boxed on every write.  This is the only form a candidate
+   takes: every commit reads it. *)
 type priced = {
   mutable p_edge : int array;
   mutable p_src : int array;
@@ -84,7 +75,7 @@ let priced_create () =
      probe ({!send_arrival}), valid while [sp_gen] equals [gen] and the
      first hop's duration equals [sp_dur];
    - [cur] receives the candidate being priced and [best] holds the
-     scan's incumbent; an improvement swaps the two;
+     kept one (a scan's incumbent); {!keep} swaps the two;
    - [cutoff.(0)] is the finish time at or after which the candidate in
      flight cannot win ({!set_cutoff}). *)
 type t = {
@@ -149,7 +140,7 @@ type t = {
   mutable log_comms : int array;
   mutable log_phases : int array;
   (* -1 for a whole-task commit; the copy's processor for a
-     [commit_copy] entry (rewound with [Schedule.unplace_copy]) *)
+     copy commit (rewound with [Schedule.unplace_copy]) *)
   mutable log_proc : int array;
   mutable log_len : int;
 }
@@ -535,16 +526,14 @@ let prepare_incoming t ~task =
 (* ------------------------------------------------------------------ *)
 
 type oracle = {
-  evaluate : floor:float -> t -> task:int -> proc:int -> eval;
-  best_proc : floor:float -> t -> task:int -> eval;
-  best_proc_among : floor:float -> t -> task:int -> int list -> eval;
-  best_pending :
+  price : floor:float -> t -> task:int -> proc:int -> unit;
+  argmin :
     floor:float ->
     t ->
     tasks:int array ->
     procs:int array ->
     alive:bool array ->
-    (int * eval) option;
+    int;
 }
 
 let oracle = ref None
@@ -754,7 +743,7 @@ let price_latency ~floor t ~task ~proc ~o ~l =
 (* The one pricing core: evaluates [task] on [proc] into [t.cur].
    [abort] lets the port regime stop a candidate that cannot beat the
    incumbent in [t.best] ({!price_port}); returns [false] when it did. *)
-let price ~floor ~abort t ~task ~proc =
+let price_candidate ~floor ~abort t ~task ~proc =
   Obs.Counters.(bump evaluations);
   prepare_incoming t ~task;
   arena_reset t;
@@ -771,39 +760,34 @@ let price ~floor ~abort t ~task ~proc =
       price_latency ~floor t ~task ~proc ~o ~l;
       true
 
-let materialize c =
-  let hops = ref [] in
-  for i = c.p_n - 1 downto 0 do
-    hops :=
-      {
-        edge = c.p_edge.(i);
-        src_proc = c.p_src.(i);
-        dst_proc = c.p_dst.(i);
-        start = c.p_start.(i);
-      }
-      :: !hops
-  done;
-  {
-    proc = c.p_proc;
-    est = c.p_times.(0);
-    eft = c.p_times.(1);
-    hops = !hops;
-    phase = (if c.p_phased then Some (c.p_times.(2), c.p_times.(3)) else None);
-  }
-
-let evaluate ?(floor = 0.) t ~task ~proc =
+let price ?(floor = 0.) t ~task ~proc =
   match !oracle with
-  | Some o -> o.evaluate ~floor t ~task ~proc
+  | Some o -> o.price ~floor t ~task ~proc
   | None ->
-      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
-      materialize t.cur
+      let (_ : bool) = price_candidate ~floor ~abort:false t ~task ~proc in
+      ()
 
-let evaluate_eft ?(floor = 0.) t ~task ~proc =
-  match !oracle with
-  | Some o -> (o.evaluate ~floor t ~task ~proc).eft
-  | None ->
-      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
-      t.cur.p_times.(1)
+let priced_est t = t.cur.p_times.(0)
+let priced_eft t = t.cur.p_times.(1)
+
+(* Under BSP a candidate's hops all travel in its phase: their shared
+   window is the phase window. *)
+let set_candidate t ~task ~proc ~start comms =
+  let c = t.cur in
+  c.p_n <- 0;
+  List.iter
+    (fun (h : Schedule.comm) ->
+      push_hop c ~edge:h.edge ~src:h.src_proc ~dst:h.dst_proc h.start)
+    comms;
+  c.p_proc <- proc;
+  c.p_times.(0) <- start;
+  c.p_times.(1) <- start +. Schedule.exec_duration t.sched ~task ~proc;
+  match (t.regime, comms) with
+  | Comm_model.Bsp _, h :: _ ->
+      c.p_phased <- true;
+      c.p_times.(2) <- h.start;
+      c.p_times.(3) <- h.finish
+  | _ -> c.p_phased <- false
 
 (* The latest finish over [q]'s send-only busy set; inlined, like
    [Timeline.last_finish], so that the float stays unboxed. *)
@@ -990,13 +974,16 @@ let set_cutoff t i =
   t.cutoff.(0) <-
     (if i < t.best_idx then Float.next_after eft infinity else eft)
 
+let keep t =
+  let b = t.best in
+  t.best <- t.cur;
+  t.cur <- b
+
 (* Make the candidate just priced into [t.cur], at index [i], the
    incumbent unless it reaches the cutoff. *)
 let offer t i =
   if t.best_idx < 0 || not (t.cur.p_times.(1) >= t.cutoff.(0)) then begin
-    let b = t.best in
-    t.best <- t.cur;
-    t.cur <- b;
+    keep t;
     t.best_idx <- i
   end
 
@@ -1020,7 +1007,8 @@ let consider ~floor t ~task ~proc i =
     t.best_idx >= 0
     && bound ~floor ~gate:true t ~task ~proc >= t.cutoff.(0)
   then Obs.Counters.(bump pruned_evaluations)
-  else if price ~floor ~abort:(t.best_idx >= 0) t ~task ~proc then offer t i
+  else if price_candidate ~floor ~abort:(t.best_idx >= 0) t ~task ~proc then
+    offer t i
   else Obs.Counters.(bump aborted_evaluations)
 
 (* A new scan: committed state or [floor] may have changed since the
@@ -1117,22 +1105,6 @@ let log_push t ~task ~proc ~comms_before ~phases_before =
   t.log_proc.(t.log_len) <- proc;
   t.log_len <- t.log_len + 1
 
-(* Load [ev] into the flat form [c], which the commits read. *)
-let load c (ev : eval) =
-  c.p_n <- 0;
-  List.iter
-    (fun h -> push_hop c ~edge:h.edge ~src:h.src_proc ~dst:h.dst_proc h.start)
-    ev.hops;
-  c.p_proc <- ev.proc;
-  c.p_times.(0) <- ev.est;
-  c.p_times.(1) <- ev.eft;
-  match ev.phase with
-  | Some (s, f) ->
-      c.p_phased <- true;
-      c.p_times.(2) <- s;
-      c.p_times.(3) <- f
-  | None -> c.p_phased <- false
-
 (* Commit [c]'s hops.  Within one candidate each edge contributes one
    route-following chain, its hops consecutive, so a hop heads a chain
    exactly when the hop before it carries another edge — stated
@@ -1176,23 +1148,15 @@ let commit_priced t ~task c =
   else commit_hops t c;
   Schedule.place_task t.sched ~task ~proc:c.p_proc ~start:c.p_times.(0)
 
-let commit t ~task ev =
-  load t.cur ev;
-  commit_priced t ~task t.cur
-
 (* Drop the cached incoming table: it may list the task just copied as
    a predecessor, whose feeding copy set changed. *)
 let invalidate_incoming t = t.inc_task <- -1
 
-let check_copy t ~task ~phased =
-  if not (Schedule.is_placed t.sched task) then
-    invalid_arg "Engine.commit_copy: task has no primary copy yet";
-  if phased then
-    invalid_arg "Engine.commit_copy: duplication is port-regime only"
-
 (* The one copy commit: place a copy of [task] as priced in [c]. *)
 let commit_copy_priced t ~task c =
-  check_copy t ~task ~phased:c.p_phased;
+  if not (Schedule.is_placed t.sched task) then
+    invalid_arg "Engine: a copy of a task with no primary copy yet";
+  if c.p_phased then invalid_arg "Engine: duplication is port-regime only";
   Obs.Counters.(bump commits);
   log_push t ~task ~proc:c.p_proc
     ~comms_before:(Schedule.n_comm_events t.sched)
@@ -1201,10 +1165,8 @@ let commit_copy_priced t ~task c =
   Schedule.place_copy t.sched ~task ~proc:c.p_proc ~start:c.p_times.(0);
   invalidate_incoming t
 
-let commit_copy t ~task ev =
-  check_copy t ~task ~phased:(ev.phase <> None);
-  load t.cur ev;
-  commit_copy_priced t ~task t.cur
+let commit_kept t ~task = commit_priced t ~task t.best
+let commit_kept_copy t ~task = commit_copy_priced t ~task t.best
 
 let n_commits t = t.log_len
 let commit_task_at t i = t.log_task.(i)
@@ -1229,53 +1191,41 @@ let rewind t ~to_ =
     invalidate_incoming t
   end
 
-let schedule_on ?(floor = 0.) t ~task ~proc =
-  match !oracle with
-  | Some o -> commit t ~task (o.evaluate ~floor t ~task ~proc)
-  | None ->
-      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
-      commit_priced t ~task t.cur
+let schedule_on ?floor t ~task ~proc =
+  price ?floor t ~task ~proc;
+  commit_priced t ~task t.cur
 
-let schedule_copy_on ?(floor = 0.) t ~task ~proc =
-  match !oracle with
-  | Some o -> commit_copy t ~task (o.evaluate ~floor t ~task ~proc)
-  | None ->
-      let (_ : bool) = price ~floor ~abort:false t ~task ~proc in
-      commit_copy_priced t ~task t.cur
+let schedule_copy_on ?floor t ~task ~proc =
+  price ?floor t ~task ~proc;
+  commit_copy_priced t ~task t.cur
 
-let schedule_best ?(floor = 0.) t ~task =
-  match !oracle with
+(* Commit [task] on the best of the strictly sorted [procs]. *)
+let place_best ~floor t ~task procs =
+  (match !oracle with
   | Some o ->
-      let ev = o.best_proc ~floor t ~task in
-      commit t ~task ev;
-      ev.proc
-  | None ->
-      scan_candidates ~floor t ~task t.all_procs;
-      commit_priced t ~task t.best;
-      t.best.p_proc
+      let n = Array.length procs in
+      let (_ : int) =
+        o.argmin ~floor t ~tasks:(Array.make n task) ~procs
+          ~alive:(Array.make n true)
+      in
+      ()
+  | None -> scan_candidates ~floor t ~task procs);
+  commit_priced t ~task t.best;
+  t.best.p_proc
+
+let schedule_best ?(floor = 0.) t ~task = place_best ~floor t ~task t.all_procs
 
 let schedule_best_among ?(floor = 0.) t ~task procs =
-  match !oracle with
-  | Some o ->
-      let ev = o.best_proc_among ~floor t ~task procs in
-      commit t ~task ev;
-      ev.proc
-  | None ->
-      scan_candidates ~floor t ~task (candidate_array procs);
-      commit_priced t ~task t.best;
-      t.best.p_proc
+  place_best ~floor t ~task (candidate_array procs)
 
 let schedule_pending ?(floor = 0.) t ~tasks ~procs ~alive =
   check_pending ~tasks ~procs ~alive;
-  match !oracle with
-  | Some o -> (
-      match o.best_pending ~floor t ~tasks ~procs ~alive with
-      | None -> -1
-      | Some (i, ev) ->
-          commit t ~task:tasks.(i) ev;
-          i)
-  | None ->
-      scan_pending ~floor t ~tasks ~procs ~alive;
-      let i = t.best_idx in
-      if i >= 0 then commit_priced t ~task:tasks.(i) t.best;
-      i
+  let i =
+    match !oracle with
+    | Some o -> o.argmin ~floor t ~tasks ~procs ~alive
+    | None ->
+        scan_pending ~floor t ~tasks ~procs ~alive;
+        t.best_idx
+  in
+  if i >= 0 then commit_priced t ~task:tasks.(i) t.best;
+  i

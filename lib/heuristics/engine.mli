@@ -15,7 +15,8 @@
     The default implementation is allocation-conscious: the engine owns a
     reusable arena of tentative busy intervals keyed by stable resource
     ids, caches platform routes per processor pair and the incoming-edge
-    table per task, prices losing candidates into flat scratch buffers,
+    table per task, prices every candidate into flat scratch buffers and
+    commits straight from them (a priced candidate has no other form),
     prunes candidates in {!schedule_best_among} and {!schedule_pending}
     whose finish-time lower bound ({!lower_bound}) cannot beat the incumbent,
     and stops pricing a candidate as soon as its inputs alone put it out
@@ -35,40 +36,12 @@ type policy = Insertion | Append
 
 type t
 
-(** One planned hop of an incoming communication. *)
-type hop = { edge : int; src_proc : int; dst_proc : int; start : float }
-
-(** The outcome of evaluating a candidate processor. *)
-type eval = {
-  proc : int;
-  est : float;  (** execution start *)
-  eft : float;  (** execution finish *)
-  hops : hop list;  (** communications to commit, in order *)
-  phase : (float * float) option;
-      (** under BSP, the fresh comm phase the hops travel in ([None]
-          when the task has no remote inputs, and in every other
-          regime) *)
-}
-
 (** [create ?policy sched] — an engine over [sched] (default policy
     [Insertion]).  Each engine owns its scratch space, so one engine must
     not be used from two domains at once. *)
 val create : ?policy:policy -> Sched.Schedule.t -> t
 val schedule : t -> Sched.Schedule.t
 val policy : t -> policy
-
-(** [evaluate t ~task ~proc] — all predecessors of [task] must already be
-    placed.  Incoming communications are considered in increasing order of
-    predecessor finish time (ties by task id) and placed greedily.
-    [floor] (default 0) lower-bounds every planned event: neither a hop
-    nor the execution may start before it.  Online repair uses it to keep
-    new decisions at or after the crash instant. *)
-val evaluate : ?floor:float -> t -> task:int -> proc:int -> eval
-
-(** [evaluate_eft t ~task ~proc] is [(evaluate t ~task ~proc).eft],
-    priced the same way but without building the {!eval}: for callers
-    that only compare finish times. *)
-val evaluate_eft : ?floor:float -> t -> task:int -> proc:int -> float
 
 (** [lower_bound t ~task ~proc] — the finish-time lower bound
     {!schedule_best_among} prunes with, exposed as a test hook; all
@@ -82,25 +55,68 @@ val evaluate_eft : ?floor:float -> t -> task:int -> proc:int -> float
     lazily, the send-port stage before the compute probe, and gate the
     send-port stage; this hook always runs all of them.
     Under BSP and latency+overhead it is the latest predecessor finish
-    (or [floor]) plus the execution time.  Never above
-    [(evaluate ?floor t ~task ~proc).eft]. *)
+    (or [floor]) plus the execution time.  Never above the finish time
+    {!price} gives the same candidate. *)
 val lower_bound : ?floor:float -> t -> task:int -> proc:int -> float
 
-(** [commit t ~task ev] places the task and its communications, and
-    appends an entry to the engine's {e commit log}, enabling
-    {!rewind}.  The hops of one edge must be consecutive in [ev.hops],
-    as every evaluation lists them: a hop heads a provenance chain
-    exactly when the hop before it carries another edge. *)
-val commit : t -> task:int -> eval -> unit
+(** {2 Price, keep, commit}
 
-(** [commit_copy t ~task ev] places a {e duplicate} copy of an
-    already-placed task on [ev.proc] (with the communications feeding
-    that copy) and logs a copy entry, rewound with
-    {!Sched.Schedule.unplace_copy}.  The engine's cached incoming table
-    is invalidated — the task's feeding copy set just changed.
+    The engine holds two candidates: the {e current} one, which each
+    pricing overwrites, and the {e kept} one.  A heuristic that ranks
+    candidates by its own score (GDL, ETF, BIL, the branch-and-bound,
+    heft-dup's replay) prices each, reads its times, {!keep}s the ones it
+    prefers and commits the kept one: the winner is committed as it was
+    priced, never re-priced.  The place steps below leave the kept
+    candidate alone, except the scans ({!schedule_best},
+    {!schedule_best_among}, {!schedule_pending}), which replace it. *)
+
+(** [price t ~task ~proc] makes [task] on [proc] the current candidate.
+    All predecessors of [task] must already be placed.  Incoming
+    communications are considered in increasing order of predecessor
+    finish time (ties by task id) and placed greedily on top of the
+    committed schedule, which is left untouched.  [floor] (default 0)
+    lower-bounds every planned event: neither a hop nor the execution
+    may start before it.  Online repair uses it to keep new decisions
+    at or after the crash instant.  Bumps [evaluations]. *)
+val price : ?floor:float -> t -> task:int -> proc:int -> unit
+
+(** The current candidate's execution start and finish. *)
+val priced_est : t -> float
+
+val priced_eft : t -> float
+
+(** [keep t] makes the current candidate the kept one.  The two swap
+    places: afterwards {!priced_est} and {!priced_eft} read the
+    previously kept candidate, so read the times first. *)
+val keep : t -> unit
+
+(** [commit_kept t ~task] places [task] as the kept candidate says, with
+    its communications, and appends an entry to the engine's
+    {e commit log}, enabling {!rewind}.  The schedule must be in the
+    state the candidate was priced in. *)
+val commit_kept : t -> task:int -> unit
+
+(** [commit_kept_copy t ~task] places a {e duplicate} copy of the
+    already-placed [task] as the kept candidate says (with the
+    communications feeding that copy) and logs a copy entry, rewound
+    with {!Sched.Schedule.unplace_copy}.  The engine's cached incoming
+    table is invalidated — the task's feeding copy set just changed.
     @raise Invalid_argument if the task has no primary copy yet or the
-    evaluation carries a BSP phase (duplication is port-regime only). *)
-val commit_copy : t -> task:int -> eval -> unit
+    candidate travels in a BSP phase (duplication is port-regime
+    only). *)
+val commit_kept_copy : t -> task:int -> unit
+
+(** [set_candidate t ~task ~proc ~start comms] makes a placement priced
+    outside the engine the current candidate: [task] starting on [proc]
+    at [start], fed by [comms] in commit order.  The schedule derives
+    each event's finish from its hop, except under BSP, where the
+    events' common window is the comm phase the commit opens.  The hops
+    of one edge must be consecutive, as every pricing lists them: a hop
+    heads a provenance chain exactly when the hop before it carries
+    another edge.  The online driver re-commits frozen copies this way,
+    and the test oracle hands over its pricings.  Bumps no counter. *)
+val set_candidate :
+  t -> task:int -> proc:int -> start:float -> Sched.Schedule.comm list -> unit
 
 (** Number of commits performed through this engine — the length of the
     commit log, and the upper bound for {!rewind}'s [to_]. *)
@@ -110,14 +126,14 @@ val n_commits : t -> int
 val commit_task_at : t -> int -> int
 
 (** [commit_proc_at t i] is [-1] for a whole-task commit and the copy's
-    processor for a {!commit_copy} entry. *)
+    processor for a copy entry. *)
 val commit_proc_at : t -> int -> int
 
 (** [rewind t ~to_:k] retracts commits [k, k+1, ...] in reverse order,
     returning the schedule to its state after the first [k] commits, in
     time proportional to the work undone.  Only valid when every mutation
-    of the schedule since engine creation went through {!commit} (the
-    improver and search builders satisfy this; code calling
+    of the schedule since engine creation went through this engine's
+    commits (the improver and search builders satisfy this; code calling
     [Schedule.place_task]/[add_comm] directly does not).  Bumps the
     [rollbacks] counter.
     @raise Invalid_argument unless [0 <= to_ <= n_commits t]. *)
@@ -125,17 +141,16 @@ val rewind : t -> to_:int -> unit
 
 (** {2 Place steps}
 
-    Price and commit in one call.  Losing candidates are priced into the
-    engine's scratch space, and the winner is committed straight from
-    it: no {!eval} record and no hop list is built.  To read a choice
-    without keeping it, place the task, read the schedule, then
-    {!rewind}. *)
+    Price and commit in one call, committing the winner as it was
+    priced.  To read a choice without keeping it, place the task, read
+    the schedule, then {!rewind}. *)
 
-(** [schedule_on t ~task ~proc] = evaluate + commit on a forced processor. *)
+(** [schedule_on t ~task ~proc] = {!price} + commit on a forced
+    processor. *)
 val schedule_on : ?floor:float -> t -> task:int -> proc:int -> unit
 
-(** [schedule_copy_on t ~task ~proc] = evaluate + {!commit_copy} on
-    [proc]. *)
+(** [schedule_copy_on t ~task ~proc] = {!price} + copy commit on [proc]
+    (see {!commit_kept_copy}). *)
 val schedule_copy_on : ?floor:float -> t -> task:int -> proc:int -> unit
 
 (** [schedule_best t ~task] commits [task] on the processor of minimum
@@ -171,7 +186,7 @@ val schedule_best : ?floor:float -> t -> task:int -> int
 val schedule_best_among : ?floor:float -> t -> task:int -> int list -> int
 
 (** [schedule_pending t ~tasks ~procs ~alive] commits the earliest alive
-    row [i] minimising [(evaluate ~task:tasks.(i) ~proc:procs.(i)).eft]
+    row [i] minimising the finish time of [tasks.(i)] on [procs.(i)]
     (ties to the lowest row) and returns [i], or returns [-1] and
     commits nothing when no row is alive.  ILHA's reschedule step calls
     this once per commit over its whole ready chunk.  Rows are pruned
@@ -189,25 +204,27 @@ val schedule_pending :
 (** {2 Test seam} *)
 
 (** A substitute pricing and argmin: while {!oracle} holds one,
-    {!evaluate} and the place steps call the matching field (with
-    [floor] defaulted to 0) instead of the arena engine and commit the
-    {!eval} it returns ([best_proc] for {!schedule_best},
-    [best_proc_among] for {!schedule_best_among}, [best_pending] for
-    {!schedule_pending}); {!lower_bound}, the commits and {!rewind} are
-    unaffected.  The test suite installs an executable specification
-    here to prove the engine bit-identical to it.  The library never
-    sets it: it is [None] unless a test installs one. *)
+    {!price}, {!schedule_on} and {!schedule_copy_on} call [price] (with
+    [floor] defaulted to 0) instead of the arena engine, and
+    {!schedule_best}, {!schedule_best_among} and {!schedule_pending}
+    call [argmin] over their (task, processor) rows — one row per
+    candidate processor for the first two.  [price] must leave its
+    pricing as the current candidate ({!set_candidate}); [argmin] must
+    return the earliest alive row of least finish time, or -1 when no
+    row is alive, leaving that row's pricing kept ({!keep}).  The engine
+    then commits as usual; {!lower_bound} and {!rewind} are unaffected.
+    The test suite installs an executable specification here to prove
+    the engine bit-identical to it.  The library never sets it: it is
+    [None] unless a test installs one. *)
 type oracle = {
-  evaluate : floor:float -> t -> task:int -> proc:int -> eval;
-  best_proc : floor:float -> t -> task:int -> eval;
-  best_proc_among : floor:float -> t -> task:int -> int list -> eval;
-  best_pending :
+  price : floor:float -> t -> task:int -> proc:int -> unit;
+  argmin :
     floor:float ->
     t ->
     tasks:int array ->
     procs:int array ->
     alive:bool array ->
-    (int * eval) option;
+    int;
 }
 
 val oracle : oracle option ref

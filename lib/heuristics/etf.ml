@@ -19,24 +19,28 @@ let schedule ?(params = Params.default) plat g =
     List.iter
       (fun v ->
         for q = 0 to p - 1 do
-          let ev = Engine.evaluate engine ~task:v ~proc:q in
+          Engine.price engine ~task:v ~proc:q;
+          let est = Engine.priced_est engine in
           let better =
             match !best with
             | None -> true
-            | Some (est', sl', _, _) ->
+            | Some (est', sl', _) ->
                 (* one relative tolerance for both keys, so that the
                    outcome does not depend on the platform's time unit *)
-                if Prelude.Stats.fequal ev.Engine.est est' then
+                if Prelude.Stats.fequal est est' then
                   sl.(v) > sl' && not (Prelude.Stats.fequal sl.(v) sl')
-                else ev.Engine.est < est'
+                else est < est'
           in
-          if better then best := Some (ev.Engine.est, sl.(v), v, ev)
+          if better then begin
+            Engine.keep engine;
+            best := Some (est, sl.(v), v)
+          end
         done)
       (List.sort compare !ready);
     match !best with
     | None -> assert false
-    | Some (_, _, v, ev) ->
-        Engine.commit engine ~task:v ev;
+    | Some (_, _, v) ->
+        Engine.commit_kept engine ~task:v;
         ready := List.filter (( <> ) v) !ready;
         Graph.iter_succ_edges g v ~f:(fun e ->
             let u = Graph.edge_dst g e in

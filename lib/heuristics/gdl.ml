@@ -24,17 +24,19 @@ let schedule ?(params = Params.default) plat g =
     List.iter
       (fun v ->
         for q = 0 to p - 1 do
-          let ev = Engine.evaluate engine ~task:v ~proc:q in
-          let dl = sl.(v) -. ev.Engine.est +. delta v q in
+          Engine.price engine ~task:v ~proc:q;
+          let dl = sl.(v) -. Engine.priced_est engine +. delta v q in
           match !best with
-          | Some (dl', _, _) when dl' >= dl -> ()
-          | _ -> best := Some (dl, v, ev)
+          | Some (dl', _) when dl' >= dl -> ()
+          | _ ->
+              Engine.keep engine;
+              best := Some (dl, v)
         done)
       (List.sort compare !ready);
     match !best with
     | None -> assert false
-    | Some (_, v, ev) ->
-        Engine.commit engine ~task:v ev;
+    | Some (_, v) ->
+        Engine.commit_kept engine ~task:v;
         ready := List.filter (fun u -> u <> v) !ready;
         Graph.iter_succ_edges g v ~f:(fun e ->
             let u = Graph.edge_dst g e in

@@ -53,29 +53,36 @@ let critical_remote_pred sched plat g v ~proc =
   done;
   !best_u
 
-(* Price [v] on [q] with [price], then greedily duplicate up to [limit]
-   critical remote predecessors onto [q] while each copy strictly lowers
-   v's EFT ([eft] reads it from a priced result).  Kept duplications stay
-   committed (the caller rewinds to its own mark when merely exploring);
-   a failed attempt is rewound here.  The state left behind is the one
-   the returned result was priced in. *)
-let explore ~price ~eft engine sched plat g limit v q =
-  let ev = ref (price v q) in
+(* Price [v] on [q], then greedily duplicate up to [limit] critical
+   remote predecessors onto [q] while each copy strictly lowers v's EFT.
+   Each improving pricing is kept ({!Engine.keep}), and the best EFT is
+   returned.  Kept duplications stay committed (the caller rewinds to its
+   own mark when merely exploring); a failed attempt is rewound here.
+   The state left behind is the one the kept pricing was made in, so
+   the caller may commit it. *)
+let explore engine sched plat g limit v q =
+  Engine.price engine ~task:v ~proc:q;
+  let best = ref (Engine.priced_eft engine) in
+  Engine.keep engine;
   (try
      for _ = 1 to limit do
        let u = critical_remote_pred sched plat g v ~proc:q in
        if u < 0 then raise Exit;
        let mark = Engine.n_commits engine in
        Engine.schedule_copy_on engine ~task:u ~proc:q;
-       let ev' = price v q in
-       if eft ev' < eft !ev then ev := ev'
+       Engine.price engine ~task:v ~proc:q;
+       let eft = Engine.priced_eft engine in
+       if eft < !best then begin
+         Engine.keep engine;
+         best := eft
+       end
        else begin
          Engine.rewind engine ~to_:mark;
          raise Exit
        end
      done
    with Exit -> ());
-  !ev
+  !best
 
 let schedule ?(params = Params.default) plat g =
   match params.Params.model.Comm_model.regime with
@@ -98,32 +105,22 @@ let schedule ?(params = Params.default) plat g =
           let order = List_loop.decision_order ~priority g in
           let p = Platform.p plat in
           Obs.Span.with_ "map" (fun () ->
-              (* the exploration rounds only compare finish times; the
-                 replay builds the winner's evaluation to commit it *)
-              let eft_on v q = Engine.evaluate_eft engine ~task:v ~proc:q in
-              let eval_on v q = Engine.evaluate engine ~task:v ~proc:q in
               Array.iter
                 (fun v ->
                   let best_eft = ref infinity and bq = ref (-1) in
                   for q = 0 to p - 1 do
                     let mark = Engine.n_commits engine in
-                    let eft =
-                      explore ~price:eft_on ~eft:Fun.id engine sched plat g
-                        limit v q
-                    in
+                    let eft = explore engine sched plat g limit v q in
                     Engine.rewind engine ~to_:mark;
                     if !bq < 0 || not (!best_eft <= eft) then begin
                       best_eft := eft;
                       bq := q
                     end
                   done;
-                  (* replay the winning exploration, keeping its copies *)
-                  let ev =
-                    explore ~price:eval_on
-                      ~eft:(fun (e : Engine.eval) -> e.eft)
-                      engine sched plat g limit v !bq
-                  in
-                  Engine.commit engine ~task:v ev)
+                  (* replay the winning exploration, keeping its copies,
+                     and commit the pricing it kept *)
+                  let (_ : float) = explore engine sched plat g limit v !bq in
+                  Engine.commit_kept engine ~task:v)
                 order);
           (* duplication must never lose to plain single-copy HEFT *)
           let plain = Heft.schedule ~params plat g in

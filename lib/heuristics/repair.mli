@@ -64,9 +64,10 @@ val crash :
     with every predecessor either already placed or itself in [todo] —
     in upward-rank priority order, each onto its earliest-finish
     processor among [candidates], no event starting before [floor].
-    Every decision goes through {!Engine.commit}, so the commit log
-    stays rewindable, and bumps the [repairs] counter.  Returns the
-    scheduled tasks in ascending order.
+    Every decision is committed through the engine
+    ({!Engine.schedule_best_among}), so the commit log stays rewindable,
+    and bumps the [repairs] counter.  Returns the scheduled tasks in
+    ascending order.
     @raise Invalid_argument if [candidates] is empty. *)
 val schedule_suffix :
   ?params:Params.t ->

@@ -25,11 +25,12 @@ let best_schedule ?(params = Params.default) plat g =
       List.iter
         (fun v ->
           for q = 0 to p - 1 do
-            let ev = Engine.evaluate engine ~task:v ~proc:q in
-            let current_max' = max current_max ev.Engine.eft in
+            Engine.price engine ~task:v ~proc:q;
+            let current_max' = max current_max (Engine.priced_eft engine) in
             if current_max' < !incumbent_makespan then begin
               let mark = Engine.n_commits engine in
-              Engine.commit engine ~task:v ev;
+              Engine.keep engine;
+              Engine.commit_kept engine ~task:v;
               let ready' =
                 List.filter (( <> ) v) ready
                 @ List.filter

@@ -27,8 +27,9 @@ type counter
 
 (** {2 The registry, in print order} *)
 
-(** Candidate (task, processor) pairs priced — by [Engine.evaluate] or
-    by a candidate scan, aborted ones included. *)
+(** Candidate (task, processor) pairs priced — by [Engine.price] (and
+    the forced place steps built on it) or by a candidate scan, aborted
+    ones included. *)
 val evaluations : counter
 
 (** Candidates a scan skipped without pricing because a lower bound on
@@ -49,7 +50,8 @@ val joint_gap_probes : counter
     only the winning processor's hops commit). *)
 val tentative_hops : counter
 
-(** Evaluations actually committed ([Engine.commit]). *)
+(** Candidates actually committed, whole tasks and duplicate copies
+    alike (the engine's commit log entries). *)
 val commits : counter
 
 (** Whole-schedule copies ([Schedule.copy] — the cost of ILHA's

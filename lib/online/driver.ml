@@ -94,16 +94,23 @@ type plan = {
   pgen : int;  (** membership generation this plan was built for *)
 }
 
+(* One surviving copy of a frozen task, as the old schedule placed it:
+   its processor, its start and the provenance chains that fed it, in
+   commit order. *)
+type frozen_copy = {
+  fproc : int;
+  fstart : float;
+  fcomms : Schedule.comm list;  (** name edges of the old plan's graph *)
+}
+
 (* What a re-plan keeps of the old plan.  Each frozen task's surviving
    copies are keyed by (job, local task), independently of composite task
    ids, so they survive graph recomposition (admission and shedding shift
-   offsets); each copy is the evaluation that re-commits it, with the
-   provenance chains that fed it.  A task may survive as several copies
-   (duplication-aware plans); the head of its list is the primary the
-   re-plan re-commits first. *)
+   offsets).  A task may survive as several copies (duplication-aware
+   plans); the head of its list is the primary the re-plan re-commits
+   first. *)
 type frozen = {
-  decisions : (int * int, Engine.eval list) Hashtbl.t;
-      (** hops name edges of the old plan's graph *)
+  decisions : (int * int, frozen_copy list) Hashtbl.t;
   remap : bool array;  (** old-plan tasks to re-plan *)
   kept : Schedule.placement list array;  (** old-plan surviving copies *)
 }
@@ -225,7 +232,7 @@ let freeze st ~kills =
       let owner = owners g pl.playout in
       (* provenance chains, assigned to the consumer copy they feed;
          chains are contiguous runs in commit order *)
-      let hops_tbl : (int * int, Engine.hop) Hashtbl.t = Hashtbl.create 64 in
+      let hops_tbl : (int * int, Schedule.comm) Hashtbl.t = Hashtbl.create 64 in
       let nc = Schedule.n_comm_events s in
       let i = ref 0 in
       while !i < nc do
@@ -247,25 +254,14 @@ let freeze st ~kills =
                kept.(u)
         then
           for k = first to !i - 1 do
-            let c = Schedule.comm_at s k in
-            let hop =
-              {
-                Engine.edge = c.Schedule.edge;
-                src_proc = c.Schedule.src_proc;
-                dst_proc = c.Schedule.dst_proc;
-                start = c.Schedule.start;
-              }
-            in
-            Hashtbl.add hops_tbl (v, dst) hop
+            Hashtbl.add hops_tbl (v, dst) (Schedule.comm_at s k)
           done
       done;
       let to_copy v (c : Schedule.placement) =
         {
-          Engine.proc = c.proc;
-          est = c.start;
-          eft = c.finish;
-          hops = List.rev (Hashtbl.find_all hops_tbl (v, c.proc));
-          phase = None;
+          fproc = c.proc;
+          fstart = c.start;
+          fcomms = List.rev (Hashtbl.find_all hops_tbl (v, c.proc));
         }
       in
       for v = 0 to n - 1 do
@@ -328,7 +324,7 @@ let rewound pl fz =
     |> List.map (fun (v, q) ->
            let j, off = owner.(v) in
            let copies = Hashtbl.find fz.decisions (j.jid, v - off) in
-           (v, [ List.find (fun (c : Engine.eval) -> c.proc = q) copies ]))
+           (v, [ List.find (fun c -> c.fproc = q) copies ]))
   in
   Engine.rewind e ~to_:!k;
   (pl.pgraph, pl.playout, e, pending, fz.remap)
@@ -344,15 +340,15 @@ let rebuilt st fz =
   in
   (* a frozen hop names an edge of the old graph: re-derive it from its
      endpoints, shifted to the job's new offset *)
-  let retarget j off (ev : Engine.eval) =
+  let retarget j off c =
     let old = Option.get st.plan in
     let shift = off - List.assq j old.playout in
-    let hop (h : Engine.hop) =
+    let hop (h : Schedule.comm) =
       let src = Graph.edge_src old.pgraph h.edge + shift
       and dst = Graph.edge_dst old.pgraph h.edge + shift in
       { h with edge = (Option.get (Graph.find_edge graph ~src ~dst)).Graph.id }
     in
-    { ev with hops = List.map hop ev.hops }
+    { c with fcomms = List.map hop c.fcomms }
   in
   let owner = owners graph layout in
   let pending =
@@ -376,10 +372,13 @@ let replan_suffix st fz ~cands ~incremental =
   List.iter
     (fun (v, copies) ->
       List.iter
-        (fun ev ->
+        (fun c ->
+          Engine.set_candidate e ~task:v ~proc:c.fproc ~start:c.fstart
+            c.fcomms;
+          Engine.keep e;
           (* the first copy replayed becomes the primary *)
-          if Schedule.is_placed s v then Engine.commit_copy e ~task:v ev
-          else Engine.commit e ~task:v ev)
+          if Schedule.is_placed s v then Engine.commit_kept_copy e ~task:v
+          else Engine.commit_kept e ~task:v)
         copies;
       Obs.Counters.(bump replayed_tasks))
     pending;

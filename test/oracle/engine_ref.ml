@@ -1,10 +1,10 @@
 (* The straightforward list-based evaluator the arena engine replaced,
-   kept as the executable specification of [Engine.evaluate] and of the
+   kept as the executable specification of [Engine.price] and of the
    scans behind [Engine.schedule_best], [schedule_best_among] and
    [schedule_pending]: no caches, no pruning, one tentative-interval
-   list per probe.  [with_reference]
-   installs it through the [Engine.oracle] seam, and the test suite
-   proves both produce bit-identical schedules. *)
+   list per probe.  [with_reference] installs it through the
+   [Engine.oracle] seam, and the test suite proves both produce
+   bit-identical schedules. *)
 
 module O = Onesched
 module Engine = O.Engine
@@ -16,6 +16,18 @@ module Comm_model = O.Comm_model
 module Timeline = O.Timeline
 
 let sched = Engine.schedule
+
+(* A priced candidate: its processor, execution window, the
+   communication events committing it would add, in commit order, and
+   under BSP the fresh comm phase they travel in ([None] when the task
+   has no remote inputs, and in every other regime). *)
+type eval = {
+  proc : int;
+  est : float;
+  eft : float;
+  hops : Schedule.comm list;
+  phase : (float * float) option;
+}
 
 (* The copy of [src] that feeds remote consumers: the earliest-finishing
    one, ties to the lowest processor — the primary on a single-copy
@@ -122,7 +134,13 @@ let evaluate_port ~floor t ~task ~proc =
                     in
                     O.Obs_counters.(bump tentative_hops);
                     hops :=
-                      { Engine.edge = e; src_proc = a; dst_proc = b; start }
+                      {
+                        Schedule.edge = e;
+                        src_proc = a;
+                        dst_proc = b;
+                        start;
+                        finish = start +. duration;
+                      }
                       :: !hops;
                     scratch :=
                       scratch_add !scratch tls (start, start +. duration);
@@ -136,7 +154,7 @@ let evaluate_port ~floor t ~task ~proc =
   let duration = Schedule.exec_duration (sched t) ~task ~proc in
   let compute = Resource.compute res proc in
   let est = slot t ~tls:[ compute ] ~scratch:!scratch ~after:ready ~duration in
-  { Engine.proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
+  { proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
 
 (* BSP: the task's remote inputs travel in one fresh comm phase priced
    [g·h + L] from the h-relation [h] (total remote data), placed on the
@@ -169,7 +187,7 @@ let evaluate_bsp ~floor t ~task ~proc ~g:gp ~l:lp =
       let est =
         slot t ~tls:[ compute ] ~scratch:[] ~after:!local_ready ~duration
       in
-      { Engine.proc; est; eft = est +. duration; hops = []; phase = None }
+      { proc; est; eft = est +. duration; hops = []; phase = None }
   | remote ->
       let d = (gp *. !h) +. lp in
       let phase_tls = Resource.phase_busy res in
@@ -182,12 +200,18 @@ let evaluate_bsp ~floor t ~task ~proc ~g:gp ~l:lp =
         List.map
           (fun (e, q) ->
             O.Obs_counters.(bump tentative_hops);
-            { Engine.edge = e; src_proc = q; dst_proc = proc; start = c })
+            {
+              Schedule.edge = e;
+              src_proc = q;
+              dst_proc = proc;
+              start = c;
+              finish = f;
+            })
           remote
       in
       let ready = if !local_ready > f then !local_ready else f in
       let est = slot t ~tls:[ compute ] ~scratch ~after:ready ~duration in
-      { Engine.proc; est; eft = est +. duration; hops; phase = Some (c, f) }
+      { proc; est; eft = est +. duration; hops; phase = Some (c, f) }
 
 (* Latency+overhead: a hop's event spans [2o + data·hop_cost + l]; only
    the endpoint overheads occupy ports, exactly the sub-intervals
@@ -235,7 +259,14 @@ let evaluate_latency ~floor t ~task ~proc ~o ~l =
                 let s, f, r0 = place data_ready in
                 O.Obs_counters.(bump tentative_hops);
                 hops :=
-                  { Engine.edge = e; src_proc = a; dst_proc = b; start = s } :: !hops;
+                  {
+                    Schedule.edge = e;
+                    src_proc = a;
+                    dst_proc = b;
+                    start = s;
+                    finish = f;
+                  }
+                  :: !hops;
                 let s1 = min (s +. o) f in
                 if s1 > s then
                   scratch := scratch_add !scratch send_tls (s, s1);
@@ -251,7 +282,7 @@ let evaluate_latency ~floor t ~task ~proc ~o ~l =
   let duration = Schedule.exec_duration (sched t) ~task ~proc in
   let compute = Resource.compute res proc in
   let est = slot t ~tls:[ compute ] ~scratch:!scratch ~after:ready ~duration in
-  { Engine.proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
+  { proc; est; eft = est +. duration; hops = List.rev !hops; phase = None }
 
 let evaluate ?(floor = 0.) t ~task ~proc =
   O.Obs_counters.(bump evaluations);
@@ -261,49 +292,34 @@ let evaluate ?(floor = 0.) t ~task ~proc =
   | Comm_model.Latency_overhead { o; l } ->
       evaluate_latency ~floor t ~task ~proc ~o ~l
 
-let best_proc_among ?floor t ~task procs =
-  match procs with
-  | [] -> invalid_arg "Engine.best_proc_among: no candidates"
-  | procs ->
-      let best = ref None in
-      List.iter
-        (fun proc ->
-          let ev = evaluate ?floor t ~task ~proc in
-          match !best with
-          | Some b when b.Engine.eft <= ev.Engine.eft -> ()
-          | _ -> best := Some ev)
-        (List.sort_uniq compare procs);
-      Option.get !best
+(* Price by reference and hand the result to the engine as its current
+   candidate. *)
+let price ~floor t ~task ~proc =
+  let ev = evaluate ~floor t ~task ~proc in
+  Engine.set_candidate t ~task ~proc:ev.proc ~start:ev.est ev.hops
 
-let best_proc ?floor t ~task =
-  best_proc_among ?floor t ~task
-    (List.init (Platform.p (Schedule.platform (sched t))) Fun.id)
-
-(* The argmin over a pending (task, proc) table: the earliest alive row
-   with the least finish time. *)
-let best_pending ?floor t ~tasks ~procs ~alive =
-  let best = ref None in
+(* The argmin over (task, proc) rows: the earliest alive row with the
+   least finish time, its pricing kept; -1 when no row is alive. *)
+let argmin ~floor t ~tasks ~procs ~alive =
+  let best = ref (-1) and best_eft = ref infinity in
   for i = 0 to Array.length tasks - 1 do
     if alive.(i) then begin
-      let ev = evaluate ?floor t ~task:tasks.(i) ~proc:procs.(i) in
-      match !best with
-      | Some (_, b) when b.Engine.eft <= ev.Engine.eft -> ()
-      | _ -> best := Some (i, ev)
+      price ~floor t ~task:tasks.(i) ~proc:procs.(i);
+      let eft = Engine.priced_eft t in
+      if !best < 0 || not (!best_eft <= eft) then begin
+        Engine.keep t;
+        best := i;
+        best_eft := eft
+      end
     end
   done;
   !best
 
-let oracle =
-  {
-    Engine.evaluate = (fun ~floor -> evaluate ~floor);
-    best_proc = (fun ~floor -> best_proc ~floor);
-    best_proc_among = (fun ~floor -> best_proc_among ~floor);
-    best_pending = (fun ~floor -> best_pending ~floor);
-  }
+let oracle = { Engine.price; argmin }
 
-(* [with_reference f] runs [f] with [Engine.evaluate] and the place
-   steps' scans re-routed through this evaluator, restoring the previous
-   mode on exit, including on exceptions. *)
+(* [with_reference f] runs [f] with [Engine.price] and the place steps
+   re-routed through this evaluator, restoring the previous mode on
+   exit, including on exceptions. *)
 let with_reference f =
   let prev = !Engine.oracle in
   Engine.oracle := Some oracle;

@@ -13,29 +13,47 @@ let engine_for ?(model = O.Comm_model.one_port) ?policy ?(p = 2) g =
   let sched = O.Schedule.create ~graph:g ~platform:plat ~model () in
   O.Engine.create ?policy sched
 
+(* What placing [task] on [proc] commits, read back from the schedule
+   and then rewound: the start, the finish and the communication events
+   the placement added, in commit order. *)
+let placed_on engine ~task ~proc =
+  let s = O.Engine.schedule engine in
+  let k = O.Engine.n_commits engine and c0 = O.Schedule.n_comm_events s in
+  O.Engine.schedule_on engine ~task ~proc;
+  let hops =
+    List.init (O.Schedule.n_comm_events s - c0) (fun i ->
+        O.Schedule.comm_at s (c0 + i))
+  in
+  let placed =
+    (O.Schedule.start_of_exn s task, O.Schedule.finish_of_exn s task, hops)
+  in
+  O.Engine.rewind engine ~to_:k;
+  placed
+
 let basic_tests =
   [
     Alcotest.test_case "local placement has no comms" `Quick (fun () ->
         let engine = engine_for (chain_graph ()) in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
-        let ev = O.Engine.evaluate engine ~task:1 ~proc:0 in
-        check_float "est" 1. ev.O.Engine.est;
-        check_float "eft" 3. ev.O.Engine.eft;
-        check_bool "no hops" true (ev.O.Engine.hops = []));
+        let est, eft, hops = placed_on engine ~task:1 ~proc:0 in
+        check_float "est" 1. est;
+        check_float "eft" 3. eft;
+        check_bool "no hops" true (hops = []));
     Alcotest.test_case "remote placement schedules the message" `Quick (fun () ->
         let engine = engine_for (chain_graph ()) in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
-        let ev = O.Engine.evaluate engine ~task:1 ~proc:1 in
-        check_float "est = finish + comm" 4. ev.O.Engine.est;
-        check_int "one hop" 1 (List.length ev.O.Engine.hops);
-        let hop = List.hd ev.O.Engine.hops in
-        check_float "hop starts when data ready" 1. hop.O.Engine.start);
+        let est, _, hops = placed_on engine ~task:1 ~proc:1 in
+        check_float "est = finish + comm" 4. est;
+        check_int "one hop" 1 (List.length hops);
+        let hop = List.hd hops in
+        check_float "hop starts when data ready" 1. hop.O.Schedule.start);
     Alcotest.test_case "evaluation does not mutate state" `Quick (fun () ->
         let engine = engine_for (chain_graph ()) in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
-        let ev1 = O.Engine.evaluate engine ~task:1 ~proc:1 in
-        let ev2 = O.Engine.evaluate engine ~task:1 ~proc:1 in
-        check_float "same est twice" ev1.O.Engine.est ev2.O.Engine.est;
+        O.Engine.price engine ~task:1 ~proc:1;
+        let est1 = O.Engine.priced_est engine in
+        O.Engine.price engine ~task:1 ~proc:1;
+        check_float "same est twice" est1 (O.Engine.priced_est engine);
         check_int "no comm committed" 0
           (O.Schedule.n_comm_events (O.Engine.schedule engine)));
     Alcotest.test_case "schedule_best prefers local, ties to lowest index"
@@ -70,17 +88,18 @@ let serialization_tests =
         let engine = engine_for ~p:3 (join_graph ()) in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
         O.Engine.schedule_on engine ~task:1 ~proc:1;
-        let ev = O.Engine.evaluate engine ~task:2 ~proc:2 in
+        O.Engine.price engine ~task:2 ~proc:2;
         (* both messages ready at t=1, each lasting 2: arrivals 3 and 5 *)
-        check_float "est after both arrivals" 5. ev.O.Engine.est);
+        check_float "est after both arrivals" 5. (O.Engine.priced_est engine));
     Alcotest.test_case "macro-dataflow lets them overlap" `Quick (fun () ->
         let engine =
           engine_for ~model:O.Comm_model.macro_dataflow ~p:3 (join_graph ())
         in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
         O.Engine.schedule_on engine ~task:1 ~proc:1;
-        let ev = O.Engine.evaluate engine ~task:2 ~proc:2 in
-        check_float "est after parallel arrivals" 3. ev.O.Engine.est);
+        O.Engine.price engine ~task:2 ~proc:2;
+        check_float "est after parallel arrivals" 3.
+          (O.Engine.priced_est engine));
     Alcotest.test_case "append policy never uses gaps" `Quick (fun () ->
         (* Occupy [0,1) and [5,6) on P0's compute; a 2-long task fits in
            the gap under Insertion but must go after 6 under Append. *)
@@ -95,7 +114,8 @@ let serialization_tests =
           let sched = O.Engine.schedule engine in
           O.Schedule.place_task sched ~task:0 ~proc:0 ~start:0.;
           O.Schedule.place_task sched ~task:1 ~proc:0 ~start:5.;
-          (O.Engine.evaluate engine ~task:2 ~proc:0).O.Engine.est
+          O.Engine.price engine ~task:2 ~proc:0;
+          O.Engine.priced_est engine
         in
         check_float "insertion fills the gap" 1. (probe O.Engine.Insertion);
         check_float "append goes last" 6. (probe O.Engine.Append));
@@ -113,11 +133,10 @@ let routing_tests =
         let sched = O.Schedule.create ~graph:g ~platform:plat ~model:O.Comm_model.one_port () in
         let engine = O.Engine.create sched in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
-        let ev = O.Engine.evaluate engine ~task:1 ~proc:2 in
-        check_int "two hops" 2 (List.length ev.O.Engine.hops);
+        O.Engine.schedule_on engine ~task:1 ~proc:2;
+        check_int "two hops" 2 (O.Schedule.n_comm_events sched);
         (* data volume 3, unit hops: leave at 1, relay arrives 4, final 7 *)
-        check_float "est after relay" 7. ev.O.Engine.est;
-        O.Engine.commit engine ~task:1 ev;
+        check_float "est after relay" 7. (O.Schedule.start_of_exn sched 1);
         O.Validate.check_exn sched);
   ]
 
@@ -291,11 +310,119 @@ let equivalence_property_tests =
           (fun task ->
             List.for_all
               (fun proc ->
-                let fast = O.Engine.evaluate engine ~task ~proc in
+                let est, eft, hops = placed_on engine ~task ~proc in
                 let slow = Engine_ref.evaluate engine ~task ~proc in
-                fast = slow)
+                est = slow.est && eft = slow.eft && hops = slow.hops)
               (List.init (O.Platform.p plat) Fun.id))
           next);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Placements priced outside the engine                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The commit log of a finished schedule, read back from it, as
+   (task, proc, start, comms) entries, one per copy.  The schedule keeps
+   its communication events in commit order, and the provenance chains
+   one commit adds all feed the copy it places — the chain's task on its
+   last hop's processor — so every copy with remote inputs owns one
+   contiguous run of events.  The entries follow those runs; a copy is
+   preceded by its task's earlier copies (the primary first), and copies
+   without remote inputs come last.  That keeps the event order and each
+   task's copy order, which is all a fingerprint sees. *)
+let commit_log s =
+  let g = O.Schedule.graph s in
+  let m = O.Schedule.n_comm_events s in
+  let runs = Hashtbl.create 16 and fed = ref [] in
+  let i = ref 0 in
+  while !i < m do
+    let first = !i in
+    incr i;
+    while !i < m && not (O.Schedule.comm_head_at s !i) do
+      incr i
+    done;
+    let v = O.Graph.edge_dst g (O.Schedule.comm_edge s first) in
+    let key = (v, O.Schedule.comm_dst s (!i - 1)) in
+    if not (Hashtbl.mem runs key) then fed := key :: !fed;
+    for k = first to !i - 1 do
+      Hashtbl.add runs key (O.Schedule.comm_at s k)
+    done
+  done;
+  let emitted = Hashtbl.create 16 and log = ref [] in
+  let emit v (c : O.Schedule.placement) =
+    if not (Hashtbl.mem emitted (v, c.proc)) then begin
+      Hashtbl.add emitted (v, c.proc) ();
+      log :=
+        (v, c.proc, c.start, List.rev (Hashtbl.find_all runs (v, c.proc)))
+        :: !log
+    end
+  in
+  List.iter
+    (fun (v, q) ->
+      let rec upto = function
+        | [] -> ()
+        | (c : O.Schedule.placement) :: rest ->
+            emit v c;
+            if c.proc <> q then upto rest
+      in
+      upto (O.Schedule.copies s v))
+    (List.rev !fed);
+  for v = 0 to O.Graph.n_tasks g - 1 do
+    List.iter (emit v) (O.Schedule.copies s v)
+  done;
+  List.rev !log
+
+(* The port rungs, on which every registry heuristic may duplicate. *)
+let port_rungs =
+  List.filter
+    (fun m -> m.O.Comm_model.regime = O.Comm_model.Port)
+    O.Comm_model.all
+
+let replay_tests =
+  [
+    qtest ~count:150 "a replayed commit log rebuilds the schedule"
+      ~print:(fun ((what, _, _), rung, hi) ->
+        Printf.sprintf "%s model=%s heuristic=%s" what
+          (O.Comm_model.name (List.nth port_rungs rung))
+          (List.nth O.Registry.all hi).O.Registry.name)
+      QCheck2.Gen.(
+        tup3 instance_gen
+          (int_bound (List.length port_rungs - 1))
+          (int_bound (List.length O.Registry.all - 1)))
+      (fun ((_, graph, plat), rung, hi) ->
+        let model = List.nth port_rungs rung in
+        let e = List.nth O.Registry.all hi in
+        let g = graph () in
+        let s = e.O.Registry.scheduler (O.Params.of_model model) plat g in
+        let fresh = O.Schedule.create ~graph:g ~platform:plat ~model () in
+        let engine = O.Engine.create fresh in
+        (* each entry as the commit log should list it *)
+        let replayed =
+          List.map
+            (fun (task, proc, start, comms) ->
+              O.Engine.set_candidate engine ~task ~proc ~start comms;
+              O.Engine.keep engine;
+              if O.Schedule.is_placed fresh task then begin
+                O.Engine.commit_kept_copy engine ~task;
+                (task, proc)
+              end
+              else begin
+                O.Engine.commit_kept engine ~task;
+                (task, -1)
+              end)
+            (commit_log s)
+        in
+        let logged =
+          List.init (O.Engine.n_commits engine) (fun i ->
+              ( O.Engine.commit_task_at engine i,
+                O.Engine.commit_proc_at engine i ))
+        in
+        let same = O.Export.fingerprint fresh = O.Export.fingerprint s in
+        O.Engine.rewind engine ~to_:0;
+        same && logged = replayed
+        && O.Engine.n_commits engine = 0
+        && O.Schedule.n_placed fresh = 0
+        && O.Schedule.n_comm_events fresh = 0);
   ]
 
 let reference_mode_tests =
@@ -389,8 +516,8 @@ let bound_holds ~g ~plat ~model ~policy ~floor ~dups ~seed =
       (fun task ->
         for proc = 0 to p - 1 do
           let lb = O.Engine.lower_bound ~floor engine ~task ~proc in
-          let ev = O.Engine.evaluate ~floor engine ~task ~proc in
-          if not (lb <= ev.O.Engine.eft) then ok := false
+          O.Engine.price ~floor engine ~task ~proc;
+          if not (lb <= O.Engine.priced_eft engine) then ok := false
         done)
       !ready;
     let v = O.Rng.pick rng (Array.of_list !ready) in
@@ -401,8 +528,7 @@ let bound_holds ~g ~plat ~model ~policy ~floor ~dups ~seed =
          O.Schedule.is_placed sched u
          && O.Schedule.copy_on sched ~task:u ~proc:q = None
        then
-         O.Engine.commit_copy engine ~task:u
-           (O.Engine.evaluate ~floor engine ~task:u ~proc:q));
+         O.Engine.schedule_copy_on ~floor engine ~task:u ~proc:q);
     ready := List.filter (( <> ) v) !ready;
     O.Graph.iter_succ_edges g v ~f:(fun e ->
         let w = O.Graph.edge_dst g e in
@@ -590,8 +716,8 @@ let pruning_stage_tests =
         let ev, c = best_both engine ~task:2 in
         check_int "P0 wins" 0 ev.proc;
         check_float "eft" 10. ev.eft;
-        check_float "P2 really finishes at 12" 12.
-          (O.Engine.evaluate engine ~task:2 ~proc:2).O.Engine.eft;
+        O.Engine.price engine ~task:2 ~proc:2;
+        check_float "P2 really finishes at 12" 12. (O.Engine.priced_eft engine);
         (* probes: P0's hop and compute slot, P1's and P2's stage-2
            compute probes, P2's two hops — and no compute probe for P2 *)
         check_counts "abort" ~evaluations:2 ~pruned:1 ~aborted:1 ~probes:6 c);
@@ -834,5 +960,6 @@ let words_tests =
 
 let suite =
   basic_tests @ serialization_tests @ routing_tests @ equivalence_tests
-  @ equivalence_property_tests @ reference_mode_tests @ rewind_tests
+  @ equivalence_property_tests @ replay_tests @ reference_mode_tests
+  @ rewind_tests
   @ bound_tests @ pruning_stage_tests @ words_tests

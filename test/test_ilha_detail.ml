@@ -101,9 +101,8 @@ let no_overlap_tests =
         O.Engine.schedule_on engine ~task:1 ~proc:0;
         (* now evaluate task 2 on P1: the message (3 units) cannot overlap
            P0's computation, so it starts at 3 and arrives at 6 *)
-        let ev = O.Engine.evaluate engine ~task:2 ~proc:1 in
-        check_float "est = 6" 6. ev.O.Engine.est;
-        O.Engine.commit engine ~task:2 ev;
+        O.Engine.schedule_on engine ~task:2 ~proc:1;
+        check_float "est = 6" 6. (O.Schedule.start_of_exn sched 2);
         O.Validate.check_exn sched);
     Alcotest.test_case "with overlap the same message leaves at 2" `Quick
       (fun () ->
@@ -117,8 +116,8 @@ let no_overlap_tests =
         let engine = O.Engine.create sched in
         O.Engine.schedule_on engine ~task:0 ~proc:0;
         O.Engine.schedule_on engine ~task:1 ~proc:0;
-        let ev = O.Engine.evaluate engine ~task:2 ~proc:1 in
-        check_float "est = 5" 5. ev.O.Engine.est);
+        O.Engine.price engine ~task:2 ~proc:1;
+        check_float "est = 5" 5. (O.Engine.priced_est engine));
   ]
 
 let metrics_tests =

@@ -62,11 +62,10 @@ let behaviour_tests =
         let engine = O.Engine.create sched in
         O.Engine.schedule_on engine ~task:0 ~proc:1;
         O.Engine.schedule_on engine ~task:1 ~proc:3;
-        let ev = O.Engine.evaluate engine ~task:2 ~proc:2 in
+        O.Engine.schedule_on engine ~task:2 ~proc:2;
         (* each message: 2 hops of 3; ready at 1; hub->2 segments share a
            link, so the second arrival is pushed past the first *)
-        check_int "four hops" 4 (List.length ev.O.Engine.hops);
-        O.Engine.commit engine ~task:2 ev;
+        check_int "four hops" 4 (O.Schedule.n_comm_events sched);
         O.Validate.check_exn sched;
         let makespan_ss = O.Schedule.makespan sched in
         (* same story without link contention finishes strictly earlier *)
@@ -77,8 +76,7 @@ let behaviour_tests =
         let engine2 = O.Engine.create sched2 in
         O.Engine.schedule_on engine2 ~task:0 ~proc:1;
         O.Engine.schedule_on engine2 ~task:1 ~proc:3;
-        let ev2 = O.Engine.evaluate engine2 ~task:2 ~proc:2 in
-        O.Engine.commit engine2 ~task:2 ev2;
+        O.Engine.schedule_on engine2 ~task:2 ~proc:2;
         check_bool "contention costs time" true
           (makespan_ss > O.Schedule.makespan sched2 +. 1e-9));
     Alcotest.test_case "model naming" `Quick (fun () ->
@@ -128,7 +126,8 @@ let property_tests =
                 O.Engine.schedule_on engine ~task:v ~proc:(i mod 4))
             order;
           let last = order.(Array.length order - 1) in
-          (O.Engine.evaluate engine ~task:last ~proc:2).O.Engine.est
+          O.Engine.price engine ~task:last ~proc:2;
+          O.Engine.priced_est engine
         in
         est ss >= est O.Comm_model.macro_dataflow -. 1e-9);
     qtest ~count:40 "pert compaction stays valid under link contention"
